@@ -3,7 +3,7 @@
 // individual stages:
 //
 //	halo build         -w povray -scale test -o povray.hbin  build a workload binary
-//	halo disasm        [-fused] povray.hbin                  disassemble a binary
+//	halo disasm        povray.hbin                           disassemble a binary
 //	halo profile       [-seed N] [-o p.hprof] povray.hbin    profile; print graph, save profile
 //	halo profile-merge -o m.hprof a.hprof b.hprof ...        merge saved profiles
 //	halo groups        [flags] povray.hbin                   print allocation groups (Figure 9 view)
@@ -37,7 +37,6 @@ import (
 	"halo/internal/profile"
 	"halo/internal/profstore"
 	"halo/internal/rewrite"
-	"halo/internal/vm"
 	"halo/internal/workloads"
 )
 
@@ -87,7 +86,7 @@ func usage() {
 
 commands:
   build          build a workload into a binary image
-  disasm         disassemble a binary image (-fused: predecoded stream)
+  disasm         disassemble a binary image
   profile        profile a binary; print its affinity graph, save with -o
   profile-merge  merge saved profiles from independent training runs
   groups         print the allocation groups formed from a profile
@@ -156,20 +155,15 @@ func cmdBuild(args []string) error {
 
 func cmdDisasm(args []string) error {
 	fs := flag.NewFlagSet("disasm", flag.ExitOnError)
-	fused := fs.Bool("fused", false, "render the predecoded stream with superinstruction fusion")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: halo disasm [-fused] <binary>")
+		return fmt.Errorf("usage: halo disasm <binary>")
 	}
 	p, err := loadProgram(fs.Arg(0))
 	if err != nil {
 		return err
-	}
-	if *fused {
-		fmt.Print(vm.DisasmFused(p))
-		return nil
 	}
 	fmt.Print(p.Disasm())
 	return nil

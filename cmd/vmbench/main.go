@@ -25,17 +25,14 @@ import (
 	"halo/internal/workloads"
 )
 
-// Result is one workload × engine throughput record. TLB and fusion
-// figures are threaded-engine properties; they stay zero for the switch
-// engine, which has neither a software TLB nor superinstructions.
+// Result is one workload × engine throughput record. TLB figures are
+// threaded-engine properties; they stay zero for the switch engine, which
+// has no software TLB.
 type Result struct {
 	Workload     string  `json:"workload"`
 	Engine       string  `json:"engine"`
 	Steps        uint64  `json:"steps"`
 	Events       uint64  `json:"events"`
-	Fused        uint64  `json:"fused"`
-	Triples      uint64  `json:"triples"`       // fused-triple sites in the decoded program
-	Inlined      uint64  `json:"inlined"`       // inlined calls retired during the run
 	TLBHitRate   float64 `json:"tlb_hit_rate"`  // hits / (loads+stores)
 	TLBMissRate  float64 `json:"tlb_miss_rate"` // misses / (loads+stores)
 	NsPerRun     int64   `json:"ns_per_run"`
@@ -110,14 +107,11 @@ func measure(name string, mode vm.DispatchMode) (Result, error) {
 		Engine:       engine,
 		Steps:        v.Steps(),
 		Events:       sink.n,
-		Fused:        v.Fused(),
-		Inlined:      v.Inlined(),
 		NsPerRun:     ns,
 		StepsPerSec:  float64(v.Steps()) / sec,
 		EventsPerSec: float64(sink.n) / sec,
 	}
 	if mode == vm.DispatchThreaded {
-		res.Triples = uint64(vm.Predecode(p).TripleSites())
 		if acc := v.Loads() + v.Stores(); acc > 0 {
 			miss := v.TLBMisses()
 			hits := acc - miss - v.TLBBypasses()
@@ -153,9 +147,9 @@ func main() {
 				}
 			}
 			doc.Results = append(doc.Results, best)
-			fmt.Printf("%-10s %-9s %12d steps  %9d fused  %5d triples  %8d inlined  tlb %5.1f%%  %8.2fms  %11.0f steps/s  %11.0f events/s\n",
-				best.Workload, best.Engine, best.Steps, best.Fused, best.Triples, best.Inlined,
-				best.TLBHitRate*100, float64(best.NsPerRun)/1e6, best.StepsPerSec, best.EventsPerSec)
+			fmt.Printf("%-10s %-9s %12d steps  tlb %5.1f%%  %8.2fms  %11.0f steps/s  %11.0f events/s\n",
+				best.Workload, best.Engine, best.Steps, best.TLBHitRate*100,
+				float64(best.NsPerRun)/1e6, best.StepsPerSec, best.EventsPerSec)
 		}
 	}
 

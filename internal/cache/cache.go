@@ -277,11 +277,10 @@ func (h *Hierarchy) linesStall(addr uint64, size uint8) (stall, mem uint64) {
 
 // ConsumeEvents implements vm.EventSink: the hierarchy drains the VM's
 // batched event stream directly, simulating each load and store in batch
-// order and ignoring the non-access records. This replaces the per-access
-// virtual dispatch of the Hooks-era adapter in internal/measure. The
-// hierarchy-wide charge counters accumulate in locals across the whole
-// batch and are written back once, so the hot loop's read-modify-write
-// traffic on the Hierarchy stays out of the per-event path.
+// order and ignoring the non-access records. The hierarchy-wide charge
+// counters accumulate in locals across the whole batch and are written
+// back once, so the hot loop's read-modify-write traffic on the Hierarchy
+// stays out of the per-event path.
 //
 // Page translation is shared across the batch, mirroring the VM's software
 // TLB on the execution side: after an access translates page P, P sits at

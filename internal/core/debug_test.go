@@ -6,22 +6,28 @@ import (
 	"halo/internal/alloc"
 	"halo/internal/bits"
 	"halo/internal/halloc"
-	"halo/internal/isa"
 	"halo/internal/mem"
 	"halo/internal/vm"
 	"halo/internal/workloads"
 )
 
-// liveChecker verifies at the VM hook level that allocations never overlap
+// liveChecker is an event sink that verifies allocations never overlap
 // and frees name live regions.
 type liveChecker struct {
-	vm.NopHooks
 	t    *testing.T
 	live map[uint64]uint64 // base -> size
 	n    int
 }
 
-func (c *liveChecker) OnAlloc(ev vm.AllocEvent) {
+func (c *liveChecker) ConsumeEvents(batch []vm.Event) {
+	for i := range batch {
+		if batch[i].Kind == vm.EvAlloc {
+			c.onAlloc(batch[i].Alloc())
+		}
+	}
+}
+
+func (c *liveChecker) onAlloc(ev vm.AllocEvent) {
 	c.n++
 	switch ev.Kind {
 	case vm.KindFree:
@@ -67,13 +73,10 @@ func TestHALORunLiveInvariants(t *testing.T) {
 		cls := halloc.NewSelectorClassifier(state, opt.BitSelectors)
 		ga := halloc.New(osm, fallback, cls, halloc.Config{})
 		checker := &liveChecker{t: t, live: map[uint64]uint64{}}
-		// The checker is a per-event observer, attached via the Replay shim.
-		v := vm.New(opt.Rewrite.Prog, memory, ga, vm.NewReplay(opt.Rewrite.Prog, checker),
-			vm.Config{Seed: 99, GroupState: state})
+		v := vm.New(opt.Rewrite.Prog, memory, ga, checker, vm.Config{Seed: 99, GroupState: state})
 		if _, err := v.Run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		t.Logf("%s: %d alloc events, %d live at exit", name, checker.n, len(checker.live))
-		_ = isa.NoAddr
 	}
 }

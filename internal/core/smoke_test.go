@@ -27,6 +27,9 @@ func TestPipelineSmoke(t *testing.T) {
 			t.Logf("%s: %d contexts, %d graph nodes, %d groups, %d sites, %d selectors",
 				w.Name, len(opt.Profile.Contexts), opt.Profile.Graph.NumNodes(),
 				len(opt.Groups), len(opt.Selectors.Sites), len(opt.BitSelectors))
+			if _, err := AnalyzeHDS(opt.Profile, cfg); err != nil {
+				t.Fatalf("hot data streams: %v", err)
+			}
 
 			base, err := measure.Run(p, measure.Policy{Kind: measure.Jemalloc}, 99, machine)
 			if err != nil {

@@ -10,11 +10,11 @@ import (
 
 // Adversarial evaluates the hostile-heap workload family end to end: each
 // generated scenario runs the full pipeline and is measured HALO vs the
-// jemalloc baseline, reporting where grouping helps, hurts (negative miss
-// reduction, flagged REGRESSED) or is defeated, plus a corruption verdict —
-// the scenario's flattened heap-op stream replayed against the group
-// allocator under the shadow-heap oracle, with the workload's own
-// allocator tuning.
+// jemalloc baseline, reporting where grouping helps, changes nothing,
+// hurts (negative miss reduction, flagged REGRESSED) or is defeated, plus
+// a corruption verdict — the scenario's flattened heap-op stream replayed
+// against the group allocator under the shadow-heap oracle, with the
+// workload's own allocator tuning.
 func (e *Engine) Adversarial() (*Table, error) {
 	list := e.adversarialList()
 	t := &Table{
@@ -24,7 +24,7 @@ func (e *Engine) Adversarial() (*Table, error) {
 			"speedup (%)", "frag@peak (%)", "verdict", "corruption"},
 	}
 	t.Notes = append(t.Notes,
-		"verdict: helped = positive miss reduction; REGRESSED = grouping added misses; defeated = grouping never engaged",
+		"verdict: helped = positive miss reduction; neutral = zero miss reduction; REGRESSED = grouping added misses; defeated = grouping never engaged",
 		"corruption: the scenario's heap-op stream replayed under the shadow-heap oracle (clean = zero findings)")
 	rows := make([][]string, len(list))
 	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {
@@ -42,11 +42,15 @@ func (e *Engine) Adversarial() (*Table, error) {
 		}
 		missRed := measure.Improvement(base.L1DMiss.Median, halo.L1DMiss.Median)
 		speedup := measure.Improvement(base.Seconds.Median, halo.Seconds.Median)
-		verdict := "helped"
+		var verdict string
 		switch {
 		case halo.Median.GroupedAllocs == 0:
 			verdict = "defeated"
-		case missRed < 0:
+		case missRed > 0:
+			verdict = "helped"
+		case missRed == 0:
+			verdict = "neutral"
+		default:
 			verdict = "REGRESSED"
 		}
 		corruption := "clean"

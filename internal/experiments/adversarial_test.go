@@ -8,8 +8,9 @@ import (
 
 // TestAdversarialQuick runs the adversarial experiment end to end at test
 // scale and checks the table's semantic content: every hostile workload
-// appears, the shadow-heap replay is clean everywhere, and the pinned
-// miss-regressor row carries the REGRESSED verdict.
+// appears, the shadow-heap replay is clean everywhere, the pinned
+// miss-regressor row carries the REGRESSED verdict, and adv-adjacent,
+// whose miss reduction is not positive, is not reported as helped.
 func TestAdversarialQuick(t *testing.T) {
 	tab, err := quickEngine().Adversarial()
 	if err != nil {
@@ -27,6 +28,9 @@ func TestAdversarialQuick(t *testing.T) {
 	}
 	if v := seen["adv-regress"]; v != "REGRESSED" {
 		t.Fatalf("adv-regress verdict = %q, want REGRESSED", v)
+	}
+	if v := seen["adv-adjacent"]; v == "helped" {
+		t.Fatalf("adv-adjacent verdict = %q, want neutral or worse", v)
 	}
 }
 

@@ -169,9 +169,9 @@ func TestGoldenBatchSizeInvariance(t *testing.T) {
 // TestGoldenBatchSizeFingerprints pins the absolute profile fingerprints at
 // batch sizes 1, 64 and 4096 for every golden workload: each must hash to
 // the seed engine's recorded image. This is stronger than pairwise
-// invariance — the predecoded threaded dispatcher with superinstruction
-// fusion must reproduce the pre-batching per-event engine's bytes exactly
-// at every delivery granularity.
+// invariance — the predecoded threaded dispatcher must reproduce the
+// pre-batching per-event engine's bytes exactly at every delivery
+// granularity.
 func TestGoldenBatchSizeFingerprints(t *testing.T) {
 	for _, g := range goldens {
 		t.Run(g.name, func(t *testing.T) {

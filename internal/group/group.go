@@ -1,8 +1,6 @@
 // Package group implements HALO's context-grouping stage (§4.2): the greedy
 // clustering algorithm of Figure 6, driven by the weighted-graph-density
-// score of Figure 7 and the merge-benefit function of Figure 8. It also
-// provides the clustering techniques the paper compares against (weighted
-// modularity and HCS) for the ablation experiments.
+// score of Figure 7 and the merge-benefit function of Figure 8.
 package group
 
 import (

@@ -231,57 +231,3 @@ func TestAssign(t *testing.T) {
 		t.Fatal("phantom assignment")
 	}
 }
-
-func TestModularityClusterSeparates(t *testing.T) {
-	g := buildGraph(nil, map[[2]affinity.Ctx]uint64{
-		{0, 1}: 50, {1, 2}: 50, {0, 2}: 50,
-		{3, 4}: 50, {4, 5}: 50, {3, 5}: 50,
-		{2, 3}: 1,
-	})
-	clusters := ModularityCluster(g)
-	if len(clusters) != 2 {
-		t.Fatalf("clusters = %d, want 2: %v", len(clusters), clusters)
-	}
-}
-
-func TestHCSClusterSeparates(t *testing.T) {
-	g := buildGraph(nil, map[[2]affinity.Ctx]uint64{
-		{0, 1}: 50, {1, 2}: 50, {0, 2}: 50,
-		{3, 4}: 50, {4, 5}: 50, {3, 5}: 50,
-		{2, 3}: 1,
-	})
-	clusters := HCSCluster(g)
-	if len(clusters) < 2 {
-		t.Fatalf("clusters = %d, want >= 2: %v", len(clusters), clusters)
-	}
-	// 0,1,2 must not share a cluster with 3,4,5.
-	for _, c := range clusters {
-		hasLow, hasHigh := false, false
-		for _, n := range c {
-			if n <= 2 {
-				hasLow = true
-			} else {
-				hasHigh = true
-			}
-		}
-		if hasLow && hasHigh {
-			t.Fatalf("cut failed: %v", c)
-		}
-	}
-}
-
-func TestStoerWagnerMinCut(t *testing.T) {
-	// Two triangles joined by a single weight-1 edge: min cut = 1.
-	g := buildGraph(nil, map[[2]affinity.Ctx]uint64{
-		{0, 1}: 5, {1, 2}: 5, {0, 2}: 5,
-		{3, 4}: 5, {4, 5}: 5, {3, 5}: 5,
-		{2, 3}: 1,
-	})
-	cut, side := stoerWagner(g, g.Nodes())
-	if cut != 1 {
-		t.Fatalf("min cut = %v, want 1", cut)
-	}
-	if len(side) == 0 || len(side) == 6 {
-		t.Fatalf("degenerate side: %v", side)
-	}
-}

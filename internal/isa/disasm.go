@@ -18,16 +18,14 @@ func (p *Program) Disasm() string {
 		}
 		fmt.Fprintf(&b, "\nfunc %s(%d)%s  ; #%d, %d regs\n", f.Name, f.NParams, lib, fi, f.NRegs)
 		for pc, in := range f.Code {
-			fmt.Fprintf(&b, "  %4d: %s\n", pc, p.DisasmInst(in))
+			fmt.Fprintf(&b, "  %4d: %s\n", pc, p.disasmInst(in))
 		}
 	}
 	return b.String()
 }
 
-// DisasmInst renders one instruction. Exported so internal/vm can reuse it
-// to render the component instructions of predecoded/fused streams
-// (`halo disasm -fused`).
-func (p *Program) DisasmInst(in Inst) string {
+// disasmInst renders one instruction.
+func (p *Program) disasmInst(in Inst) string {
 	mark := ""
 	if in.Addr == NoAddr {
 		mark = " ; <synth>"

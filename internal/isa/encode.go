@@ -34,6 +34,14 @@ import (
 const (
 	magic   = "HBIN"
 	version = 1
+
+	// The smallest encodings of a function (one byte each for the name
+	// length, flags, nparams, nregs and ninsts) and of an instruction (six
+	// operand bytes plus one byte each for fn, imm and addr). Decode
+	// rejects counts the remaining bytes cannot hold before allocating for
+	// them, so a tiny hostile header cannot demand a huge allocation.
+	minFuncBytes = 5
+	minInstBytes = 9
 )
 
 // Encode serialises the program to its binary image. The program must
@@ -85,7 +93,7 @@ func Decode(image []byte) (*Program, error) {
 	p.Globals = int(r.uvarint())
 	p.nextSynth = Addr(r.uvarint())
 	nf := r.uvarint()
-	if nf > 1<<20 {
+	if nf > 1<<20 || nf > r.remaining()/minFuncBytes {
 		return nil, fmt.Errorf("isa: implausible function count %d", nf)
 	}
 	p.Funcs = make([]*Func, 0, nf)
@@ -97,7 +105,7 @@ func Decode(image []byte) (*Program, error) {
 		f.NParams = int(r.uvarint())
 		f.NRegs = int(r.uvarint())
 		ni := r.uvarint()
-		if ni > 1<<24 {
+		if ni > 1<<24 || ni > r.remaining()/minInstBytes {
 			return nil, fmt.Errorf("isa: implausible instruction count %d", ni)
 		}
 		f.Code = make([]Inst, ni)
@@ -147,6 +155,9 @@ type reader struct {
 	pos int
 	err error
 }
+
+// remaining reports the unread byte count.
+func (r *reader) remaining() uint64 { return uint64(len(r.buf) - r.pos) }
 
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil {

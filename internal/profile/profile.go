@@ -1,6 +1,6 @@
 // Package profile is the reproduction's replacement for the paper's
-// Pin-based instrumentation tool (§4.1). Attached to the VM as execution
-// hooks, it:
+// Pin-based instrumentation tool (§4.1). Attached to the VM as its event
+// sink, it:
 //
 //   - intercepts the POSIX.1 memory-management calls and tracks live data
 //     at object-level granularity;

@@ -1,9 +1,8 @@
 package sequitur
 
-// Whole-grammar analyses shared by the consumers: rule occurrence
-// frequencies and expansion lengths (internal/hds stream extraction and
-// internal/vm digram heat both weight rules by how often they recur), and
-// capped rule expansion (stream materialisation).
+// Whole-grammar analyses for internal/hds: rule occurrence frequencies and
+// expansion lengths (stream extraction weights rules by how often they
+// recur), and capped rule expansion (stream materialisation).
 
 // RuleFreq computes how many times each rule's expansion occurs in the full
 // input: the start rule occurs once, and every reference inside a rule

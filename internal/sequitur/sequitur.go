@@ -1,11 +1,8 @@
 // Package sequitur implements SEQUITUR (Nevill-Manning & Witten, 1997):
 // linear-time, incremental inference of a context-free grammar whose
-// language is exactly the input string. It is a leaf package shared by two
-// very different consumers: internal/hds compresses object-level data
-// reference traces with it to extract hot data streams (the paper's
-// PLDI '06 comparison technique), and internal/vm runs it over static
-// instruction streams at predecode time to find the hot opcode digrams
-// worth fusing into superinstructions.
+// language is exactly the input string. internal/hds compresses
+// object-level data reference traces with it to extract hot data streams
+// (the paper's PLDI '06 comparison technique).
 package sequitur
 
 // This file implements the grammar: linear

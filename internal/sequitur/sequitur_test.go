@@ -159,96 +159,6 @@ func TestRuleFreqAndLens(t *testing.T) {
 	}
 }
 
-// naiveTrigrams slides a window of three over the input — the ground truth
-// the grammar-driven attribution must reproduce.
-func naiveTrigrams(seq []int64) map[[3]int64]int {
-	out := make(map[[3]int64]int)
-	for i := 0; i+2 < len(seq); i++ {
-		out[[3]int64{seq[i], seq[i+1], seq[i+2]}]++
-	}
-	return out
-}
-
-func TestTriCounterMatchesNaiveWindow(t *testing.T) {
-	cases := [][]int64{
-		{1, 2, 3},
-		{1, 2, 3, 1, 2, 3, 1, 2, 3},
-		{1, 2, 1, 2, 3, 1, 2, 1, 2, 3},
-		{5, 5, 5, 5, 5, 5, 5, 5},
-		{1, 2, 2, 1, 2, 2, 3, 1, 2, 2, 1, 2, 2, 3},
-		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-	}
-	for _, seq := range cases {
-		c := NewTriCounter()
-		c.Observe(seq)
-		want := naiveTrigrams(seq)
-		got := make(map[[3]int64]int)
-		for _, tg := range c.Hot(1) {
-			got[[3]int64{tg.A, tg.B, tg.C}] = tg.Count
-		}
-		if len(got) != len(want) {
-			t.Errorf("seq %v: %d trigrams, want %d", seq, len(got), len(want))
-		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Errorf("seq %v: trigram %v count %d, want %d", seq, k, got[k], n)
-			}
-		}
-	}
-}
-
-func TestTriCounterRandomisedExact(t *testing.T) {
-	f := func(raw []uint8) bool {
-		seq := make([]int64, len(raw))
-		for i, v := range raw {
-			seq[i] = int64(v % 4) // small alphabet maximises rule nesting
-		}
-		c := NewTriCounter()
-		c.Observe(seq)
-		want := naiveTrigrams(seq)
-		got := make(map[[3]int64]int)
-		for _, tg := range c.Hot(1) {
-			got[[3]int64{tg.A, tg.B, tg.C}] = tg.Count
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k, n := range want {
-			if got[k] != n {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTriCounterAccumulatesAndSorts(t *testing.T) {
-	c := NewTriCounter()
-	c.Observe([]int64{1, 2, 3, 1, 2, 3, 1, 2, 3})
-	c.Observe([]int64{7, 8, 9, 7, 8, 9})
-	hot := c.Hot(2)
-	if len(hot) == 0 {
-		t.Fatal("no hot trigrams")
-	}
-	if hot[0].A != 1 || hot[0].B != 2 || hot[0].C != 3 || hot[0].Count != 3 {
-		t.Fatalf("hottest = %+v, want {1 2 3 3}", hot[0])
-	}
-	for i := 1; i < len(hot); i++ {
-		if hot[i].Count > hot[i-1].Count {
-			t.Fatalf("unsorted: %+v after %+v", hot[i], hot[i-1])
-		}
-	}
-	// Triples seen only once stay below min=2.
-	for _, tg := range hot {
-		if tg.Count < 2 {
-			t.Fatalf("cold trigram surfaced: %+v", tg)
-		}
-	}
-}
-
 func BenchmarkSequitur(b *testing.B) {
 	var seq []int64
 	for i := 0; i < 10000; i++ {

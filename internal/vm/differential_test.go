@@ -13,8 +13,7 @@ import (
 // reference switch interpreter and the predecoded threaded dispatcher,
 // which must agree on everything observable — result, error, retired-step
 // and load/store counts, and the complete event stream — at any batch size
-// and at any step budget (including budgets that expire between the two
-// halves of a fused superinstruction).
+// and at any step budget.
 
 // captureSink accumulates the complete event stream across flushes.
 type captureSink struct{ events []Event }
@@ -27,12 +26,12 @@ const fuzzBufSize = 256
 
 // genOps emits n random operations into f. The generated code is always
 // well-defined: divisors are non-zero, memory accesses stay inside the
-// buf/big scratch buffers, loops are bounded. Fusable idioms — the six
+// buf/big scratch buffers, loops are bounded. Common adjacent idioms —
 // pairs (const+add, cmp+branch, addi+load, load+add, const+store,
-// load+store) and the three triples (const+add+load, load+cmp+branch,
-// addi+load+add) — are emitted deliberately and repeatedly so
-// superinstruction fusion triggers, and big spans tlbSize+ pages so
-// direct-mapped TLB slot collisions (two pages, same index) occur.
+// load+store) and triples (const+add+load, load+cmp+branch,
+// addi+load+add) — are emitted deliberately and repeatedly, and big spans
+// tlbSize+ pages so direct-mapped TLB slot collisions (two pages, same
+// index) occur.
 func genOps(rng *rand.Rand, f *prog.FuncBuilder, temps []prog.Reg, buf, big prog.Reg, callees []string, n int) {
 	rr := func() prog.Reg { return temps[rng.Intn(len(temps))] }
 	off := func(size int64) int64 { return rng.Int63n(fuzzBufSize - size + 1) }
@@ -61,7 +60,7 @@ func genOps(rng *rand.Rand, f *prog.FuncBuilder, temps []prog.Reg, buf, big prog
 		case 7:
 			sz := uint8(1 << rng.Intn(4))
 			f.Store(buf, off(int64(sz)), rr(), sz)
-		case 8: // const+add, the canonical fused pair
+		case 8: // const+add
 			f.Const(rr(), rng.Int63n(100))
 			f.Add(rr(), rr(), rr())
 		case 9: // cmp+branch over a skipped op
@@ -105,7 +104,7 @@ func genOps(rng *rand.Rand, f *prog.FuncBuilder, temps []prog.Reg, buf, big prog
 			} else {
 				f.Xor(rr(), rr(), rr())
 			}
-		case 15: // const+add+load, the canonical fused triple
+		case 15: // const+add+load
 			f.Const(rr(), rng.Int63n(64))
 			f.Add(rr(), rr(), rr())
 			f.Load(rr(), buf, off(8), 8)
@@ -153,22 +152,22 @@ func genOps(rng *rand.Rand, f *prog.FuncBuilder, temps []prog.Reg, buf, big prog
 const fuzzBigSize = (tlbSize+1)*mem.PageSize + 64
 
 // genProgram builds a deterministic random program: two straight-line
-// helpers, two lib leaf functions (one inline-eligible, one deliberately
-// not — it divides, a trapping op the inliner must reject), and a main
+// helpers, two lib leaf functions (one straight-line, one that divides, a
+// trapping op whose fault reports the callee's frame), and a main
 // that mixes direct computation, loops, calls and memory traffic over a
 // small scratch buffer plus a TLB-spanning big buffer.
 func genProgram(seed int64) *isa.Program {
 	rng := rand.New(rand.NewSource(seed))
 	b := prog.NewBuilder("fuzz")
 
-	{ // inline-eligible: lib, straight-line, tiny, no trapping ops
+	{ // straight-line, tiny, no trapping ops
 		h := b.LibFunc("leaf_inl", 2)
 		r := h.Reg()
 		h.Add(r, h.Param(0), h.Param(1))
 		h.AddImm(r, r, rng.Int63n(16))
 		h.Ret(r)
 	}
-	{ // not eligible: contains div (would trap with the callee's frame)
+	{ // contains div, a trap that reports the callee's frame
 		h := b.LibFunc("leaf_div", 2)
 		r := h.Reg()
 		three := h.ConstReg(3)
@@ -266,7 +265,7 @@ func diffOutcomes(t *testing.T, label string, ref, got runOutcome) {
 }
 
 // diffProgram checks both engines agree on a program at several batch
-// sizes and step budgets (exercising mid-pair budget expiry).
+// sizes and step budgets.
 func diffProgram(t *testing.T, p *isa.Program, seed int64) {
 	t.Helper()
 	ref := runEngine(p, DispatchSwitch, 1, 0)
@@ -313,32 +312,15 @@ func itoa(v int64) string {
 }
 
 func TestDispatchDifferential(t *testing.T) {
-	pairs, triples, inlined := 0, 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
-		p := genProgram(seed)
-		dp := Predecode(p)
-		pairs += dp.FusedSites()
-		triples += dp.TripleSites()
-		inlined += dp.InlinedSites()
-		diffProgram(t, p, seed)
-	}
-	// The property is vacuous for any optimisation the corpus never
-	// triggers.
-	if pairs == 0 {
-		t.Fatal("no fused pairs across the differential corpus")
-	}
-	if triples == 0 {
-		t.Fatal("no fused triples across the differential corpus")
-	}
-	if inlined == 0 {
-		t.Fatal("no inlined call sites across the differential corpus")
+		diffProgram(t, genProgram(seed), seed)
 	}
 }
 
 // FuzzDispatchDifferential drives the same comparison from the fuzzer:
 // any seed must produce identical observable behaviour on both engines.
-// The seed corpus is chosen so the generated programs hit triple-fusable
-// sequences, inlinable leaf calls and TLB index-collision address
+// The seed corpus is chosen so the generated programs hit the three-op
+// idioms, straight-line leaf calls and TLB index-collision address
 // patterns (genOps cases 15-18) as well as the original pair idioms.
 func FuzzDispatchDifferential(f *testing.F) {
 	for _, s := range []int64{1, 7, 42, 12345, 31, 77, 4242, 98765} {

@@ -2,22 +2,14 @@
 // indexed by decoded opcode replaces the reference interpreter's giant
 // switch (vm.go), in the style of classic func-table ISA simulators — with
 // the hottest paths kept inline in the loop itself: loads and stores (the
-// event-emit fast path), constants, adds, branches, calls/returns, and all
-// fused superinstructions. Everything else costs one indirect call through
-// the table.
+// event-emit fast path), constants, adds, branches and calls/returns.
+// Everything else costs one indirect call through the table. Every step
+// executes exactly one decoded record.
 //
 // Hot state lives in locals for the whole run — pc, step/load/store
 // counters, the register window — and is written back to the VM and frame
 // only at call boundaries and exits, so the per-instruction loop touches no
 // VM fields except the event buffer.
-//
-// Step-budget contract for fused records: the loop head charges the first
-// component's step, the handler charges the second's. If the budget expires
-// between the halves the handler stops after the first component and
-// resumes at pc+1 — which holds the second component's original decoded
-// form — so the run traps with ErrMaxSteps at exactly the instruction
-// boundary the reference interpreter would, with the identical partial
-// event stream.
 package vm
 
 import (
@@ -283,12 +275,10 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 	limit := v.cfg.MaxSteps
 	sinkOn := v.sink != nil
 	steps, loads, stores := v.steps, v.loads, v.stores
-	fused := v.fused
 	// Counter writeback on every exit path; break inner only re-enters the
 	// outer loop, which never reads them.
 	sync := func() { //halo:hotalloc-ok non-escaping closure, called only below; it never leaves the stack
 		v.steps, v.loads, v.stores = steps, loads, stores
-		v.fused = fused
 	}
 
 	for {
@@ -364,233 +354,6 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 					pc++
 				}
 
-			// ---- superinstructions ----
-			case dConstAdd:
-				regs[in.a] = in.imm
-				if steps >= limit {
-					pc++ // budget expired mid-pair; resume at the second component
-					continue
-				}
-				steps++
-				fused++
-				regs[in.a2] = regs[in.b2] + regs[in.c2]
-				pc += 2
-			case dCmpBr:
-				x, y := regs[in.b], regs[in.c]
-				var r int64
-				switch in.ck >> 1 {
-				case ckEq:
-					r = b2i(x == y)
-				case ckNe:
-					r = b2i(x != y)
-				case ckLt:
-					r = b2i(x < y)
-				default:
-					r = b2i(x <= y)
-				}
-				regs[in.a] = r
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				cond := regs[in.a2]
-				take := cond != 0
-				if in.ck&1 == 0 { // bz
-					take = cond == 0
-				}
-				if take {
-					pc = int(in.imm2)
-				} else {
-					pc += 2
-				}
-			case dAddImmLoad:
-				regs[in.a] = regs[in.b] + in.imm
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				addr := uint64(regs[in.b2] + in.imm2)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size2})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in.a2] = int64(v.loadFast(addr, in.size2))
-				pc += 2
-			case dConstStore:
-				regs[in.a] = in.imm
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				addr := uint64(regs[in.b2] + in.imm2)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size2, Write: true})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				stores++
-				v.storeFast(addr, in.size2, uint64(regs[in.a2]))
-				pc += 2
-			case dLoadStore:
-				addr := uint64(regs[in.b] + in.imm)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in.a] = int64(v.loadFast(addr, in.size))
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				addr = uint64(regs[in.b2] + in.imm2)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size2, Write: true})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				stores++
-				v.storeFast(addr, in.size2, uint64(regs[in.a2]))
-				pc += 2
-			case dLoadAdd:
-				addr := uint64(regs[in.b] + in.imm)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in.a] = int64(v.loadFast(addr, in.size))
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				regs[in.a2] = regs[in.b2] + regs[in.c2]
-				pc += 2
-
-			// ---- triple superinstructions ----
-			// Same budget contract as the pairs, applied twice: on expiry
-			// execution resumes at the next unexecuted component's pc, which
-			// holds that component's original decoded form. The third
-			// component is read live from code[pc+2] (its slot is never
-			// consumed by another fusion).
-			case dConstAddLoad:
-				regs[in.a] = in.imm
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				regs[in.a2] = regs[in.b2] + regs[in.c2]
-				if steps >= limit {
-					pc += 2
-					continue
-				}
-				steps++
-				fused++
-				in3 := &code[pc+2]
-				addr := uint64(regs[in3.b] + in3.imm)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in3.size})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in3.a] = int64(v.loadFast(addr, in3.size))
-				pc += 3
-			case dLoadCmpBr:
-				addr := uint64(regs[in.b] + in.imm)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in.a] = int64(v.loadFast(addr, in.size))
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				x, y := regs[in.b2], regs[in.c2]
-				var r int64
-				switch in.ck {
-				case ckEq:
-					r = b2i(x == y)
-				case ckNe:
-					r = b2i(x != y)
-				case ckLt:
-					r = b2i(x < y)
-				default:
-					r = b2i(x <= y)
-				}
-				regs[in.a2] = r
-				if steps >= limit {
-					pc += 2
-					continue
-				}
-				steps++
-				fused++
-				in3 := &code[pc+2]
-				cond := regs[in3.a]
-				take := cond != 0
-				if in3.op == dBz {
-					take = cond == 0
-				}
-				if take {
-					pc = int(in3.imm)
-				} else {
-					pc += 3
-				}
-			case dAddiLoadAdd:
-				regs[in.a] = regs[in.b] + in.imm
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				addr := uint64(regs[in.b2] + in.imm2)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size2})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in.a2] = int64(v.loadFast(addr, in.size2))
-				if steps >= limit {
-					pc += 2
-					continue
-				}
-				steps++
-				fused++
-				in3 := &code[pc+2]
-				regs[in3.a] = regs[in3.b] + regs[in3.c]
-				pc += 3
-
 			// ---- control transfers ----
 			case dRet:
 				val := regs[in.a]
@@ -649,19 +412,6 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 					v.emit(Event{Kind: EvCall, Site: in.addr, Fn: target})
 				}
 				break inner
-			case dCallInline:
-				// A lib call whose callee body was inlined at predecode. The
-				// case mirrors dCallExt's shape — sync, one outlined call,
-				// counter reload — so the replay machinery (including the
-				// oracle's frame-depth trap) stays entirely off the hot
-				// loop's code path.
-				f.pc = pc
-				sync()
-				if err := v.replayInline(in, dp, regs); err != nil {
-					return 0, err
-				}
-				steps, loads, stores = v.steps, v.loads, v.stores
-				pc++
 			case dCallExt:
 				f.pc = pc
 				sync()
@@ -690,106 +440,4 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 			}
 		}
 	}
-}
-
-// replayInline retires a predecode-inlined lib call: it executes the
-// snapshot body against a zeroed scratch window, charging the exact steps,
-// loads, stores and events the oracle's frame push/pop would, without
-// growing v.frames or v.regs. The caller syncs the hot-loop counters into
-// the VM before the call and reloads them after; every state transition
-// here goes through v directly. Returns ErrMaxSteps when the budget
-// expired mid-body and the oracle's depth trap when the frame stack is
-// full. Kept out of runThreaded so the rare inline path does not bloat the
-// hot loop's code footprint.
-func (v *VM) replayInline(in *dinst, dp *Decoded, regs []int64) error {
-	if len(v.frames) >= v.cfg.MaxDepth {
-		return v.trap(v.frames[len(v.frames)-1], "call stack overflow (%d frames)", len(v.frames))
-	}
-	v.inlined++
-	limit := v.cfg.MaxSteps
-	sinkOn := v.sink != nil
-	steps, loads, stores := v.steps, v.loads, v.stores
-	defer func() { v.steps, v.loads, v.stores = steps, loads, stores }()
-	body := dp.inlineBodies[in.fn]
-	// Scratch register window for the inlined callee, zeroed below to match
-	// the oracle's fresh frame; lives on this cold frame so runThreaded's
-	// hot frame stays small.
-	var inlineRegs [isa.MaxRegs]int64
-	scratch := inlineRegs[:dp.funcs[in.fn].nregs]
-	for i := 0; i < int(in.c); i++ {
-		scratch[i] = regs[int(in.b)+i]
-	}
-	if sinkOn {
-		v.emit(Event{Kind: EvCall, Site: in.addr, Fn: in.fn})
-	}
-	for bi := 0; bi < len(body); bi++ {
-		if steps >= limit {
-			return ErrMaxSteps
-		}
-		bin := &body[bi]
-		steps++
-		switch bin.op {
-		case dConst:
-			scratch[bin.a] = bin.imm
-		case dMov:
-			scratch[bin.a] = scratch[bin.b]
-		case dAdd:
-			scratch[bin.a] = scratch[bin.b] + scratch[bin.c]
-		case dSub:
-			scratch[bin.a] = scratch[bin.b] - scratch[bin.c]
-		case dMul:
-			scratch[bin.a] = scratch[bin.b] * scratch[bin.c]
-		case dAnd:
-			scratch[bin.a] = scratch[bin.b] & scratch[bin.c]
-		case dOr:
-			scratch[bin.a] = scratch[bin.b] | scratch[bin.c]
-		case dXor:
-			scratch[bin.a] = scratch[bin.b] ^ scratch[bin.c]
-		case dShl:
-			scratch[bin.a] = scratch[bin.b] << (uint64(scratch[bin.c]) & 63)
-		case dShr:
-			scratch[bin.a] = int64(uint64(scratch[bin.b]) >> (uint64(scratch[bin.c]) & 63))
-		case dAddImm:
-			scratch[bin.a] = scratch[bin.b] + bin.imm
-		case dEq:
-			scratch[bin.a] = b2i(scratch[bin.b] == scratch[bin.c])
-		case dNe:
-			scratch[bin.a] = b2i(scratch[bin.b] != scratch[bin.c])
-		case dLt:
-			scratch[bin.a] = b2i(scratch[bin.b] < scratch[bin.c])
-		case dLe:
-			scratch[bin.a] = b2i(scratch[bin.b] <= scratch[bin.c])
-		case dLoad:
-			addr := uint64(scratch[bin.b] + bin.imm)
-			if sinkOn {
-				v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: bin.size})
-				if len(v.events) == cap(v.events) {
-					v.flushEvents()
-				}
-			}
-			loads++
-			scratch[bin.a] = int64(v.loadFast(addr, bin.size))
-		case dStore:
-			addr := uint64(scratch[bin.b] + bin.imm)
-			if sinkOn {
-				v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: bin.size, Write: true})
-				if len(v.events) == cap(v.events) {
-					v.flushEvents()
-				}
-			}
-			stores++
-			v.storeFast(addr, bin.size, uint64(scratch[bin.a]))
-		case dGroupSet:
-			v.group.Set(int(bin.imm))
-		case dGroupClr:
-			v.group.Clear(int(bin.imm))
-		case dRet:
-			if sinkOn {
-				v.emit(Event{Kind: EvReturn, Fn: in.fn})
-			}
-			regs[in.a] = scratch[bin.a]
-		default: // dNop; anything else is excluded by inlineBody
-		}
-	}
-	return nil
 }

@@ -1,17 +1,15 @@
 // Batched event-stream engine. The VM appends one compact, fixed-size
 // Event record per observable action (access, call, return, memory
 // management) to a ring buffer and hands full batches to a single
-// EventSink, replacing the per-event virtual call of the Hooks interface
-// with one dynamic dispatch per batch. Consumers that care about
-// throughput (the profiler, the cache hierarchy) implement EventSink
-// directly; exotic per-event observers keep working through the Replay
-// compatibility shim.
+// EventSink: one dynamic dispatch per batch rather than one virtual call
+// per event. Consumers (the profiler, the cache hierarchy) implement
+// EventSink directly.
 //
 // Determinism contract: the event sequence a sink observes is exactly the
 // execution order of the program, independent of the batch size. Batching
 // changes only how many records arrive per ConsumeEvents call, never their
 // order or content, so any deterministic consumer produces bit-identical
-// results under any BatchSize (and under the Replay shim).
+// results under any BatchSize.
 package vm
 
 import (
@@ -22,7 +20,7 @@ import (
 // EventKind discriminates event records.
 type EventKind uint8
 
-// Event kinds, in the order the seed engine's Hooks methods were declared.
+// Event kinds.
 const (
 	// EvAccess is a program load or store.
 	EvAccess EventKind = iota
@@ -54,7 +52,7 @@ type Event struct {
 	Bytes uint64
 }
 
-// Alloc converts an EvAlloc record back to the Hooks-era event struct.
+// Alloc converts an EvAlloc record to an AllocEvent.
 func (e *Event) Alloc() AllocEvent {
 	return AllocEvent{Kind: e.AKind, Ptr: e.Addr, Old: e.Old, Size: e.Bytes, Site: e.Site}
 }
@@ -95,41 +93,6 @@ func (v *VM) flushEvents() {
 	}
 	v.sink.ConsumeEvents(v.events)
 	v.events = v.events[:0]
-}
-
-// Replay adapts a per-event Hooks observer to the batched engine: it
-// implements EventSink by replaying each record as the corresponding
-// Hooks call. Prog resolves function indices back to *isa.Func for
-// OnCall/OnReturn.
-type Replay struct {
-	Prog  *isa.Program
-	Hooks Hooks
-}
-
-// NewReplay wraps a Hooks observer for use as a VM sink. A nil hook
-// returns a nil sink (observation disabled).
-func NewReplay(p *isa.Program, h Hooks) EventSink {
-	if h == nil {
-		return nil
-	}
-	return Replay{Prog: p, Hooks: h}
-}
-
-// ConsumeEvents implements EventSink.
-func (r Replay) ConsumeEvents(batch []Event) {
-	for i := range batch {
-		ev := &batch[i]
-		switch ev.Kind {
-		case EvAccess:
-			r.Hooks.OnAccess(ev.Addr, ev.Size, ev.Write)
-		case EvCall:
-			r.Hooks.OnCall(ev.Site, int(ev.Fn), r.Prog.Funcs[ev.Fn])
-		case EvReturn:
-			r.Hooks.OnReturn(int(ev.Fn), r.Prog.Funcs[ev.Fn])
-		case EvAlloc:
-			r.Hooks.OnAlloc(ev.Alloc())
-		}
-	}
 }
 
 // MultiSink fans batches out to several sinks in order.

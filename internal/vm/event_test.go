@@ -128,37 +128,6 @@ func TestEventStreamFlushedOnTrap(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesDirectStream runs the same program once with a direct
-// sink and once with the Replay shim over per-event hooks, asserting the
-// shim reconstructs exactly the Hooks-era call sequence.
-func TestReplayMatchesDirectStream(t *testing.T) {
-	p := buildEventProgram(t)
-	direct := streamAt(t, p, 3)
-
-	var replayed []Event
-	h := &recordHooks{
-		onAccess: func(addr uint64, size uint8, write bool) {
-			replayed = append(replayed, Event{Kind: EvAccess, Addr: addr, Size: size, Write: write})
-		},
-		onCall: func(site isa.Addr, callee int, fn *isa.Func) {
-			replayed = append(replayed, Event{Kind: EvCall, Site: site, Fn: int32(callee)})
-		},
-		onRet: func(callee int, fn *isa.Func) {
-			replayed = append(replayed, Event{Kind: EvReturn, Fn: int32(callee)})
-		},
-		onAlloc: func(ev AllocEvent) {
-			replayed = append(replayed, Event{Kind: EvAlloc, AKind: ev.Kind, Addr: ev.Ptr, Old: ev.Old, Bytes: ev.Size, Site: ev.Site})
-		},
-	}
-	m := mem.NewMemory()
-	if _, err := New(p, m, newBump(m), NewReplay(p, h), Config{BatchSize: 5}).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replayed, direct.events) {
-		t.Fatalf("replayed stream differs (%d vs %d events)", len(replayed), len(direct.events))
-	}
-}
-
 // TestCombineSinks checks nil dropping and single-sink unwrapping.
 func TestCombineSinks(t *testing.T) {
 	if CombineSinks(nil, nil) != nil {
@@ -173,33 +142,6 @@ func TestCombineSinks(t *testing.T) {
 	multi.ConsumeEvents([]Event{{Kind: EvAccess, Addr: 1}})
 	if len(a.events) != 1 || len(b.events) != 1 {
 		t.Fatalf("fan-out missed a sink: %d/%d", len(a.events), len(b.events))
-	}
-}
-
-// TestCombineHooks checks the compatibility-shim combiner fast paths.
-func TestCombineHooks(t *testing.T) {
-	if CombineHooks(nil, nil) != nil {
-		t.Fatal("all-nil combine should be nil")
-	}
-	n := 0
-	h := &recordHooks{onAccess: func(uint64, uint8, bool) { n++ }}
-	got := CombineHooks(nil, h)
-	if got != Hooks(h) {
-		t.Fatalf("single hook not unwrapped: %T", got)
-	}
-	both := CombineHooks(h, h)
-	both.OnAccess(1, 8, false)
-	if n != 2 {
-		t.Fatalf("fan-out called %d times, want 2", n)
-	}
-	// The MultiHooks single-element fast path must still dispatch.
-	one := MultiHooks{h}
-	one.OnAccess(1, 8, false)
-	one.OnAlloc(AllocEvent{})
-	one.OnCall(0, 0, nil)
-	one.OnReturn(0, nil)
-	if n != 3 {
-		t.Fatalf("single-element MultiHooks dispatched %d accesses, want 3", n)
 	}
 }
 

@@ -14,8 +14,6 @@ var (
 		"event batches flushed to sinks")
 	mBatchFill = obs.Default.Gauge("halo_vm_batch_fill_pct",
 		"ring-buffer occupancy of the most recently flushed batch (percent of capacity)")
-	mFusedInsts = obs.Default.Counter("halo_vm_fused_insts_total",
-		"superinstruction pairs fully retired by the threaded dispatcher (recorded once per run)")
 	mPredecodeHits = obs.Default.Counter("halo_vm_predecode_cache_hits_total",
 		"Predecode calls served from the per-program decode cache")
 	mPredecodeMisses = obs.Default.Counter("halo_vm_predecode_cache_misses_total",
@@ -24,6 +22,4 @@ var (
 		"software-TLB hits in the threaded dispatcher (recorded once per run)")
 	mTLBMisses = obs.Default.Counter("halo_vm_tlb_misses_total",
 		"software-TLB misses in the threaded dispatcher (recorded once per run)")
-	mInlinedCalls = obs.Default.Counter("halo_vm_inlined_calls_total",
-		"lib calls executed through a predecode-inlined body (recorded once per run)")
 )

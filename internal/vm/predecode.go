@@ -1,31 +1,20 @@
 // Per-function predecoder: lowers isa.Inst once into a dense, decoded form
-// the threaded dispatch loop (dispatch.go) executes directly. Decoding
-// happens exactly once per program — the result is cached on the
-// *isa.Program itself, so fan-out trials over internal/pool and repeated
-// halod training runs share one decode.
-//
-// The decoded stream is also where superinstruction fusion happens: the
-// SEQUITUR machinery from internal/sequitur runs over each function's
-// static opcode stream, and adjacent pairs the grammar proves repeated (hot
-// digrams) are fused into single decoded records when the pair has a
-// specialised handler. A fused record executes both component semantics —
-// same register writes, same events, same step accounting — so the observed
-// event stream stays bit-identical to the unfused interpreter's; see
-// dispatch.go for the mid-pair step-budget contract.
+// the threaded dispatch loop (dispatch.go) executes directly, one decoded
+// record per isa instruction. Decoding happens exactly once per program —
+// the result is cached on the *isa.Program itself, so fan-out trials over
+// internal/pool and repeated halod training runs share one decode.
 package vm
 
 import (
 	"halo/internal/isa"
 	"halo/internal/obs"
-	"halo/internal/sequitur"
 )
 
-// dop is a decoded opcode: the isa opcodes plus the fused
-// superinstructions, indexing the threaded dispatcher's handler table.
+// dop is a decoded opcode, indexing the threaded dispatcher's handler
+// table.
 type dop uint8
 
-// Decoded opcodes. The base ops mirror isa's; the tail entries are the
-// fused superinstructions.
+// Decoded opcodes. They mirror isa's, with calls split by target kind.
 const (
 	dIllegal dop = iota // undefined isa opcode; traps when reached
 	dNop
@@ -58,58 +47,21 @@ const (
 	dGroupSet
 	dGroupClr
 	dHalt
-	dCallInline // direct lib call with the callee body inlined at predecode
-
-	// Superinstructions: one decoded record executing two retired
-	// instructions. The second component's original decoded form stays at
-	// pc+1 (branch targets may enter there, and the step budget can expire
-	// mid-pair).
-	dConstAdd   // const a, imm ; add a2, b2, c2
-	dCmpBr      // cmp[ck>>1] a, b, c ; bz/bnz[ck&1] a2 -> imm2
-	dAddImmLoad // addi a, b, imm ; load(size2) a2, [b2 + imm2]
-	dLoadAdd    // load(size) a, [b + imm] ; add a2, b2, c2
-	dConstStore // const a, imm ; store(size2) [b2 + imm2], a2
-	dLoadStore  // load(size) a, [b + imm] ; store(size2) [b2 + imm2], a2
-
-	// Triple superinstructions: one decoded record executing three retired
-	// instructions. Components two and three keep their original decoded
-	// forms at pc+1 and pc+2 (branch-ins and budget expiry land there); the
-	// third component's operands are read live from code[pc+2] at execution
-	// time, which is what keeps dinst at 40 bytes. The fuser never starts
-	// another fusion at pc+1 or pc+2, so the live read always sees the
-	// original single-instruction record.
-	dConstAddLoad // const a, imm ; add a2, b2, c2 ; load @pc+2
-	dLoadCmpBr    // load(size) a, [b + imm] ; cmp[ck] a2, b2, c2 ; bz/bnz @pc+2
-	dAddiLoadAdd  // addi a, b, imm ; load(size2) a2, [b2 + imm2] ; add @pc+2
-
 	dopCount
 )
 
 // dinst is one decoded instruction: operands pulled out of the packed
 // isa.Inst encoding into directly indexable fields, call targets and
-// externs pre-classified, plus the second component's operands for fused
-// records. 40 bytes, accessed by pointer in the dispatch loop (the seed
-// interpreter copied the 32-byte isa.Inst per step).
+// externs pre-classified. 24 bytes, accessed by pointer in the dispatch
+// loop (the seed interpreter copied the 32-byte isa.Inst per step).
 type dinst struct {
 	op         dop
 	size       uint8 // load/store access width
 	a, b, c, d uint8
-	a2, b2, c2 uint8 // fused second-component registers
-	ck         uint8 // dCmpBr: compare kind<<1 | bnz bit
-	size2      uint8 // fused second-component access width
-	imm        int64
-	imm2       int64    // fused second-component immediate / branch target
 	fn         int32    // dCall callee index; dCallExt extern id
 	addr       isa.Addr // call-site address (EvCall, alloc sites)
+	imm        int64
 }
-
-// dCmpBr compare kinds (ck >> 1).
-const (
-	ckEq = iota
-	ckNe
-	ckLt
-	ckLe
-)
 
 // dfunc is one function's decoded body plus the frame geometry the call
 // path needs, kept dense beside the code for locality.
@@ -117,46 +69,13 @@ type dfunc struct {
 	code    []dinst
 	nregs   int
 	nparams int
-	fused   int // fused pair sites in this function
-	triples int // fused triple sites in this function
-	inlined int // call sites inlined in this function
 }
 
 // Decoded is a program lowered for the threaded dispatcher. Instances are
 // immutable after construction and shared freely between VMs.
 type Decoded struct {
-	funcs   []dfunc
-	fused   int // fused pair sites program-wide
-	triples int // fused triple sites program-wide
-	inlined int // inlined call sites program-wide
-	insts   int // decoded slots program-wide
-	// inlineBodies[fn] is the unfused straight-line decoded body (ret
-	// included) of an inline-eligible lib function, nil otherwise. Call
-	// sites lowered to dCallInline replay it without a dispatch frame.
-	inlineBodies [][]dinst
+	funcs []dfunc
 }
-
-// FusedSites reports how many instruction pairs were fused program-wide.
-func (d *Decoded) FusedSites() int { return d.fused }
-
-// TripleSites reports how many instruction triples were fused program-wide.
-func (d *Decoded) TripleSites() int { return d.triples }
-
-// InlinedSites reports how many call sites were inlined program-wide.
-func (d *Decoded) InlinedSites() int { return d.inlined }
-
-// Insts reports the total decoded instruction count.
-func (d *Decoded) Insts() int { return d.insts }
-
-// fuseMinCount is the hot-digram threshold: a static opcode pair must recur
-// at least this often (SEQUITUR rule weight) before its occurrences fuse.
-const fuseMinCount = 2
-
-// tripleMinCount is the hot-trigram threshold: a static opcode triple must
-// recur at least this often (SEQUITUR rule weight over length-3 windows)
-// before its occurrences fuse. Triples are tried before pairs — greedy
-// longest match.
-const tripleMinCount = 2
 
 // Predecode returns the program's decoded form, lowering it on first use
 // and caching the result on the program. Safe for concurrent use: racing
@@ -194,7 +113,7 @@ var opMap = [...]dop{
 	isa.OpHalt: dHalt,
 }
 
-// decodeInst lowers one instruction (no fusion yet).
+// decodeInst lowers one instruction.
 func decodeInst(in isa.Inst) dinst {
 	d := dinst{
 		size: in.Size, a: in.A, b: in.B, c: in.C, d: in.D,
@@ -219,239 +138,16 @@ func decodeInst(in isa.Inst) dinst {
 	return d
 }
 
-// decodeProgram lowers every function, inlines tiny leaf lib callees, then
-// fuses hot trigrams and digrams (longest match first). Fully
-// deterministic: the same program always decodes to the same Decoded.
+// decodeProgram lowers every function. Fully deterministic: the same
+// program always decodes to the same Decoded.
 func decodeProgram(p *isa.Program) *Decoded {
 	d := &Decoded{funcs: make([]dfunc, len(p.Funcs))}
-	counter := sequitur.NewDigramCounter()
-	tri := sequitur.NewTriCounter()
-	stream := make([]int64, 0, 256)
 	for fi, f := range p.Funcs {
 		code := make([]dinst, len(f.Code))
-		stream = stream[:0]
 		for pc, in := range f.Code {
 			code[pc] = decodeInst(in)
-			stream = append(stream, int64(in.Op))
 		}
-		// One grammar per function: digrams never straddle functions.
-		counter.Observe(stream)
-		tri.Observe(stream)
 		d.funcs[fi] = dfunc{code: code, nregs: f.NRegs, nparams: f.NParams}
-		d.insts += len(code)
-	}
-	// Inlining runs before fusion: the snapshot of each eligible callee's
-	// body must be the plain unfused decode, and rewriting dCall records to
-	// dCallInline must not disturb fusion windows (calls never fuse).
-	d.inlineBodies = make([][]dinst, len(p.Funcs))
-	for fi, f := range p.Funcs {
-		if body, ok := inlineBody(d.funcs[fi].code, f); ok {
-			d.inlineBodies[fi] = body
-		}
-	}
-	for fi := range p.Funcs {
-		n := inlineCalls(d.funcs[fi].code, d.inlineBodies, d.funcs)
-		d.funcs[fi].inlined = n
-		d.inlined += n
-	}
-	hot := make(map[[2]int64]bool)
-	for _, dg := range counter.Hot(fuseMinCount) {
-		hot[[2]int64{dg.A, dg.B}] = true
-	}
-	hot3 := make(map[[3]int64]bool)
-	for _, tg := range tri.Hot(tripleMinCount) {
-		hot3[[3]int64{tg.A, tg.B, tg.C}] = true
-	}
-	for fi, f := range p.Funcs {
-		pairs, triples := fuseFunc(d.funcs[fi].code, f.Code, hot, hot3)
-		d.funcs[fi].fused = pairs
-		d.funcs[fi].triples = triples
-		d.fused += pairs
-		d.triples += triples
 	}
 	return d
 }
-
-// fuseFunc rewrites fusable hot triples and pairs in place, longest match
-// first. A fusion starting at i consumes slots i..i+k-1; the trailing
-// components keep their original decoded forms (branch targets may enter
-// there, and the step budget can expire mid-fusion), so a fusion is blocked
-// when any interior slot is a branch target, and the greedy skip guarantees
-// no later fusion starts inside a consumed window — which triples rely on
-// to read their third component live from code[pc+2].
-func fuseFunc(code []dinst, src []isa.Inst, hot map[[2]int64]bool, hot3 map[[3]int64]bool) (pairs, triples int) {
-	if len(src) < 2 {
-		return 0, 0
-	}
-	target := make([]bool, len(src))
-	for _, in := range src {
-		if in.IsBranch() {
-			if t := int(in.Imm); t >= 0 && t < len(src) {
-				target[t] = true
-			}
-		}
-	}
-	for i := 0; i+1 < len(src); i++ {
-		// Inlined call sites must keep their dCallInline record (the slot
-		// no longer mirrors src), and calls never fuse anyway.
-		if code[i].op == dCallInline {
-			continue
-		}
-		if target[i+1] {
-			continue
-		}
-		if i+2 < len(src) && !target[i+2] && code[i+2].op != dCallInline &&
-			hot3[[3]int64{int64(src[i].Op), int64(src[i+1].Op), int64(src[i+2].Op)}] {
-			if f, ok := fuseTriple(src[i], src[i+1], src[i+2]); ok {
-				code[i] = f
-				triples++
-				i += 2 // slots i+1, i+2 keep their original forms
-				continue
-			}
-		}
-		if !hot[[2]int64{int64(src[i].Op), int64(src[i+1].Op)}] {
-			continue
-		}
-		if code[i+1].op == dCallInline {
-			continue
-		}
-		if f, ok := fusePair(src[i], src[i+1]); ok {
-			code[i] = f
-			pairs++
-			i++ // the pair is consumed; slot i+1 keeps its original form
-		}
-	}
-	return pairs, triples
-}
-
-// isCmpOp reports whether the opcode is a fusable comparison.
-func isCmpOp(op isa.Opcode) bool {
-	return op == isa.OpEq || op == isa.OpNe || op == isa.OpLt || op == isa.OpLe
-}
-
-func cmpKindOf(op isa.Opcode) uint8 {
-	switch op {
-	case isa.OpEq:
-		return ckEq
-	case isa.OpNe:
-		return ckNe
-	case isa.OpLt:
-		return ckLt
-	default:
-		return ckLe
-	}
-}
-
-// fusePair builds the superinstruction for a supported opcode pair. The
-// fused record carries both components' operands verbatim; the handler
-// executes them strictly in order, so operand aliasing between the halves
-// (e.g. addi writing the load's base register) needs no special casing.
-func fusePair(a, b isa.Inst) (dinst, bool) {
-	switch {
-	case a.Op == isa.OpConst && b.Op == isa.OpAdd:
-		return dinst{op: dConstAdd, a: a.A, imm: a.Imm,
-			a2: b.A, b2: b.B, c2: b.C, addr: a.Addr}, true
-	case isCmpOp(a.Op) && (b.Op == isa.OpBz || b.Op == isa.OpBnz):
-		ck := cmpKindOf(a.Op) << 1
-		if b.Op == isa.OpBnz {
-			ck |= 1
-		}
-		return dinst{op: dCmpBr, a: a.A, b: a.B, c: a.C, ck: ck,
-			a2: b.A, imm2: b.Imm, addr: a.Addr}, true
-	case a.Op == isa.OpAddImm && b.Op == isa.OpLoad:
-		return dinst{op: dAddImmLoad, a: a.A, b: a.B, imm: a.Imm,
-			a2: b.A, b2: b.B, imm2: b.Imm, size2: b.Size, addr: a.Addr}, true
-	case a.Op == isa.OpLoad && b.Op == isa.OpAdd:
-		return dinst{op: dLoadAdd, a: a.A, b: a.B, imm: a.Imm, size: a.Size,
-			a2: b.A, b2: b.B, c2: b.C, addr: a.Addr}, true
-	case a.Op == isa.OpConst && b.Op == isa.OpStore:
-		return dinst{op: dConstStore, a: a.A, imm: a.Imm,
-			a2: b.A, b2: b.B, imm2: b.Imm, size2: b.Size, addr: a.Addr}, true
-	case a.Op == isa.OpLoad && b.Op == isa.OpStore:
-		return dinst{op: dLoadStore, a: a.A, b: a.B, imm: a.Imm, size: a.Size,
-			a2: b.A, b2: b.B, imm2: b.Imm, size2: b.Size, addr: a.Addr}, true
-	}
-	return dinst{}, false
-}
-
-// inlineMaxInsts caps the decoded body length of an inline-eligible
-// callee: big enough for the accessor/combinator shapes lib functions take
-// in the workloads, small enough that the per-site replay loop stays in
-// the dispatch loop's instruction cache footprint.
-const inlineMaxInsts = 8
-
-// inlineBody reports whether f is an inline-eligible leaf and returns a
-// snapshot of its unfused decoded body (ret included). Eligible means: a
-// lib function, straight-line (no branches, no calls, no externs), at most
-// inlineMaxInsts decoded records, free of trapping ops (div/mod would
-// report the callee's frame, which an inlined execution no longer has),
-// and ending in its only ret.
-func inlineBody(code []dinst, f *isa.Func) ([]dinst, bool) {
-	if !f.Lib || len(code) == 0 || len(code) > inlineMaxInsts {
-		return nil, false
-	}
-	for i, in := range code {
-		last := i == len(code)-1
-		switch in.op {
-		case dNop, dConst, dMov, dAdd, dSub, dMul, dAnd, dOr, dXor,
-			dShl, dShr, dAddImm, dEq, dNe, dLt, dLe, dLoad, dStore,
-			dGroupSet, dGroupClr:
-			if last {
-				return nil, false // must end in ret
-			}
-		case dRet:
-			if !last {
-				return nil, false
-			}
-		default:
-			return nil, false
-		}
-	}
-	body := make([]dinst, len(code))
-	copy(body, code)
-	return body, true
-}
-
-// inlineCalls rewrites direct calls to inline-eligible callees as
-// dCallInline records (same operand layout as dCall). Only well-formed
-// sites are rewritten — an argc mismatch keeps the dCall path so the
-// oracle's trap still fires at runtime.
-func inlineCalls(code []dinst, bodies [][]dinst, funcs []dfunc) int {
-	n := 0
-	for i := range code {
-		in := &code[i]
-		if in.op != dCall || bodies[in.fn] == nil {
-			continue
-		}
-		if int(in.c) != funcs[in.fn].nparams {
-			continue
-		}
-		in.op = dCallInline
-		n++
-	}
-	return n
-}
-
-// fuseTriple builds the superinstruction for a supported opcode triple. The
-// record carries the first two components' operands; the third is read live
-// from code[pc+2], whose slot always keeps the original decoded form.
-func fuseTriple(a, b, c isa.Inst) (dinst, bool) {
-	switch {
-	case a.Op == isa.OpConst && b.Op == isa.OpAdd && c.Op == isa.OpLoad:
-		return dinst{op: dConstAddLoad, a: a.A, imm: a.Imm,
-			a2: b.A, b2: b.B, c2: b.C, addr: a.Addr}, true
-	case a.Op == isa.OpLoad && isCmpOp(b.Op) && (c.Op == isa.OpBz || c.Op == isa.OpBnz):
-		return dinst{op: dLoadCmpBr, a: a.A, b: a.B, imm: a.Imm, size: a.Size,
-			ck: cmpKindOf(b.Op), a2: b.A, b2: b.B, c2: b.C, addr: a.Addr}, true
-	case a.Op == isa.OpAddImm && b.Op == isa.OpLoad && c.Op == isa.OpAdd:
-		return dinst{op: dAddiLoadAdd, a: a.A, b: a.B, imm: a.Imm,
-			a2: b.A, b2: b.B, imm2: b.Imm, size2: b.Size, addr: a.Addr}, true
-	}
-	return dinst{}, false
-}
-
-// isFused reports whether the decoded opcode is a superinstruction.
-func (op dop) isFused() bool { return op >= dConstAdd && op < dopCount }
-
-// isTriple reports whether the decoded opcode fuses three components.
-func (op dop) isTriple() bool { return op >= dConstAddLoad && op < dopCount }

@@ -3,10 +3,9 @@
 // call, return, load, store and memory-management request is appended to a
 // batched event stream (see event.go) that consumers such as the profiler
 // (internal/profile) and the cache simulator (internal/cache) drain one
-// batch — not one virtual call — at a time. Per-event observers remain
-// supported through the Hooks interface via the Replay shim. The
-// group-state bit vector written by rewritten binaries lives here for the
-// specialised allocator to read.
+// batch — not one virtual call — at a time. The group-state bit vector
+// written by rewritten binaries lives here for the specialised allocator
+// to read.
 package vm
 
 import (
@@ -73,30 +72,14 @@ type SiteAware interface {
 	SetAllocSite(site isa.Addr)
 }
 
-// Hooks observes execution one event at a time. It is the compatibility
-// interface for exotic observers: wrap implementations with NewReplay to
-// attach them to the batched engine. Hot-path consumers should implement
-// EventSink directly instead.
-type Hooks interface {
-	// OnCall fires after control transfers into an internal function.
-	// site is the call instruction's address, callee the target index.
-	OnCall(site isa.Addr, callee int, fn *isa.Func)
-	// OnReturn fires when an internal function returns to its caller.
-	OnReturn(callee int, fn *isa.Func)
-	// OnAccess fires for every program load and store.
-	OnAccess(addr uint64, size uint8, write bool)
-	// OnAlloc fires after each intercepted memory-management call.
-	OnAlloc(ev AllocEvent)
-}
-
 // DispatchMode selects the execution engine.
 type DispatchMode uint8
 
 // Execution engines.
 const (
 	// DispatchThreaded is the default: the program is predecoded once
-	// (predecode.go) and executed by the func-table threaded dispatcher with
-	// superinstruction fusion (dispatch.go).
+	// (predecode.go) and executed by the func-table threaded dispatcher
+	// (dispatch.go).
 	DispatchThreaded DispatchMode = iota
 	// DispatchSwitch is the reference switch interpreter, retained verbatim
 	// as the differential-testing oracle for the threaded engine.
@@ -154,12 +137,10 @@ type VM struct {
 	regs   []int64 // register stack; frames are windows into it
 	frames []frame
 
-	steps   uint64
-	loads   uint64
-	stores  uint64
-	fused   uint64 // superinstruction components fused away (pairs count 1, triples 2)
-	inlined uint64 // lib calls executed through a predecode-inlined body
-	halted  bool
+	steps  uint64
+	loads  uint64
+	stores uint64
+	halted bool
 
 	// Direct-mapped software TLB for the threaded dispatcher: tlbSize
 	// recently touched pages indexed by the low page-number bits, fronted
@@ -191,7 +172,6 @@ type frame struct {
 
 // New prepares a VM. The program must be linked and valid; memory and
 // allocator are required, the sink optional (nil disables observation).
-// Per-event Hooks observers attach via NewReplay.
 func New(p *isa.Program, memory *mem.Memory, alloc Allocator, sink EventSink, cfg Config) *VM {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -244,15 +224,6 @@ func (v *VM) Loads() uint64 { return v.loads }
 // Stores reports executed store instructions.
 func (v *VM) Stores() uint64 { return v.stores }
 
-// Fused reports instruction slots folded into retired superinstructions by
-// the threaded dispatcher (one per pair, two per triple); always zero under
-// DispatchSwitch.
-func (v *VM) Fused() uint64 { return v.fused }
-
-// Inlined reports lib calls executed through a body inlined at predecode
-// time; always zero under DispatchSwitch.
-func (v *VM) Inlined() uint64 { return v.inlined }
-
 // TLBMisses reports software-TLB misses in the threaded dispatcher: loads
 // or stores that had to resolve their page through the memory page map.
 func (v *VM) TLBMisses() uint64 { return v.tlbMiss }
@@ -299,17 +270,10 @@ func (v *VM) Run() (int64, error) {
 	if v.cfg.Dispatch == DispatchSwitch {
 		return v.runSwitch()
 	}
-	startFused, startInlined := v.fused, v.inlined
 	startAcc := v.loads + v.stores
 	startMiss, startBypass := v.tlbMiss, v.tlbBypass
 	res, err := v.runThreaded(Predecode(v.prog))
 	if obs.Enabled() {
-		if d := v.fused - startFused; d > 0 {
-			mFusedInsts.Add(d)
-		}
-		if d := v.inlined - startInlined; d > 0 {
-			mInlinedCalls.Add(d)
-		}
 		miss := v.tlbMiss - startMiss
 		if miss > 0 {
 			mTLBMisses.Add(miss)
@@ -599,87 +563,3 @@ func b2i(b bool) int64 {
 	}
 	return 0
 }
-
-// MultiHooks fans events out to several observers in order. Every method
-// fast-paths the single-observer case so compatibility-shim users with one
-// hook pay one direct call, not a slice iteration, per event. Prefer
-// CombineHooks, which unwraps that case entirely.
-type MultiHooks []Hooks
-
-// OnCall implements Hooks.
-func (m MultiHooks) OnCall(site isa.Addr, callee int, fn *isa.Func) {
-	if len(m) == 1 {
-		m[0].OnCall(site, callee, fn)
-		return
-	}
-	for _, h := range m {
-		h.OnCall(site, callee, fn)
-	}
-}
-
-// OnReturn implements Hooks.
-func (m MultiHooks) OnReturn(callee int, fn *isa.Func) {
-	if len(m) == 1 {
-		m[0].OnReturn(callee, fn)
-		return
-	}
-	for _, h := range m {
-		h.OnReturn(callee, fn)
-	}
-}
-
-// OnAccess implements Hooks.
-func (m MultiHooks) OnAccess(addr uint64, size uint8, write bool) {
-	if len(m) == 1 {
-		m[0].OnAccess(addr, size, write)
-		return
-	}
-	for _, h := range m {
-		h.OnAccess(addr, size, write)
-	}
-}
-
-// OnAlloc implements Hooks.
-func (m MultiHooks) OnAlloc(ev AllocEvent) {
-	if len(m) == 1 {
-		m[0].OnAlloc(ev)
-		return
-	}
-	for _, h := range m {
-		h.OnAlloc(ev)
-	}
-}
-
-// CombineHooks merges per-event observers, dropping nils and returning the
-// sole observer unwrapped so the single-observer case costs no fan-out at
-// all. Returns nil when every argument is nil.
-func CombineHooks(hooks ...Hooks) Hooks {
-	out := make(MultiHooks, 0, len(hooks))
-	for _, h := range hooks {
-		if h != nil {
-			out = append(out, h)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
-// NopHooks is an embeddable no-op Hooks implementation.
-type NopHooks struct{}
-
-// OnCall implements Hooks.
-func (NopHooks) OnCall(isa.Addr, int, *isa.Func) {}
-
-// OnReturn implements Hooks.
-func (NopHooks) OnReturn(int, *isa.Func) {}
-
-// OnAccess implements Hooks.
-func (NopHooks) OnAccess(uint64, uint8, bool) {}
-
-// OnAlloc implements Hooks.
-func (NopHooks) OnAlloc(AllocEvent) {}

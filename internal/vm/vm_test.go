@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"halo/internal/isa"
 	"halo/internal/mem"
@@ -158,8 +159,6 @@ func TestLoadStoreAndGlobals(t *testing.T) {
 }
 
 func TestMallocFreeEvents(t *testing.T) {
-	var events []AllocEvent
-	h := &recordHooks{onAlloc: func(ev AllocEvent) { events = append(events, ev) }}
 	b := prog.NewBuilder("test")
 	f := b.Func("main", 0)
 	size := f.ConstReg(24)
@@ -175,13 +174,20 @@ func TestMallocFreeEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.NewMemory()
-	machine := New(pr, m, newBump(m), NewReplay(pr, h), Config{})
+	sink := &recordSink{}
+	machine := New(pr, m, newBump(m), sink, Config{})
 	res, err := machine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res != 7 {
 		t.Fatalf("heap round trip = %d", res)
+	}
+	var events []AllocEvent
+	for i := range sink.events {
+		if sink.events[i].Kind == EvAlloc {
+			events = append(events, sink.events[i].Alloc())
+		}
 	}
 	if len(events) != 2 || events[0].Kind != KindMalloc || events[1].Kind != KindFree {
 		t.Fatalf("events = %+v", events)
@@ -194,47 +200,7 @@ func TestMallocFreeEvents(t *testing.T) {
 	}
 }
 
-type recordHooks struct {
-	NopHooks
-	onAlloc  func(AllocEvent)
-	onAccess func(addr uint64, size uint8, write bool)
-	onCall   func(site isa.Addr, callee int, fn *isa.Func)
-	onRet    func(callee int, fn *isa.Func)
-}
-
-func (r *recordHooks) OnAlloc(ev AllocEvent) {
-	if r.onAlloc != nil {
-		r.onAlloc(ev)
-	}
-}
-func (r *recordHooks) OnAccess(addr uint64, size uint8, write bool) {
-	if r.onAccess != nil {
-		r.onAccess(addr, size, write)
-	}
-}
-func (r *recordHooks) OnCall(site isa.Addr, callee int, fn *isa.Func) {
-	if r.onCall != nil {
-		r.onCall(site, callee, fn)
-	}
-}
-func (r *recordHooks) OnReturn(callee int, fn *isa.Func) {
-	if r.onRet != nil {
-		r.onRet(callee, fn)
-	}
-}
-
 func TestCallHooksBalance(t *testing.T) {
-	depth, maxDepth, calls := 0, 0, 0
-	h := &recordHooks{
-		onCall: func(isa.Addr, int, *isa.Func) {
-			depth++
-			calls++
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-		},
-		onRet: func(int, *isa.Func) { depth-- },
-	}
 	b := prog.NewBuilder("test")
 	leaf := b.Func("leaf", 0)
 	leaf.RetConst(1)
@@ -248,11 +214,23 @@ func TestCallHooksBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.NewMemory()
-	if _, err := New(p, m, newBump(m), NewReplay(p, h), Config{}).Run(); err != nil {
+	sink := &recordSink{}
+	if _, err := New(p, m, newBump(m), sink, Config{}).Run(); err != nil {
 		t.Fatal(err)
 	}
+	depth, maxDepth, calls := 0, 0, 0
+	for _, ev := range sink.events {
+		switch ev.Kind {
+		case EvCall:
+			depth++
+			calls++
+			maxDepth = max(maxDepth, depth)
+		case EvReturn:
+			depth--
+		}
+	}
 	if depth != 0 {
-		t.Fatalf("unbalanced hooks: depth %d", depth)
+		t.Fatalf("unbalanced call/return events: depth %d", depth)
 	}
 	if calls != 6 || maxDepth != 2 {
 		t.Fatalf("calls=%d maxDepth=%d", calls, maxDepth)
@@ -388,10 +366,6 @@ func TestAccessHookSeesSizes(t *testing.T) {
 		size  uint8
 		write bool
 	}
-	var got []acc
-	h := &recordHooks{onAccess: func(addr uint64, size uint8, write bool) {
-		got = append(got, acc{size, write})
-	}}
 	b := prog.NewBuilder("test")
 	f := b.Func("main", 0)
 	size := f.ConstReg(64)
@@ -406,8 +380,15 @@ func TestAccessHookSeesSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.NewMemory()
-	if _, err := New(pr, m, newBump(m), NewReplay(pr, h), Config{}).Run(); err != nil {
+	sink := &recordSink{}
+	if _, err := New(pr, m, newBump(m), sink, Config{}).Run(); err != nil {
 		t.Fatal(err)
+	}
+	var got []acc
+	for _, ev := range sink.events {
+		if ev.Kind == EvAccess {
+			got = append(got, acc{ev.Size, ev.Write})
+		}
 	}
 	want := []acc{{4, true}, {2, false}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
@@ -580,5 +561,13 @@ func TestTLBHitAccounting(t *testing.T) {
 	hits := acc - v.TLBMisses() - v.TLBBypasses()
 	if hits < acc*9/10 {
 		t.Fatalf("hits %d of %d accesses; one-page loop should hit nearly always", hits, acc)
+	}
+}
+
+// TestDinstSize pins the decoded record's layout: field order keeps it at
+// 24 bytes, which the dispatch loop walks one record per step.
+func TestDinstSize(t *testing.T) {
+	if n := unsafe.Sizeof(dinst{}); n != 24 {
+		t.Fatalf("dinst is %d bytes, want 24", n)
 	}
 }
