@@ -36,7 +36,6 @@ import (
 	"halo/internal/policy"
 	"halo/internal/profile"
 	"halo/internal/profstore"
-	"halo/internal/rewrite"
 	"halo/internal/workloads"
 )
 
@@ -324,6 +323,11 @@ func cmdOpt(args []string) error {
 			NoSpare:   *maxSpare == 0,
 		},
 	}
+	// The allocator's default of one spare chunk stays implicit, so a
+	// default-flag document matches the one halod serves.
+	if *maxSpare > 1 {
+		pol.Halloc.MaxSpareChunks = *maxSpare
+	}
 	for site, bit := range opt.Rewrite.SiteBits {
 		pol.Sites[site.String()] = bit
 	}
@@ -379,17 +383,7 @@ func cmdRun(args []string) error {
 		if err := json.Unmarshal(data, &doc); err != nil {
 			return err
 		}
-		pol.Kind = measure.HALO
-		pol.Rewritten = p // the input should already be the rewritten binary
-		pol.NumBits = doc.NumBits
-		for _, s := range doc.Selectors {
-			pol.Selectors = append(pol.Selectors, halloc.BitSelector{Group: s.Group, Conj: s.Conj})
-		}
-		pol.Halloc = halloc.Config{
-			ChunkSize:         doc.Halloc.ChunkSize,
-			NoSpare:           doc.Halloc.NoSpare,
-			AlwaysReuseChunks: doc.Halloc.AlwaysReuse,
-		}
+		pol = haloPolicy(p, doc) // the input should already be the rewritten binary
 	default:
 		return fmt.Errorf("unknown allocator %q", *allocName)
 	}
@@ -407,6 +401,26 @@ func cmdRun(args []string) error {
 	}
 	fmt.Println()
 	return nil
+}
+
+// haloPolicy turns a policy document into the measurement policy that
+// runs the rewritten binary p under the group allocator.
+func haloPolicy(p *isa.Program, doc Policy) measure.Policy {
+	pol := measure.Policy{
+		Kind:      measure.HALO,
+		Rewritten: p,
+		NumBits:   doc.NumBits,
+		Halloc: halloc.Config{
+			ChunkSize:         doc.Halloc.ChunkSize,
+			MaxSpareChunks:    doc.Halloc.MaxSpareChunks,
+			NoSpare:           doc.Halloc.NoSpare,
+			AlwaysReuseChunks: doc.Halloc.AlwaysReuse,
+		},
+	}
+	for _, s := range doc.Selectors {
+		pol.Selectors = append(pol.Selectors, halloc.BitSelector{Group: s.Group, Conj: s.Conj})
+	}
+	return pol
 }
 
 func cmdPipeline(args []string) error {
@@ -427,25 +441,15 @@ func cmdPipeline(args []string) error {
 	}
 	fmt.Print(opt.GroupReport())
 	ref := w.Build(w.RefScale)
-	rw, err := rewrite.Instrument(ref, opt.Selectors.Sites)
+	pol, err := opt.HALOPolicy(ref, halloc.Config{ChunkSize: w.ChunkSize, NoSpare: w.NoSpare, AlwaysReuseChunks: w.AlwaysReuse})
 	if err != nil {
 		return err
 	}
-	var sels []halloc.BitSelector
-	for _, s := range opt.Selectors.Selectors {
-		lowered, _ := rewrite.LowerSelectors(s.Conj, rw.SiteBits)
-		if len(lowered) > 0 {
-			sels = append(sels, halloc.BitSelector{Group: s.Group, Conj: lowered})
-		}
-	}
-	hc := halloc.Config{ChunkSize: w.ChunkSize, NoSpare: w.NoSpare, AlwaysReuseChunks: w.AlwaysReuse}
 	base, err := measure.MeasureTrials(ref, measure.Policy{Kind: measure.Jemalloc}, *trials, 1000, machine)
 	if err != nil {
 		return err
 	}
-	haloSum, err := measure.MeasureTrials(ref, measure.Policy{
-		Kind: measure.HALO, Rewritten: rw.Prog, Selectors: sels, NumBits: rw.NumBits, Halloc: hc,
-	}, *trials, 1000, machine)
+	haloSum, err := measure.MeasureTrials(ref, pol, *trials, 1000, machine)
 	if err != nil {
 		return err
 	}

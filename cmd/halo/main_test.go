@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,5 +89,58 @@ func TestProfileMergeSmoke(t *testing.T) {
 	}
 	if err := cmdOpt([]string{"-profile", povProf, "-o", outBin, bin}); err == nil {
 		t.Fatal("opt with mismatched profile did not fail")
+	}
+}
+
+// TestOptRunMaxSpareChunks round-trips -max-spare-chunks through the
+// policy document: `halo opt` must record the count and `halo run -alloc
+// halo` must hand it to the group allocator.
+func TestOptRunMaxSpareChunks(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "art.hbin")
+	w := workloads.MustGet("art")
+	img, err := w.Build(w.TestScale).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bin, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		flag      []string
+		wantSpare int
+		wantNone  bool
+	}{
+		{flag: []string{"-max-spare-chunks", "3"}, wantSpare: 3},
+		{flag: []string{"-max-spare-chunks", "0"}, wantNone: true},
+		{flag: nil}, // the allocator default
+	} {
+		outBin := filepath.Join(dir, "art.halo.hbin")
+		outPol := filepath.Join(dir, "art.policy.json")
+		args := append(append([]string{"-o", outBin, "-policy", outPol}, tc.flag...), bin)
+		if err := cmdOpt(args); err != nil {
+			t.Fatalf("opt %v: %v", tc.flag, err)
+		}
+		data, err := os.ReadFile(outPol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc Policy
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		rewritten, err := loadProgram(outBin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc := haloPolicy(rewritten, doc).Halloc
+		if hc.MaxSpareChunks != tc.wantSpare || hc.NoSpare != tc.wantNone {
+			t.Fatalf("opt %v: run hands halloc MaxSpareChunks=%d NoSpare=%v, want %d/%v\npolicy: %s",
+				tc.flag, hc.MaxSpareChunks, hc.NoSpare, tc.wantSpare, tc.wantNone, data)
+		}
+		if err := cmdRun([]string{"-alloc", "halo", "-policy", outPol, outBin}); err != nil {
+			t.Fatalf("run -alloc halo after opt %v: %v", tc.flag, err)
+		}
 	}
 }

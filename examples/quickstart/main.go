@@ -18,7 +18,6 @@ import (
 	"halo/internal/core"
 	"halo/internal/halloc"
 	"halo/internal/measure"
-	"halo/internal/rewrite"
 	"halo/internal/workloads"
 )
 
@@ -47,16 +46,13 @@ func main() {
 	// 2. Apply the profile to the larger reference input: rewrite the ref
 	// binary at the same sites and lower the selectors.
 	refProg := w.Build(w.RefScale)
-	rw, err := rewrite.Instrument(refProg, opt.Selectors.Sites)
+	pol, err := opt.HALOPolicy(refProg, halloc.Config{
+		ChunkSize:         w.ChunkSize,
+		NoSpare:           w.NoSpare,
+		AlwaysReuseChunks: w.AlwaysReuse,
+	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	var selectors []halloc.BitSelector
-	for _, s := range opt.Selectors.Selectors {
-		lowered, _ := rewrite.LowerSelectors(s.Conj, rw.SiteBits)
-		if len(lowered) > 0 {
-			selectors = append(selectors, halloc.BitSelector{Group: s.Group, Conj: lowered})
-		}
 	}
 
 	// 3. Measure both configurations on the simulated Xeon W-2195.
@@ -65,17 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hal, err := measure.Run(refProg, measure.Policy{
-		Kind:      measure.HALO,
-		Rewritten: rw.Prog,
-		Selectors: selectors,
-		NumBits:   rw.NumBits,
-		Halloc: halloc.Config{
-			ChunkSize:         w.ChunkSize,
-			NoSpare:           w.NoSpare,
-			AlwaysReuseChunks: w.AlwaysReuse,
-		},
-	}, 1001, machine)
+	hal, err := measure.Run(refProg, pol, 1001, machine)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,19 +25,17 @@ const LineShift = 6
 
 // LevelConfig describes one cache level.
 type LevelConfig struct {
-	Name    string
 	Size    uint64 // total bytes
 	Ways    int
 	Latency uint64 // extra cycles charged when the access is satisfied here
 }
 
-// Level is a set-associative, write-allocate cache with LRU replacement.
-type Level struct {
-	cfg   LevelConfig
-	sets  int
-	mask  uint64
-	tags  [][]uint64 // per set, MRU-first line addresses
-	stats LevelStats
+// TLBConfig describes a translation cache level.
+type TLBConfig struct {
+	Entries  int
+	Ways     int
+	PageBits uint
+	Penalty  uint64 // cycles charged when the lookup is satisfied below
 }
 
 // LevelStats counts per-level traffic.
@@ -55,93 +53,22 @@ func (s LevelStats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// NewLevel builds a cache level.
-func NewLevel(cfg LevelConfig) *Level {
-	sets := int(cfg.Size) / LineSize / cfg.Ways
-	if sets <= 0 {
-		sets = 1
-	}
-	// Round sets down to a power of two for cheap indexing.
-	p := 1
-	for p*2 <= sets {
-		p *= 2
-	}
-	l := &Level{cfg: cfg, sets: p, mask: uint64(p - 1)}
-	l.tags = make([][]uint64, p)
-	for i := range l.tags {
-		l.tags[i] = make([]uint64, 0, cfg.Ways)
-	}
-	return l
-}
-
-// access looks up the line (already shifted address) and installs it on
-// miss. Returns true on hit. When an eviction occurs the victim line is
-// returned for lower levels.
-func (l *Level) access(line uint64, count bool) (hit bool) {
-	set := l.tags[line&l.mask]
-	if count {
-		l.stats.Accesses++
-	}
-	for i, t := range set {
-		if t == line {
-			// Move to MRU.
-			copy(set[1:i+1], set[:i])
-			set[0] = line
-			if count {
-				l.stats.Hits++
-			}
-			return true
-		}
-	}
-	if count {
-		l.stats.Misses++
-	}
-	// Install as MRU, evicting LRU if full.
-	if len(set) < l.cfg.Ways {
-		set = append(set, 0)
-	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = line
-	l.tags[line&l.mask] = set
-	return false
-}
-
-// Contains reports whether the line is resident (no state change).
-func (l *Level) Contains(line uint64) bool {
-	for _, t := range l.tags[line&l.mask] {
-		if t == line {
-			return true
-		}
-	}
-	return false
-}
-
-// Stats returns the level's counters.
-func (l *Level) Stats() LevelStats { return l.stats }
-
-// Name returns the level's configured name.
-func (l *Level) Name() string { return l.cfg.Name }
-
-// TLBConfig describes a translation cache level.
-type TLBConfig struct {
-	Entries  int
-	Ways     int
-	PageBits uint
-	Penalty  uint64 // cycles charged when the lookup is satisfied below
-}
-
-// TLB is a set-associative translation cache over page numbers.
-type TLB struct {
-	cfg   TLBConfig
-	sets  int
-	mask  uint64
-	tags  [][]uint64
+// lru is a set-associative cache with LRU replacement over uint64 keys
+// (line numbers for the data caches, page numbers for the TLBs). All sets
+// live in one flat sets×ways slice, each set ordered MRU-first. A slot
+// holds key+1, so 0 marks an empty slot; empty slots only ever sit at the
+// tail of a set, since installs shift the set right by one from the front.
+type lru struct {
+	slots []uint64
+	ways  int
+	mask  uint64 // sets-1; the set count is a power of two
 	stats LevelStats
 }
 
-// NewTLB builds a TLB.
-func NewTLB(cfg TLBConfig) *TLB {
-	sets := cfg.Entries / cfg.Ways
+// newLRU builds a cache of the given capacity in entries, rounding the
+// set count down to a power of two for cheap indexing.
+func newLRU(entries, ways int) lru {
+	sets := entries / ways
 	if sets <= 0 {
 		sets = 1
 	}
@@ -149,45 +76,67 @@ func NewTLB(cfg TLBConfig) *TLB {
 	for p*2 <= sets {
 		p *= 2
 	}
-	t := &TLB{cfg: cfg, sets: p, mask: uint64(p - 1)}
-	t.tags = make([][]uint64, p)
-	return t
+	return lru{slots: make([]uint64, p*ways), ways: ways, mask: uint64(p - 1)}
 }
 
-func (t *TLB) access(page uint64) bool {
-	set := t.tags[page&t.mask]
-	t.stats.Accesses++
-	for i, tag := range set {
-		if tag == page {
+// access looks up key, moving it to MRU on a hit and installing it as MRU
+// (evicting the LRU entry of a full set) on a miss. It reports whether the
+// key hit. Only counted accesses update the stats; the prefetcher's fills
+// are not counted.
+func (c *lru) access(key uint64, count bool) (hit bool) {
+	base := int(key&c.mask) * c.ways
+	set := c.slots[base : base+c.ways : base+c.ways]
+	tag := key + 1
+	if count {
+		c.stats.Accesses++
+	}
+	n := len(set) - 1 // slot the install shifts out: the LRU, or the first empty
+	for i, t := range set {
+		if t == tag {
 			copy(set[1:i+1], set[:i])
-			set[0] = page
-			t.stats.Hits++
+			set[0] = tag
+			if count {
+				c.stats.Hits++
+			}
 			return true
 		}
+		if t == 0 {
+			n = i
+			break
+		}
 	}
-	t.stats.Misses++
-	if len(set) < t.cfg.Ways {
-		set = append(set, 0)
+	if count {
+		c.stats.Misses++
 	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = page
-	t.tags[page&t.mask] = set
+	copy(set[1:n+1], set[:n])
+	set[0] = tag
 	return false
 }
 
-// Stats returns the TLB counters.
-func (t *TLB) Stats() LevelStats { return t.stats }
+// contains reports whether key is resident, without changing any state.
+func (c *lru) contains(key uint64) bool {
+	base := int(key&c.mask) * c.ways
+	tag := key + 1
+	for _, t := range c.slots[base : base+c.ways] {
+		if t == tag {
+			return true
+		}
+		if t == 0 {
+			return false
+		}
+	}
+	return false
+}
 
 // Config describes the whole hierarchy.
 type Config struct {
-	L1, L2, L3  LevelConfig
-	TLB         TLBConfig // first-level DTLB
-	STLB        TLBConfig // unified second-level TLB; Entries=0 disables
-	MemLatency  uint64    // cycles for a DRAM access
-	Prefetch    bool      // next-line prefetch into L2 on L2 miss
-	PrefetchDeg int       // lines prefetched ahead (default 1)
-	BaseCPI     float64
-	ClockGHz    float64
+	L1, L2, L3 LevelConfig
+	TLB        TLBConfig // first-level DTLB
+	STLB       TLBConfig // unified second-level TLB
+	MemLatency uint64    // cycles for a DRAM access
+	Prefetch   bool      // next-line prefetch into L2 on L2 miss
+	BaseCPI    float64
+	ClockGHz   float64
 }
 
 // XeonW2195 returns the evaluation machine's parameters (§5.1): 32 KiB
@@ -195,27 +144,23 @@ type Config struct {
 // the base CPI approximate Skylake-SP single-thread behaviour.
 func XeonW2195() Config {
 	return Config{
-		L1:          LevelConfig{Name: "L1D", Size: 32 << 10, Ways: 8, Latency: 0},
-		L2:          LevelConfig{Name: "L2", Size: 1024 << 10, Ways: 16, Latency: 12},
-		L3:          LevelConfig{Name: "L3", Size: 25344 << 10, Ways: 11, Latency: 38},
-		TLB:         TLBConfig{Entries: 64, Ways: 4, PageBits: 12, Penalty: 9},
-		STLB:        TLBConfig{Entries: 1536, Ways: 12, PageBits: 12, Penalty: 70},
-		MemLatency:  180,
-		Prefetch:    true,
-		PrefetchDeg: 1,
-		BaseCPI:     0.45,
-		ClockGHz:    3.7,
+		L1:         LevelConfig{Size: 32 << 10, Ways: 8, Latency: 0},
+		L2:         LevelConfig{Size: 1024 << 10, Ways: 16, Latency: 12},
+		L3:         LevelConfig{Size: 25344 << 10, Ways: 11, Latency: 38},
+		TLB:        TLBConfig{Entries: 64, Ways: 4, PageBits: 12, Penalty: 9},
+		STLB:       TLBConfig{Entries: 1536, Ways: 12, PageBits: 12, Penalty: 70},
+		MemLatency: 180,
+		Prefetch:   true,
+		BaseCPI:    0.45,
+		ClockGHz:   3.7,
 	}
 }
 
 // Hierarchy simulates the full data-side memory system.
 type Hierarchy struct {
-	cfg  Config
-	l1   *Level
-	l2   *Level
-	l3   *Level
-	tlb  *TLB
-	stlb *TLB
+	cfg        Config
+	l1, l2, l3 lru
+	tlb, stlb  lru
 
 	memAccess  uint64
 	stallCycle uint64
@@ -223,20 +168,19 @@ type Hierarchy struct {
 
 // New builds a hierarchy from the config.
 func New(cfg Config) *Hierarchy {
-	if cfg.PrefetchDeg == 0 {
-		cfg.PrefetchDeg = 1
+	return &Hierarchy{
+		cfg:  cfg,
+		l1:   newLevel(cfg.L1),
+		l2:   newLevel(cfg.L2),
+		l3:   newLevel(cfg.L3),
+		tlb:  newLRU(cfg.TLB.Entries, cfg.TLB.Ways),
+		stlb: newLRU(cfg.STLB.Entries, cfg.STLB.Ways),
 	}
-	h := &Hierarchy{
-		cfg: cfg,
-		l1:  NewLevel(cfg.L1),
-		l2:  NewLevel(cfg.L2),
-		l3:  NewLevel(cfg.L3),
-		tlb: NewTLB(cfg.TLB),
-	}
-	if cfg.STLB.Entries > 0 {
-		h.stlb = NewTLB(cfg.STLB)
-	}
-	return h
+}
+
+// newLevel builds a data cache over line numbers.
+func newLevel(cfg LevelConfig) lru {
+	return newLRU(int(cfg.Size)/LineSize, cfg.Ways)
 }
 
 // Access runs one program load or store through the hierarchy, charging
@@ -251,7 +195,7 @@ func (h *Hierarchy) Access(addr uint64, size uint8, write bool) {
 // accessStall simulates one access and returns the stall cycles and DRAM
 // accesses it cost instead of charging them, so batch consumers can
 // accumulate the charges in locals and write them back once per batch.
-// Level and TLB hit/miss counters still update in place: they are updated
+// The per-level hit/miss counters still update in place: they are updated
 // exactly once per lookup either way, so their totals are bit-identical.
 func (h *Hierarchy) accessStall(addr uint64, size uint8) (stall, mem uint64) {
 	stall, mem = h.linesStall(addr, size)
@@ -320,16 +264,13 @@ func (h *Hierarchy) ConsumeEvents(batch []vm.Event) {
 // translate returns the DTLB penalty on a first-level miss and the full
 // page-walk penalty when the second-level TLB misses too.
 func (h *Hierarchy) translate(page uint64) (stall uint64) {
-	if h.tlb.access(page) {
+	if h.tlb.access(page, true) {
 		return 0
 	}
-	if h.stlb != nil {
-		if h.stlb.access(page) {
-			return h.cfg.TLB.Penalty
-		}
-		return h.cfg.STLB.Penalty
+	if h.stlb.access(page, true) {
+		return h.cfg.TLB.Penalty
 	}
-	return h.cfg.TLB.Penalty
+	return h.cfg.STLB.Penalty
 }
 
 func (h *Hierarchy) accessLine(line uint64) (stall, mem uint64) {
@@ -347,13 +288,10 @@ func (h *Hierarchy) accessLine(line uint64) (stall, mem uint64) {
 	}
 	if h.cfg.Prefetch {
 		// Next-line prefetcher at L2: on an L2 miss, pull the following
-		// line(s) into L2/L3 without charging stall cycles.
-		for d := 1; d <= h.cfg.PrefetchDeg; d++ {
-			next := line + uint64(d)
-			if !h.l2.Contains(next) {
-				h.l2.access(next, false)
-				h.l3.access(next, false)
-			}
+		// line into L2/L3 without charging stall cycles.
+		if next := line + 1; !h.l2.contains(next) {
+			h.l2.access(next, false)
+			h.l3.access(next, false)
 		}
 	}
 	return stall, mem
@@ -371,17 +309,14 @@ type Stats struct {
 
 // Stats returns a snapshot of all counters.
 func (h *Hierarchy) Stats() Stats {
-	st := Stats{
-		L1D: h.l1.Stats(),
-		L2:  h.l2.Stats(),
-		L3:  h.l3.Stats(),
-		TLB: h.tlb.Stats(),
-		Mem: h.memAccess,
+	return Stats{
+		L1D:  h.l1.stats,
+		L2:   h.l2.stats,
+		L3:   h.l3.stats,
+		TLB:  h.tlb.stats,
+		STLB: h.stlb.stats,
+		Mem:  h.memAccess,
 	}
-	if h.stlb != nil {
-		st.STLB = h.stlb.Stats()
-	}
-	return st
 }
 
 // StallCycles reports accumulated memory stall cycles.

@@ -8,9 +8,9 @@ import (
 
 func smallConfig() Config {
 	return Config{
-		L1:         LevelConfig{Name: "L1D", Size: 1 << 10, Ways: 2, Latency: 0}, // 8 sets
-		L2:         LevelConfig{Name: "L2", Size: 8 << 10, Ways: 4, Latency: 10},
-		L3:         LevelConfig{Name: "L3", Size: 64 << 10, Ways: 8, Latency: 30},
+		L1:         LevelConfig{Size: 1 << 10, Ways: 2, Latency: 0}, // 8 sets
+		L2:         LevelConfig{Size: 8 << 10, Ways: 4, Latency: 10},
+		L3:         LevelConfig{Size: 64 << 10, Ways: 8, Latency: 30},
 		TLB:        TLBConfig{Entries: 4, Ways: 2, PageBits: 12, Penalty: 9},
 		STLB:       TLBConfig{Entries: 16, Ways: 4, PageBits: 12, Penalty: 70},
 		MemLatency: 100,
@@ -159,16 +159,25 @@ func TestCycleModelMonotone(t *testing.T) {
 
 func TestXeonW2195Geometry(t *testing.T) {
 	cfg := XeonW2195()
-	l1 := NewLevel(cfg.L1)
-	if l1.sets != 64 {
-		t.Fatalf("L1 sets = %d, want 64 (32KiB/64B/8-way)", l1.sets)
+	h := New(cfg)
+	if sets := h.l1.mask + 1; sets != 64 {
+		t.Fatalf("L1 sets = %d, want 64 (32KiB/64B/8-way)", sets)
 	}
-	l2 := NewLevel(cfg.L2)
-	if l2.sets != 1024 {
-		t.Fatalf("L2 sets = %d, want 1024", l2.sets)
+	if sets := h.l2.mask + 1; sets != 1024 {
+		t.Fatalf("L2 sets = %d, want 1024", sets)
 	}
 	if cfg.L3.Size != 25344<<10 {
 		t.Fatalf("L3 size = %d", cfg.L3.Size)
+	}
+	// 25,344 KiB / 64 B / 11 ways is 36,864 sets; rounding down to a
+	// power of two keeps 32,768 of them.
+	if sets := h.l3.mask + 1; sets != 32768 {
+		t.Fatalf("L3 sets = %d, want 32768", sets)
+	}
+	for _, c := range []*lru{&h.l1, &h.l2, &h.l3, &h.tlb, &h.stlb} {
+		if len(c.slots) != int(c.mask+1)*c.ways {
+			t.Fatalf("slots = %d, want sets×ways = %d", len(c.slots), int(c.mask+1)*c.ways)
+		}
 	}
 }
 

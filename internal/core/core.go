@@ -17,6 +17,7 @@ import (
 	"halo/internal/hds"
 	"halo/internal/identify"
 	"halo/internal/isa"
+	"halo/internal/measure"
 	"halo/internal/mem"
 	"halo/internal/obs"
 	"halo/internal/pool"
@@ -148,12 +149,8 @@ func Optimize(p *isa.Program, cfg Config) (*Optimized, error) {
 // OptimizeFromProfile runs grouping, identification and rewriting over an
 // existing profile (so one profiling run can feed several configurations).
 func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Optimized, error) {
-	gp := cfg.Group
-	if gp.Workers == 0 {
-		gp.Workers = cfg.SynthesisWorkers
-	}
 	endGroup := cfg.Trace.Span("group")
-	groups := group.Form(prof.Graph, gp)
+	groups := group.Form(prof.Graph, cfg.Group, cfg.SynthesisWorkers)
 
 	// Record group membership on the contexts for identification.
 	for _, c := range prof.Contexts {
@@ -167,36 +164,64 @@ func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Op
 	endGroup()
 
 	endIdentify := cfg.Trace.Span("identify")
-	sel := identify.BuildParallel(groups, prof.Contexts, cfg.SynthesisWorkers)
+	sel := identify.Build(groups, prof.Contexts, cfg.SynthesisWorkers)
 	endIdentify()
 
-	endRewrite := cfg.Trace.Span("rewrite")
-	rw, err := rewrite.Instrument(p, sel.Sites)
+	rw, bitSels, dropped, err := rewriteAndLower(p, sel, cfg.Trace)
+	if err != nil {
+		return nil, err
+	}
+	return &Optimized{
+		Input:        p,
+		Profile:      prof,
+		Groups:       groups,
+		Selectors:    sel,
+		Rewrite:      rw,
+		BitSelectors: bitSels,
+		DroppedConjs: dropped,
+	}, nil
+}
+
+// rewriteAndLower instruments p at the sites sel chose and lowers sel's
+// selectors onto the rewritten binary's group-state bits. dropped counts
+// the conjunctions that could not be lowered. tr, when non-nil, receives
+// the "rewrite" and "lower" spans.
+func rewriteAndLower(p *isa.Program, sel *identify.Result, tr *obs.Trace) (rw *rewrite.Result, bitSels []halloc.BitSelector, dropped int, err error) {
+	endRewrite := tr.Span("rewrite")
+	rw, err = rewrite.Instrument(p, sel.Sites)
 	endRewrite()
 	if err != nil {
-		return nil, fmt.Errorf("core: rewriting: %w", err)
+		return nil, nil, 0, fmt.Errorf("core: rewriting: %w", err)
 	}
-
-	opt := &Optimized{
-		Input:     p,
-		Profile:   prof,
-		Groups:    groups,
-		Selectors: sel,
-		Rewrite:   rw,
-	}
-	endLower := cfg.Trace.Span("lower")
+	endLower := tr.Span("lower")
 	for _, s := range sel.Selectors {
-		lowered, dropped := rewrite.LowerSelectors(s.Conj, rw.SiteBits)
-		opt.DroppedConjs += dropped
+		lowered, n := rewrite.LowerSelectors(s.Conj, rw.SiteBits)
+		dropped += n
 		if len(lowered) > 0 {
-			opt.BitSelectors = append(opt.BitSelectors, halloc.BitSelector{
-				Group: s.Group,
-				Conj:  lowered,
-			})
+			bitSels = append(bitSels, halloc.BitSelector{Group: s.Group, Conj: lowered})
 		}
 	}
 	endLower()
-	return opt, nil
+	return rw, bitSels, dropped, nil
+}
+
+// HALOPolicy rewrites p at the sites o chose and lowers o's selectors
+// against the rewritten binary's bit assignment, returning the policy that
+// measures p under the group allocator with tuning hc. p may be another
+// build of o.Input — the ref-scale input, say — as long as the two share
+// call-site addresses, so the profile transfers (the §5.1 methodology).
+func (o *Optimized) HALOPolicy(p *isa.Program, hc halloc.Config) (measure.Policy, error) {
+	rw, bitSels, _, err := rewriteAndLower(p, o.Selectors, nil)
+	if err != nil {
+		return measure.Policy{}, err
+	}
+	return measure.Policy{
+		Kind:      measure.HALO,
+		Rewritten: rw.Prog,
+		Selectors: bitSels,
+		NumBits:   rw.NumBits,
+		Halloc:    hc,
+	}, nil
 }
 
 // AnalyzeHDS runs the hot-data-streams comparison pipeline over a profile
@@ -205,14 +230,7 @@ func AnalyzeHDS(prof *profile.Profile, cfg Config) (*hds.Result, error) {
 	if len(prof.Trace) == 0 {
 		return nil, fmt.Errorf("core: profile has no reference trace; enable Profile.RecordTrace")
 	}
-	hc := cfg.HDS
-	if hc.Workers == 0 {
-		hc.Workers = cfg.SynthesisWorkers
-	}
-	if hc.Trace == nil {
-		hc.Trace = cfg.Trace
-	}
-	return hds.Analyze(prof, hc), nil
+	return hds.Analyze(prof, cfg.HDS, cfg.SynthesisWorkers, cfg.Trace), nil
 }
 
 // GroupReport renders the formed groups with context chains, reproducing

@@ -36,7 +36,6 @@ import (
 	"halo/internal/measure"
 	"halo/internal/obs"
 	"halo/internal/pool"
-	"halo/internal/rewrite"
 	"halo/internal/workloads"
 )
 
@@ -287,13 +286,16 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 		w.Name, opt.Profile.Graph.NumNodes(), len(opt.Groups), len(opt.Selectors.Sites),
 		hr.Rules, hr.Streams, len(hr.Sets))
 
+	// The ref binary is rewritten at the sites chosen on the test profile;
+	// test and ref builds share call-site addresses, so the profile
+	// transfers — the §5.1 methodology.
 	refProg := w.Build(e.refScale(w))
-	polHALO, err := refHALOPolicy(w, refProg, opt)
+	hc := hallocConfig(w)
+	polHALO, err := opt.HALOPolicy(refProg, hc)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 
-	hc := hallocConfig(w)
 	a = &artefacts{
 		w:          w,
 		opt:        opt,
@@ -322,31 +324,6 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 	}
 	e.mu.Unlock()
 	return a, nil
-}
-
-// refHALOPolicy rewrites the ref-scale binary with the sites chosen on the
-// test profile and lowers the selectors against the ref binary's bit
-// assignment. Test and ref builds share call-site addresses, so the
-// profile transfers — the §5.1 methodology.
-func refHALOPolicy(w workloads.Workload, refProg *isa.Program, opt *core.Optimized) (measure.Policy, error) {
-	refRW, err := rewrite.Instrument(refProg, opt.Selectors.Sites)
-	if err != nil {
-		return measure.Policy{}, fmt.Errorf("ref rewrite: %w", err)
-	}
-	var bitSels []halloc.BitSelector
-	for _, s := range opt.Selectors.Selectors {
-		lowered, _ := rewrite.LowerSelectors(s.Conj, refRW.SiteBits)
-		if len(lowered) > 0 {
-			bitSels = append(bitSels, halloc.BitSelector{Group: s.Group, Conj: lowered})
-		}
-	}
-	return measure.Policy{
-		Kind:      measure.HALO,
-		Rewritten: refRW.Prog,
-		Selectors: bitSels,
-		NumBits:   refRW.NumBits,
-		Halloc:    hallocConfig(w),
-	}, nil
 }
 
 // trialWorkers picks the inner MeasureTrials pool width: when the sweep

@@ -79,7 +79,7 @@ func (e *Engine) Fig12() (*Table, error) {
 		if err != nil {
 			return fmt.Errorf("fig12 A=%d: %w", dist, err)
 		}
-		pol, err := refHALOPolicy(w, refProg, opt)
+		pol, err := opt.HALOPolicy(refProg, hallocConfig(w))
 		if err != nil {
 			return fmt.Errorf("fig12 A=%d: %w", dist, err)
 		}

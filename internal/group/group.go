@@ -26,11 +26,6 @@ type Params struct {
 	// MaxGroups bounds the number of groups formed (the artifact runs
 	// roms with --max-groups 4). Default 32.
 	MaxGroups int
-	// Workers bounds the candidate-scan fan-out (0 = one per CPU, 1 =
-	// serial). Groups formed are bit-identical at any setting: benefits
-	// land in index-addressed slots and the arg-max scan runs serially in
-	// node order afterwards.
-	Workers int
 }
 
 func (p Params) withDefaults() Params {
@@ -111,7 +106,12 @@ func mergeBenefit(g *affinity.Graph, group []affinity.Ctx, groupScore float64, s
 // mask, and the sorted edge list is computed once, so each round scans
 // dense arrays instead of re-sorting maps; the visiting order — and thus
 // the formed groups — is exactly the map-based implementation's.
-func Form(g *affinity.Graph, p Params) []Group {
+//
+// workers bounds the candidate-scan fan-out (0 = one per CPU, 1 = serial).
+// Groups formed are bit-identical at any setting: benefits land in
+// index-addressed slots and the arg-max scan runs serially in node order
+// afterwards.
+func Form(g *affinity.Graph, p Params, workers int) []Group {
 	p = p.withDefaults()
 	g = g.Prune(p.MinWeight)
 
@@ -126,7 +126,7 @@ func Form(g *affinity.Graph, p Params) []Group {
 		alive[i] = true
 	}
 	navail := len(nodes)
-	scan := newCandidateScan(len(nodes), p.Workers, p.MaxGroupMembers)
+	scan := newCandidateScan(len(nodes), workers, p.MaxGroupMembers)
 
 	var groups []Group
 	for navail > 0 && len(groups) < p.MaxGroups {

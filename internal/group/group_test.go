@@ -99,7 +99,7 @@ func TestFormGroupsTwoClusters(t *testing.T) {
 			{1, 2}: 2, // weak cross edge
 		},
 	)
-	groups := Form(g, Params{GroupThreshold: 0.0001})
+	groups := Form(g, Params{GroupThreshold: 0.0001}, 0)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want 2: %v", len(groups), groups)
 	}
@@ -149,7 +149,7 @@ func TestFormRespectsMaxMembers(t *testing.T) {
 		}
 	}
 	g := buildGraph(accesses, edges)
-	groups := Form(g, Params{MaxGroupMembers: 3, GroupThreshold: 0.0001})
+	groups := Form(g, Params{MaxGroupMembers: 3, GroupThreshold: 0.0001}, 0)
 	for _, grp := range groups {
 		if len(grp.Members) > 3 {
 			t.Fatalf("group exceeds max members: %v", grp.Members)
@@ -163,7 +163,7 @@ func TestFormRespectsMaxGroups(t *testing.T) {
 		edges[[2]affinity.Ctx{i, i + 1}] = 100
 	}
 	g := buildGraph(nil, edges)
-	groups := Form(g, Params{MaxGroups: 2, GroupThreshold: 0.0001})
+	groups := Form(g, Params{MaxGroups: 2, GroupThreshold: 0.0001}, 0)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want max 2", len(groups))
 	}
@@ -177,7 +177,7 @@ func TestFormGroupThreshold(t *testing.T) {
 			{2, 3}: 2, // far below threshold
 		},
 	)
-	groups := Form(g, Params{GroupThreshold: 0.001})
+	groups := Form(g, Params{GroupThreshold: 0.001}, 0)
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d, want 1 (weak group thresholded)", len(groups))
 	}
@@ -188,7 +188,7 @@ func TestFormMinWeightPruning(t *testing.T) {
 		map[affinity.Ctx]uint64{0: 10, 1: 10},
 		map[[2]affinity.Ctx]uint64{{0, 1}: 3},
 	)
-	groups := Form(g, Params{MinWeight: 10, GroupThreshold: 0.0001})
+	groups := Form(g, Params{MinWeight: 10, GroupThreshold: 0.0001}, 0)
 	if len(groups) != 0 {
 		t.Fatalf("pruned edge still produced groups: %v", groups)
 	}
@@ -199,9 +199,9 @@ func TestFormDeterminism(t *testing.T) {
 		map[affinity.Ctx]uint64{0: 5, 1: 5, 2: 5, 3: 5},
 		map[[2]affinity.Ctx]uint64{{0, 1}: 10, {2, 3}: 10, {1, 2}: 10},
 	)
-	a := Form(g, Params{GroupThreshold: 0.0001})
+	a := Form(g, Params{GroupThreshold: 0.0001}, 0)
 	for i := 0; i < 10; i++ {
-		b := Form(g, Params{GroupThreshold: 0.0001})
+		b := Form(g, Params{GroupThreshold: 0.0001}, 0)
 		if len(a) != len(b) {
 			t.Fatal("nondeterministic group count")
 		}

@@ -22,12 +22,6 @@ import (
 type Config struct {
 	Streams   StreamConfig
 	MaxGroups int
-	// Workers bounds the per-stream benefit-analysis fan-out (0 = one per
-	// CPU, 1 = serial). Output is bit-identical at any setting.
-	Workers int
-	// Trace, when non-nil, receives one span per analysis stage (the
-	// SEQUITUR grammar, co-allocation set construction, set packing).
-	Trace *obs.Trace
 }
 
 // Result is the outcome of the analysis: the co-allocation policy and the
@@ -49,7 +43,12 @@ type Result struct {
 // hot-stream extraction, co-allocation set construction, and
 // weighted set packing. The returned SiteGroups table is the runtime
 // identification policy (immediate call site of the allocation procedure).
-func Analyze(p *profile.Profile, cfg Config) *Result {
+//
+// workers bounds the per-stream benefit-analysis fan-out (0 = one per CPU,
+// 1 = serial); output is bit-identical at any setting. tr, when
+// non-nil, receives one span per analysis stage (the SEQUITUR grammar,
+// co-allocation set construction, set packing).
+func Analyze(p *profile.Profile, cfg Config, workers int, tr *obs.Trace) *Result {
 	// Object identities and their allocation sites/sizes, laid out densely
 	// by allocation serial.
 	trace := make([]int64, len(p.Trace))
@@ -65,13 +64,13 @@ func Analyze(p *profile.Profile, cfg Config) *Result {
 		objects.Add(int64(r.Obj), ObjectInfo{Site: r.Site, Size: r.ObjSize})
 	}
 
-	endSeq := cfg.Trace.Span("hds/sequitur")
+	endSeq := tr.Span("hds/sequitur")
 	ext := ExtractStreams(trace, cfg.Streams)
 	endSeq()
-	endSets := cfg.Trace.Span("hds/sets")
-	sets := BuildSetsParallel(ext.Streams, objects, cfg.Workers)
+	endSets := tr.Span("hds/sets")
+	sets := BuildSets(ext.Streams, objects, workers)
 	endSets()
-	endPack := cfg.Trace.Span("hds/setpack")
+	endPack := tr.Span("hds/setpack")
 	packed := PackSets(sets, cfg.MaxGroups)
 	endPack()
 

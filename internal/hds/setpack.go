@@ -27,8 +27,7 @@ type ObjectInfo struct {
 const lineSize = 64
 
 // Objects is a dense object-information table indexed by allocation
-// serial, the form the trace walk in Analyze produces. It replaces the
-// map[int64]ObjectInfo lookups on BuildSets' per-object fast path.
+// serial, the form the trace walk in Analyze produces.
 type Objects struct {
 	info    []ObjectInfo
 	present []bool
@@ -60,34 +59,6 @@ func (o *Objects) Lookup(serial int64) (ObjectInfo, bool) {
 	return o.info[serial], true
 }
 
-// objectsFromMap converts the map form (kept for API compatibility) into
-// the dense table.
-func objectsFromMap(m map[int64]ObjectInfo) *Objects {
-	serials := make([]int64, 0, len(m))
-	for serial := range m {
-		serials = append(serials, serial)
-	}
-	sort.Slice(serials, func(i, j int) bool { return serials[i] < serials[j] })
-	var max int64 = -1
-	if len(serials) > 0 {
-		max = serials[len(serials)-1]
-	}
-	o := NewObjects(max)
-	for _, serial := range serials {
-		o.Add(serial, m[serial])
-	}
-	return o
-}
-
-// BuildSets converts hot data streams into co-allocation sets. Each stream
-// projects the miss reduction of packing its objects into contiguous lines
-// versus leaving each on separate lines, scaled by the stream's frequency
-// (the benefit model of the original paper, simplified to line counts).
-// Streams inducing identical site sets merge, accumulating benefit.
-func BuildSets(streams []Stream, objects map[int64]ObjectInfo) []CoallocSet {
-	return BuildSetsParallel(streams, objectsFromMap(objects), 1)
-}
-
 // streamSet is one stream's per-stage result: a span of sorted site ranks
 // in its chunk's backing array plus the projected benefit.
 type streamSet struct {
@@ -95,14 +66,19 @@ type streamSet struct {
 	benefit float64
 }
 
-// BuildSetsParallel is BuildSets over the dense object table, fanning the
-// per-stream benefit analysis out over a bounded worker pool. Streams are
-// independent (the paper's pipeline is embarrassingly parallel per
-// stream), so each worker owns a contiguous chunk with chunk-local scratch
-// and results are aggregated serially in stream order afterwards — output
-// is bit-identical at any worker count. workers <= 0 selects one worker
-// per CPU, 1 forces the serial path.
-func BuildSetsParallel(streams []Stream, objects *Objects, workers int) []CoallocSet {
+// BuildSets converts hot data streams into co-allocation sets. Each stream
+// projects the miss reduction of packing its objects into contiguous lines
+// versus leaving each on separate lines, scaled by the stream's frequency
+// (the benefit model of the original paper, simplified to line counts).
+// Streams inducing identical site sets merge, accumulating benefit.
+//
+// The per-stream benefit analysis fans out over a bounded worker pool.
+// Streams are independent (the paper's pipeline is embarrassingly parallel
+// per stream), so each worker owns a contiguous chunk with chunk-local
+// scratch and results are aggregated serially in stream order afterwards —
+// output is bit-identical at any worker count. workers <= 0 selects one
+// worker per CPU, 1 forces the serial path.
+func BuildSets(streams []Stream, objects *Objects, workers int) []CoallocSet {
 	if len(streams) == 0 {
 		return nil
 	}

@@ -6,16 +6,25 @@ import (
 	"halo/internal/isa"
 )
 
-func TestBuildSetsBenefitModel(t *testing.T) {
-	objects := map[int64]ObjectInfo{
-		1: {Site: isa.MakeAddr(1, 1), Size: 24},
-		2: {Site: isa.MakeAddr(2, 2), Size: 24},
-		3: {Site: isa.MakeAddr(3, 3), Size: 64}, // full line: no savings alone
+// objectsAt builds the dense object table with infos at serials 1, 2, ….
+func objectsAt(infos ...ObjectInfo) *Objects {
+	o := NewObjects(int64(len(infos)))
+	for i, info := range infos {
+		o.Add(int64(i+1), info)
 	}
+	return o
+}
+
+func TestBuildSetsBenefitModel(t *testing.T) {
+	objects := objectsAt(
+		ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 24},
+		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 24},
+		ObjectInfo{Site: isa.MakeAddr(3, 3), Size: 64}, // full line: no savings alone
+	)
 	streams := []Stream{
 		{Objects: []int64{1, 2}, Freq: 10, Heat: 20},
 	}
-	sets := BuildSets(streams, objects)
+	sets := BuildSets(streams, objects, 1)
 	if len(sets) != 1 {
 		t.Fatalf("sets = %d", len(sets))
 	}
@@ -31,28 +40,28 @@ func TestBuildSetsBenefitModel(t *testing.T) {
 }
 
 func TestBuildSetsDropsNoSavings(t *testing.T) {
-	objects := map[int64]ObjectInfo{
-		1: {Site: isa.MakeAddr(1, 1), Size: 64},
-		2: {Site: isa.MakeAddr(2, 2), Size: 128},
-	}
+	objects := objectsAt(
+		ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 64},
+		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 128},
+	)
 	streams := []Stream{{Objects: []int64{1, 2}, Freq: 5, Heat: 10}}
-	if sets := BuildSets(streams, objects); len(sets) != 0 {
+	if sets := BuildSets(streams, objects, 1); len(sets) != 0 {
 		t.Fatalf("line-aligned objects produced sets: %v", sets)
 	}
 }
 
 func TestBuildSetsMergesIdenticalSiteSets(t *testing.T) {
-	objects := map[int64]ObjectInfo{
-		1: {Site: isa.MakeAddr(1, 1), Size: 16},
-		2: {Site: isa.MakeAddr(2, 2), Size: 16},
-		3: {Site: isa.MakeAddr(1, 1), Size: 16},
-		4: {Site: isa.MakeAddr(2, 2), Size: 16},
-	}
+	objects := objectsAt(
+		ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 16},
+		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 16},
+		ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 16},
+		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 16},
+	)
 	streams := []Stream{
 		{Objects: []int64{1, 2}, Freq: 3, Heat: 6},
 		{Objects: []int64{3, 4}, Freq: 2, Heat: 4},
 	}
-	sets := BuildSets(streams, objects)
+	sets := BuildSets(streams, objects, 1)
 	if len(sets) != 1 {
 		t.Fatalf("sets = %d, want merged 1", len(sets))
 	}
@@ -120,33 +129,5 @@ func TestTruncatedStreamPrefix(t *testing.T) {
 	}
 	if !foundTrunc {
 		t.Fatal("no truncated streams marked")
-	}
-}
-
-// TestObjectsFromMapDeterministic is the regression test for the halovet
-// determinism finding in objectsFromMap: conversion from the map form must
-// produce the same dense table regardless of map iteration order, which
-// the sorted-serials walk guarantees. Repeated conversions (each with a
-// fresh, differently-seeded map layout) must agree entry for entry.
-func TestObjectsFromMapDeterministic(t *testing.T) {
-	serials := []int64{3, 9, 1, 14, 7, 0, 11}
-	build := func() *Objects {
-		m := make(map[int64]ObjectInfo, len(serials))
-		for i, s := range serials {
-			m[s] = ObjectInfo{Site: isa.MakeAddr(1, i+1), Size: uint32(8 * (i + 1))}
-		}
-		return objectsFromMap(m)
-	}
-	ref := build()
-	for trial := 0; trial < 20; trial++ {
-		got := build()
-		for s := int64(0); s <= 15; s++ {
-			wantInfo, wantOK := ref.Lookup(s)
-			gotInfo, gotOK := got.Lookup(s)
-			if wantOK != gotOK || wantInfo != gotInfo {
-				t.Fatalf("trial %d: serial %d = (%v, %v), want (%v, %v)",
-					trial, s, gotInfo, gotOK, wantInfo, wantOK)
-			}
-		}
 	}
 }

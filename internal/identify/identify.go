@@ -96,17 +96,12 @@ func buildSiteIndex(contexts []*profile.Context) *siteIndex {
 	return idx
 }
 
-// Build constructs selectors for the groups per Figure 10 using one worker
-// per CPU. Contexts must carry their group assignments (Context.Group; -1
-// for ungrouped).
-func Build(groups []group.Group, contexts []*profile.Context) *Result {
-	return BuildParallel(groups, contexts, 0)
-}
-
-// BuildParallel is Build with an explicit worker count (<= 0 selects one
-// worker per CPU, 1 forces serial execution). Selector output is a
-// function of the groups and contexts alone, never of the worker count.
-func BuildParallel(groups []group.Group, contexts []*profile.Context, workers int) *Result {
+// Build constructs selectors for the groups per Figure 10. Contexts must
+// carry their group assignments (Context.Group; -1 for ungrouped). workers
+// bounds the fan-out (<= 0 selects one worker per CPU, 1 forces serial
+// execution); selector output is a function of the groups and contexts
+// alone, never of the worker count.
+func Build(groups []group.Group, contexts []*profile.Context, workers int) *Result {
 	// Process groups from most to least popular.
 	ordered := append([]group.Group(nil), groups...)
 	sort.Slice(ordered, func(i, j int) bool {

@@ -24,7 +24,8 @@ type Sel struct {
 // (requests do not expose allocator tuning); `halo opt` fills it from its
 // flags.
 type Halloc struct {
-	ChunkSize   uint64 `json:"chunk_size,omitempty"`
-	NoSpare     bool   `json:"no_spare,omitempty"`
-	AlwaysReuse bool   `json:"always_reuse,omitempty"`
+	ChunkSize      uint64 `json:"chunk_size,omitempty"`
+	MaxSpareChunks int    `json:"max_spare_chunks,omitempty"` // 0 = allocator default
+	NoSpare        bool   `json:"no_spare,omitempty"`
+	AlwaysReuse    bool   `json:"always_reuse,omitempty"`
 }

@@ -406,7 +406,6 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 					base: newBase,
 					dst:  in.a,
 					ret:  pc + 1,
-					site: in.addr,
 				})
 				if sinkOn {
 					v.emit(Event{Kind: EvCall, Site: in.addr, Fn: target})

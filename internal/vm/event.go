@@ -94,35 +94,3 @@ func (v *VM) flushEvents() {
 	v.sink.ConsumeEvents(v.events)
 	v.events = v.events[:0]
 }
-
-// MultiSink fans batches out to several sinks in order.
-type MultiSink []EventSink
-
-// ConsumeEvents implements EventSink.
-func (m MultiSink) ConsumeEvents(batch []Event) {
-	if len(m) == 1 {
-		m[0].ConsumeEvents(batch)
-		return
-	}
-	for _, s := range m {
-		s.ConsumeEvents(batch)
-	}
-}
-
-// CombineSinks merges sinks, dropping nils and unwrapping the
-// single-element case so one observer costs one dispatch per batch.
-func CombineSinks(sinks ...EventSink) EventSink {
-	out := make(MultiSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}

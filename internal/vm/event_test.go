@@ -128,23 +128,6 @@ func TestEventStreamFlushedOnTrap(t *testing.T) {
 	}
 }
 
-// TestCombineSinks checks nil dropping and single-sink unwrapping.
-func TestCombineSinks(t *testing.T) {
-	if CombineSinks(nil, nil) != nil {
-		t.Fatal("all-nil combine should be nil")
-	}
-	a := &recordSink{}
-	if got := CombineSinks(nil, a); got != EventSink(a) {
-		t.Fatalf("single sink not unwrapped: %T", got)
-	}
-	b := &recordSink{}
-	multi := CombineSinks(a, b)
-	multi.ConsumeEvents([]Event{{Kind: EvAccess, Addr: 1}})
-	if len(a.events) != 1 || len(b.events) != 1 {
-		t.Fatalf("fan-out missed a sink: %d/%d", len(a.events), len(b.events))
-	}
-}
-
 // TestNilSinkRunsBare ensures observation stays fully disabled with a nil
 // sink (no buffer allocated, no flush attempted).
 func TestNilSinkRunsBare(t *testing.T) {

@@ -166,8 +166,7 @@ type frame struct {
 	base  int   // register window start in regs
 	dst   uint8 // caller register receiving the return value
 	ret   int   // caller pc to resume at
-	site  isa.Addr
-	entry bool // bottom frame has no caller
+	entry bool  // bottom frame has no caller
 }
 
 // New prepares a VM. The program must be linked and valid; memory and
@@ -468,7 +467,6 @@ func (v *VM) runSwitch() (int64, error) {
 					base: newBase,
 					dst:  in.A,
 					ret:  f.pc + 1,
-					site: in.Addr,
 				})
 				if v.sink != nil {
 					v.emit(Event{Kind: EvCall, Site: in.Addr, Fn: int32(target)})
