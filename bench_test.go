@@ -243,7 +243,7 @@ func BenchmarkRomsStreamExplosion(b *testing.B) {
 	b.ResetTimer()
 	var res *hds.Result
 	for i := 0; i < b.N; i++ {
-		res = hds.Analyze(prof, hds.Config{}, 0, nil)
+		res = hds.Analyze(prof, hds.Config{}, nil)
 	}
 	b.ReportMetric(float64(res.Candidates), "candidate_streams")
 	b.ReportMetric(float64(prof.Graph.NumNodes()), "graph_nodes")

@@ -18,8 +18,9 @@
 // record per measured workload×technique pair (miss reduction, speedup,
 // simulated seconds, ns/op — the wall-clock of one serial measurement
 // run, timed outside the worker pools — and a regressed flag set when the
-// technique increased misses over its baseline), per-workload profiling throughput
-// (events consumed by the training run's profiler and events/sec), a
+// technique added misses or slowed the run against its baseline),
+// per-workload profiling throughput (events consumed by the training
+// run's profiler and events/sec), a
 // per-workload "synthesis" section (the wall-clock of turning the training
 // profile into groups, selectors and the HDS policy), a "metrics" section
 // (a snapshot of the process metrics registry plus per-workload pipeline

@@ -35,7 +35,7 @@ type Eval struct {
 // measurement exercises.
 func EvalPipeline(s *adversary.Sequence, scale int) (Eval, error) {
 	p := adversary.Compile(s, scale)
-	opt, err := core.Optimize(p, core.Config{SynthesisWorkers: 1})
+	opt, err := core.Optimize(p, core.Config{})
 	if err != nil {
 		return Eval{}, fmt.Errorf("advpipe: pipeline on %s: %w", s.Name, err)
 	}

@@ -89,13 +89,6 @@ func (v *Vec) CopyFrom(o *Vec) {
 	copy(v.words, o.words)
 }
 
-// Clone returns an independent copy of v.
-func (v *Vec) Clone() *Vec {
-	c := New(v.n)
-	copy(c.words, v.words)
-	return c
-}
-
 // And intersects v with o in place. The vectors must have equal capacity.
 func (v *Vec) And(o *Vec) {
 	if v.n != o.n {

@@ -43,10 +43,9 @@ type Config struct {
 	// at any setting; the knob exists for determinism tests and tuning.
 	ProfileBatchSize int
 
-	// SynthesisWorkers bounds the worker pool the layout-synthesis stages
-	// (grouping, selector identification, co-allocation set construction)
-	// fan out over. 0 selects one worker per CPU, 1 forces serial
-	// execution. Synthesis output is bit-identical at any setting.
+	// Deprecated: layout synthesis (grouping, selector identification,
+	// co-allocation set construction) runs serially and ignores this
+	// value. The field is kept only so existing callers still compile.
 	SynthesisWorkers int
 
 	// Trace, when non-nil, receives one span per pipeline stage (profile,
@@ -150,7 +149,7 @@ func Optimize(p *isa.Program, cfg Config) (*Optimized, error) {
 // existing profile (so one profiling run can feed several configurations).
 func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Optimized, error) {
 	endGroup := cfg.Trace.Span("group")
-	groups := group.Form(prof.Graph, cfg.Group, cfg.SynthesisWorkers)
+	groups := group.Form(prof.Graph, cfg.Group)
 
 	// Record group membership on the contexts for identification.
 	for _, c := range prof.Contexts {
@@ -164,7 +163,7 @@ func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Op
 	endGroup()
 
 	endIdentify := cfg.Trace.Span("identify")
-	sel := identify.Build(groups, prof.Contexts, cfg.SynthesisWorkers)
+	sel := identify.Build(groups, prof.Contexts)
 	endIdentify()
 
 	rw, bitSels, dropped, err := rewriteAndLower(p, sel, cfg.Trace)
@@ -230,7 +229,7 @@ func AnalyzeHDS(prof *profile.Profile, cfg Config) (*hds.Result, error) {
 	if len(prof.Trace) == 0 {
 		return nil, fmt.Errorf("core: profile has no reference trace; enable Profile.RecordTrace")
 	}
-	return hds.Analyze(prof, cfg.HDS, cfg.SynthesisWorkers, cfg.Trace), nil
+	return hds.Analyze(prof, cfg.HDS, cfg.Trace), nil
 }
 
 // GroupReport renders the formed groups with context chains, reproducing

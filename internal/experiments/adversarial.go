@@ -11,7 +11,7 @@ import (
 // Adversarial evaluates the hostile-heap workload family end to end: each
 // generated scenario runs the full pipeline and is measured HALO vs the
 // jemalloc baseline, reporting where grouping helps, changes nothing,
-// hurts (negative miss reduction, flagged REGRESSED) or is defeated, plus
+// hurts (more misses or a slower run, flagged REGRESSED) or is defeated, plus
 // a corruption verdict — the scenario's flattened heap-op stream replayed
 // against the group allocator under the shadow-heap oracle, with the
 // workload's own allocator tuning.
@@ -24,7 +24,7 @@ func (e *Engine) Adversarial() (*Table, error) {
 			"speedup (%)", "frag@peak (%)", "verdict", "corruption"},
 	}
 	t.Notes = append(t.Notes,
-		"verdict: helped = positive miss reduction; neutral = zero miss reduction; REGRESSED = grouping added misses; defeated = grouping never engaged",
+		"verdict: REGRESSED = grouping added misses or slowed the run; helped = positive miss reduction and no slowdown; neutral = zero miss reduction and no slowdown; defeated = grouping never engaged",
 		"corruption: the scenario's heap-op stream replayed under the shadow-heap oracle (clean = zero findings)")
 	rows := make([][]string, len(list))
 	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {
@@ -46,12 +46,12 @@ func (e *Engine) Adversarial() (*Table, error) {
 		switch {
 		case halo.Median.GroupedAllocs == 0:
 			verdict = "defeated"
+		case regressed(missRed, speedup):
+			verdict = "REGRESSED"
 		case missRed > 0:
 			verdict = "helped"
-		case missRed == 0:
-			verdict = "neutral"
 		default:
-			verdict = "REGRESSED"
+			verdict = "neutral"
 		}
 		corruption := "clean"
 		seq := workloads.AdvSequence(w.Name)

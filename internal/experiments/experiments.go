@@ -258,9 +258,6 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 	}
 	e.opts.logf("[%s] profiling test input (scale %d)", w.Name, w.TestScale)
 	cfg := pipelineConfig(w)
-	// Same one-level-parallel discipline as the trial pools: when the
-	// sweep fans workloads out, synthesis runs serially inside each.
-	cfg.SynthesisWorkers = e.trialWorkers()
 	tr := obs.NewTrace()
 	cfg.Trace = tr
 	testProg := w.Build(w.TestScale)
@@ -392,10 +389,18 @@ type BenchResult struct {
 	BaselineSeconds  float64 `json:"baseline_seconds"`
 	Seconds          float64 `json:"seconds"`
 	NsPerOp          int64   `json:"ns_per_op"`
-	// Regressed flags results where the technique *hurt*: negative miss
-	// reduction. Easy to misread as noise in a wall of numbers, so it is
-	// surfaced explicitly here and in halobench's rendered table.
+	// Regressed flags results where the technique *hurt* (see regressed).
+	// Easy to misread as noise in a wall of numbers, so it is surfaced
+	// explicitly here and in halobench's rendered tables.
 	Regressed bool `json:"regressed"`
+}
+
+// regressed is the one verdict every report gives a technique against its
+// baseline, from the trials' medians: it hurt when it added L1D misses or
+// made the run slower. A layout that saves misses but loses cycles (to
+// DTLB misses, say) is no win, so neither figure may excuse the other.
+func regressed(missReductionPct, speedupPct float64) bool {
+	return missReductionPct < 0 || speedupPct < 0
 }
 
 // BenchResults renders every measured workload×technique pair from the
@@ -431,7 +436,7 @@ func (e *Engine) BenchResults() []BenchResult {
 			Seconds:          s.Seconds.Median,
 			NsPerOp:          e.wallNs[k],
 		}
-		r.Regressed = r.MissReductionPct < 0
+		r.Regressed = regressed(r.MissReductionPct, r.SpeedupPct)
 		out = append(out, r)
 	}
 	return out
@@ -471,8 +476,8 @@ func (e *Engine) ProfileStats() []ProfileStat {
 // SynthStat is one workload's layout-synthesis cost: the wall-clock of
 // turning its training profile into groups, selectors and the HDS
 // co-allocation policy. This is the per-job cost a halod worker pays on
-// top of profiling (or profile decoding), and the trajectory the dense
-// parallel synthesis pipeline is tracked by.
+// top of profiling (or profile decoding), and the trajectory the
+// synthesis pipeline is tracked by.
 type SynthStat struct {
 	Workload   string `json:"workload"`
 	Groups     int    `json:"groups"`

@@ -113,3 +113,24 @@ func TestFormatBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestLeelaHALORegressed: on leela HALO trims L1D misses slightly but
+// loses cycles (its groups scatter the heap over many more pages, so DTLB
+// misses climb), so the verdict must call it a regression rather than
+// read the miss figure alone.
+func TestLeelaHALORegressed(t *testing.T) {
+	e := quickEngine("leela")
+	if _, err := e.Fig14(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range e.BenchResults() {
+		if r.Workload == "leela" && r.Technique == "halo" {
+			if !r.Regressed {
+				t.Fatalf("leela halo: miss reduction %+.2f%%, speedup %+.2f%%, Regressed = false",
+					r.MissReductionPct, r.SpeedupPct)
+			}
+			return
+		}
+	}
+	t.Fatal("no leela/halo BenchResult")
+}

@@ -157,23 +157,31 @@ func (e *Engine) Fig13() (*Table, error) {
 	for _, w := range list {
 		r := res[w.Name]
 		haloRed := measure.Improvement(r[0].L1DMiss.Median, r[1].L1DMiss.Median)
-		flag := "-"
-		if haloRed < 0 {
-			flag = "REGRESSED"
-		}
 		t.Rows = append(t.Rows, []string{
 			w.Name,
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].L1DMiss.Median, r[2].L1DMiss.Median)),
 			fmt.Sprintf("%+.2f%%", haloRed),
 			fmt.Sprintf("%.0f", r[0].L1DMiss.Median),
-			flag,
+			regressedFlag(r[0], r[1]),
 		})
 	}
 	t.Notes = append(t.Notes,
 		"positive = fewer misses than the jemalloc-like baseline (paper Figure 13)",
-		"regressed = HALO increased misses on this workload; not noise — see the adversarial experiment")
+		regressedNote)
 	return t, nil
 }
+
+// regressedFlag renders the regressed verdict for HALO's summary against
+// the baseline's in the Figure 13 and 14 tables.
+func regressedFlag(base, halo measure.Summary) string {
+	if regressed(measure.Improvement(base.L1DMiss.Median, halo.L1DMiss.Median),
+		measure.Improvement(base.Seconds.Median, halo.Seconds.Median)) {
+		return "REGRESSED"
+	}
+	return "-"
+}
+
+const regressedNote = "regressed = HALO added L1D misses or slowed the run (cycle model) on this workload; not noise — see the adversarial experiment"
 
 // Fig14 reproduces Figure 14: execution-time speedup.
 func (e *Engine) Fig14() (*Table, error) {
@@ -184,7 +192,7 @@ func (e *Engine) Fig14() (*Table, error) {
 	t := &Table{
 		ID:      "fig14",
 		Title:   "Speedup vs jemalloc baseline (cycle model)",
-		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline time (s)"},
+		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline time (s)", "regressed"},
 	}
 	for _, w := range list {
 		r := res[w.Name]
@@ -193,10 +201,12 @@ func (e *Engine) Fig14() (*Table, error) {
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].Seconds.Median, r[2].Seconds.Median)),
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].Seconds.Median, r[1].Seconds.Median)),
 			fmt.Sprintf("%.4f", r[0].Seconds.Median),
+			regressedFlag(r[0], r[1]),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"positive = faster than baseline; time from the simulator's cycle model (paper Figure 14)")
+		"positive = faster than baseline; time from the simulator's cycle model (paper Figure 14)",
+		regressedNote)
 	return t, nil
 }
 

@@ -18,9 +18,7 @@ import (
 // Golden fingerprints of the layout-synthesis stage (grouping, selector
 // identification, selector lowering, and the hot-data-streams policy)
 // recorded from the serial, map-based implementation at commit 0138423.
-// The dense, parallel synthesis pipeline must reproduce them bit for bit
-// at every worker count — synthesis results are a function of the profile
-// alone, never of the machine's core count.
+// The dense synthesis pipeline must reproduce them bit for bit.
 var synthGoldens = map[string]string{
 	"povray":  "bf643192d6d7ca0df84387566607b48be70d20a0b23bb3f894115c3db0b67a91",
 	"omnetpp": "591cd670760e41d2fc4fc86d7c06f6100a97a4ae7910b64517d50bc96b495ce6",
@@ -31,12 +29,11 @@ var synthGoldens = map[string]string{
 // policy document (exactly as halod serves it), and the HDS co-allocation
 // policy. Everything the downstream allocator consumes is covered, so any
 // behavioural drift in the refactored pipeline shows up here.
-func synthesisFingerprint(t *testing.T, name string, workers int) string {
+func synthesisFingerprint(t *testing.T, name string) string {
 	t.Helper()
 	w := workloads.MustGet(name)
 	p := w.Build(w.TestScale)
 	cfg := pipelineConfig(w)
-	cfg.SynthesisWorkers = workers
 	prof, err := core.Profile(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,18 +94,14 @@ func synthesisFingerprint(t *testing.T, name string, workers int) string {
 }
 
 // TestGoldenSynthesis pins the synthesis pipeline's output against the
-// pre-refactor goldens at worker counts 1, 4 and 8 (the determinism
-// contract: worker count changes wall-clock only, never output).
+// pre-refactor goldens.
 func TestGoldenSynthesis(t *testing.T) {
 	for name, want := range synthGoldens {
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 4, 8} {
-				fp := synthesisFingerprint(t, name, workers)
-				sum := sha256.Sum256([]byte(fp))
-				if got := hex.EncodeToString(sum[:]); got != want {
-					t.Errorf("workers=%d: synthesis fingerprint sha256 = %s, want %s\nfingerprint:\n%s",
-						workers, got, want, fp)
-				}
+			fp := synthesisFingerprint(t, name)
+			sum := sha256.Sum256([]byte(fp))
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("synthesis fingerprint sha256 = %s, want %s\nfingerprint:\n%s", got, want, fp)
 			}
 		})
 	}

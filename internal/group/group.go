@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"halo/internal/affinity"
-	"halo/internal/pool"
 )
 
 // Params configures grouping. Zero values take the paper's settings.
@@ -106,12 +105,7 @@ func mergeBenefit(g *affinity.Graph, group []affinity.Ctx, groupScore float64, s
 // mask, and the sorted edge list is computed once, so each round scans
 // dense arrays instead of re-sorting maps; the visiting order — and thus
 // the formed groups — is exactly the map-based implementation's.
-//
-// workers bounds the candidate-scan fan-out (0 = one per CPU, 1 = serial).
-// Groups formed are bit-identical at any setting: benefits land in
-// index-addressed slots and the arg-max scan runs serially in node order
-// afterwards.
-func Form(g *affinity.Graph, p Params, workers int) []Group {
+func Form(g *affinity.Graph, p Params) []Group {
 	p = p.withDefaults()
 	g = g.Prune(p.MinWeight)
 
@@ -126,7 +120,9 @@ func Form(g *affinity.Graph, p Params, workers int) []Group {
 		alive[i] = true
 	}
 	navail := len(nodes)
-	scan := newCandidateScan(len(nodes), workers, p.MaxGroupMembers)
+	// A group plus one candidate never exceeds the node count, so the
+	// union scratch never regrows, whatever MaxGroupMembers asks for.
+	scratch := make([]affinity.Ctx, 0, len(nodes))
 
 	var groups []Group
 	for navail > 0 && len(groups) < p.MaxGroups {
@@ -138,26 +134,24 @@ func Form(g *affinity.Graph, p Params, workers int) []Group {
 		alive[index[seed]] = false
 		navail--
 
-		// Grow the group around the seed.
+		// Grow the group around the seed: the candidate with the largest
+		// merge benefit joins, the first in node order on ties.
 		for len(members) < p.MaxGroupMembers {
 			memberScore := Score(g, members)
-			scan.run(g, nodes, alive, members, memberScore, p.MergeTol)
-			// Arg-max in node order: the first strict improvement wins,
-			// exactly as the serial scan visited candidates.
-			best, bestScore := affinity.NoCtx, 0.0
+			best, bestScore := -1, 0.0
 			for i, cand := range nodes {
 				if !alive[i] {
 					continue
 				}
-				if b := scan.benefits[i]; b > bestScore {
-					bestScore, best = b, cand
+				if b := mergeBenefit(g, members, memberScore, cand, p.MergeTol, scratch); b > bestScore {
+					bestScore, best = b, i
 				}
 			}
-			if best == affinity.NoCtx {
+			if best < 0 {
 				break
 			}
-			members = append(members, best)
-			alive[index[best]] = false
+			members = append(members, nodes[best])
+			alive[best] = false
 			navail--
 		}
 
@@ -177,56 +171,6 @@ func Form(g *affinity.Graph, p Params, workers int) []Group {
 		}
 	}
 	return groups
-}
-
-// candidateScan evaluates every available candidate's merge benefit into
-// an index-addressed slot, fanning contiguous node ranges out over a
-// bounded worker pool when the candidate set is large enough to pay for
-// it. Each worker owns its own union scratch; the caller's serial arg-max
-// over the slots reproduces the serial scan's pick exactly.
-type candidateScan struct {
-	workers    int
-	maxMembers int
-	benefits   []float64
-	scratch    [][]affinity.Ctx // one union buffer per worker chunk
-}
-
-// parallelScanMin is the candidate count below which the scan stays
-// serial: below it, pool dispatch costs more than the benefit arithmetic.
-const parallelScanMin = 192
-
-func newCandidateScan(n, workers, maxMembers int) *candidateScan {
-	if workers <= 0 {
-		workers = pool.DefaultWorkers()
-	}
-	return &candidateScan{workers: workers, maxMembers: maxMembers, benefits: make([]float64, n)}
-}
-
-func (s *candidateScan) run(g *affinity.Graph, nodes []affinity.Ctx, alive []bool, members []affinity.Ctx, memberScore, tol float64) {
-	chunks := s.workers
-	if len(nodes) < parallelScanMin || chunks == 1 {
-		chunks = 1
-	}
-	if len(s.scratch) < chunks {
-		s.scratch = make([][]affinity.Ctx, chunks)
-	}
-	per := (len(nodes) + chunks - 1) / chunks
-	pool.Map(chunks, chunks, func(ci int) error {
-		if s.scratch[ci] == nil {
-			s.scratch[ci] = make([]affinity.Ctx, 0, s.maxMembers+1)
-		}
-		lo, hi := ci*per, (ci+1)*per
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		for i := lo; i < hi; i++ {
-			if !alive[i] {
-				continue
-			}
-			s.benefits[i] = mergeBenefit(g, members, memberScore, nodes[i], tol, s.scratch[ci])
-		}
-		return nil
-	})
 }
 
 // strongestSeed finds the strongest edge whose endpoints are both

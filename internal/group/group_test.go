@@ -2,6 +2,7 @@ package group
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"halo/internal/affinity"
@@ -99,7 +100,7 @@ func TestFormGroupsTwoClusters(t *testing.T) {
 			{1, 2}: 2, // weak cross edge
 		},
 	)
-	groups := Form(g, Params{GroupThreshold: 0.0001}, 0)
+	groups := Form(g, Params{GroupThreshold: 0.0001})
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want 2: %v", len(groups), groups)
 	}
@@ -149,7 +150,7 @@ func TestFormRespectsMaxMembers(t *testing.T) {
 		}
 	}
 	g := buildGraph(accesses, edges)
-	groups := Form(g, Params{MaxGroupMembers: 3, GroupThreshold: 0.0001}, 0)
+	groups := Form(g, Params{MaxGroupMembers: 3, GroupThreshold: 0.0001})
 	for _, grp := range groups {
 		if len(grp.Members) > 3 {
 			t.Fatalf("group exceeds max members: %v", grp.Members)
@@ -163,7 +164,7 @@ func TestFormRespectsMaxGroups(t *testing.T) {
 		edges[[2]affinity.Ctx{i, i + 1}] = 100
 	}
 	g := buildGraph(nil, edges)
-	groups := Form(g, Params{MaxGroups: 2, GroupThreshold: 0.0001}, 0)
+	groups := Form(g, Params{MaxGroups: 2, GroupThreshold: 0.0001})
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want max 2", len(groups))
 	}
@@ -177,7 +178,7 @@ func TestFormGroupThreshold(t *testing.T) {
 			{2, 3}: 2, // far below threshold
 		},
 	)
-	groups := Form(g, Params{GroupThreshold: 0.001}, 0)
+	groups := Form(g, Params{GroupThreshold: 0.001})
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d, want 1 (weak group thresholded)", len(groups))
 	}
@@ -188,7 +189,7 @@ func TestFormMinWeightPruning(t *testing.T) {
 		map[affinity.Ctx]uint64{0: 10, 1: 10},
 		map[[2]affinity.Ctx]uint64{{0, 1}: 3},
 	)
-	groups := Form(g, Params{MinWeight: 10, GroupThreshold: 0.0001}, 0)
+	groups := Form(g, Params{MinWeight: 10, GroupThreshold: 0.0001})
 	if len(groups) != 0 {
 		t.Fatalf("pruned edge still produced groups: %v", groups)
 	}
@@ -199,9 +200,9 @@ func TestFormDeterminism(t *testing.T) {
 		map[affinity.Ctx]uint64{0: 5, 1: 5, 2: 5, 3: 5},
 		map[[2]affinity.Ctx]uint64{{0, 1}: 10, {2, 3}: 10, {1, 2}: 10},
 	)
-	a := Form(g, Params{GroupThreshold: 0.0001}, 0)
+	a := Form(g, Params{GroupThreshold: 0.0001})
 	for i := 0; i < 10; i++ {
-		b := Form(g, Params{GroupThreshold: 0.0001}, 0)
+		b := Form(g, Params{GroupThreshold: 0.0001})
 		if len(a) != len(b) {
 			t.Fatal("nondeterministic group count")
 		}
@@ -215,6 +216,26 @@ func TestFormDeterminism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFormUnboundedMembersAllocatesLittle: MaxGroupMembers is a bound,
+// not a size, so an effectively unbounded setting on a tiny graph must
+// cost what the graph costs.
+func TestFormUnboundedMembersAllocatesLittle(t *testing.T) {
+	g := buildGraph(
+		map[affinity.Ctx]uint64{0: 5, 1: 5, 2: 5, 3: 5},
+		map[[2]affinity.Ctx]uint64{{0, 1}: 10, {2, 3}: 10, {1, 2}: 10},
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	groups := Form(g, Params{MaxGroupMembers: math.MaxInt, GroupThreshold: 0.0001})
+	runtime.ReadMemStats(&after)
+	if len(groups) == 0 {
+		t.Fatal("no groups formed")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("Form allocated %d bytes on a 4-node graph, want < 1 MiB", d)
 	}
 }
 

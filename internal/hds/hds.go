@@ -44,11 +44,9 @@ type Result struct {
 // weighted set packing. The returned SiteGroups table is the runtime
 // identification policy (immediate call site of the allocation procedure).
 //
-// workers bounds the per-stream benefit-analysis fan-out (0 = one per CPU,
-// 1 = serial); output is bit-identical at any setting. tr, when
-// non-nil, receives one span per analysis stage (the SEQUITUR grammar,
-// co-allocation set construction, set packing).
-func Analyze(p *profile.Profile, cfg Config, workers int, tr *obs.Trace) *Result {
+// tr, when non-nil, receives one span per analysis stage (the SEQUITUR
+// grammar, co-allocation set construction, set packing).
+func Analyze(p *profile.Profile, cfg Config, tr *obs.Trace) *Result {
 	// Object identities and their allocation sites/sizes, laid out densely
 	// by allocation serial.
 	trace := make([]int64, len(p.Trace))
@@ -68,7 +66,7 @@ func Analyze(p *profile.Profile, cfg Config, workers int, tr *obs.Trace) *Result
 	ext := ExtractStreams(trace, cfg.Streams)
 	endSeq()
 	endSets := tr.Span("hds/sets")
-	sets := BuildSets(ext.Streams, objects, workers)
+	sets := BuildSets(ext.Streams, objects)
 	endSets()
 	endPack := tr.Span("hds/setpack")
 	packed := PackSets(sets, cfg.MaxGroups)

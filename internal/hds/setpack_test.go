@@ -24,7 +24,7 @@ func TestBuildSetsBenefitModel(t *testing.T) {
 	streams := []Stream{
 		{Objects: []int64{1, 2}, Freq: 10, Heat: 20},
 	}
-	sets := BuildSets(streams, objects, 1)
+	sets := BuildSets(streams, objects)
 	if len(sets) != 1 {
 		t.Fatalf("sets = %d", len(sets))
 	}
@@ -45,7 +45,7 @@ func TestBuildSetsDropsNoSavings(t *testing.T) {
 		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 128},
 	)
 	streams := []Stream{{Objects: []int64{1, 2}, Freq: 5, Heat: 10}}
-	if sets := BuildSets(streams, objects, 1); len(sets) != 0 {
+	if sets := BuildSets(streams, objects); len(sets) != 0 {
 		t.Fatalf("line-aligned objects produced sets: %v", sets)
 	}
 }
@@ -61,7 +61,7 @@ func TestBuildSetsMergesIdenticalSiteSets(t *testing.T) {
 		{Objects: []int64{1, 2}, Freq: 3, Heat: 6},
 		{Objects: []int64{3, 4}, Freq: 2, Heat: 4},
 	}
-	sets := BuildSets(streams, objects, 1)
+	sets := BuildSets(streams, objects)
 	if len(sets) != 1 {
 		t.Fatalf("sets = %d, want merged 1", len(sets))
 	}

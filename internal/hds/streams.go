@@ -79,18 +79,10 @@ func ExtractStreams(trace []int64, cfg StreamConfig) *ExtractResult {
 		if f < 2 {
 			continue // a stream must recur
 		}
-		if l <= cfg.MaxLen {
-			objs := sequitur.ExpandRule(g, num, cfg.MaxLen)
-			if objs == nil {
-				continue
-			}
-			cands = append(cands, Stream{Objects: objs, Freq: f, Heat: l * f})
-			continue
-		}
-		// The rule's expansion exceeds the stream window: the stream is
-		// cut short at the window, keeping the full expansion's heat.
+		// A rule whose expansion exceeds the stream window is cut short at
+		// the window, keeping the full expansion's heat.
 		objs := sequitur.ExpandRulePrefix(g, num, cfg.MaxLen)
-		cands = append(cands, Stream{Objects: objs, Freq: f, Heat: l * f, Truncated: true})
+		cands = append(cands, Stream{Objects: objs, Freq: f, Heat: l * f, Truncated: l > cfg.MaxLen})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].Heat != cands[j].Heat {

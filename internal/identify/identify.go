@@ -10,11 +10,7 @@
 // The stage is laid out for synthesis throughput: "which contexts pass
 // through site S" is precomputed as one bit vector per site (indexed by
 // context), so Figure 10's conflict counting is a word-parallel
-// AND-popcount instead of a chain walk per (context, site) pair, and
-// selector construction — independent per group once the popularity order
-// fixes each group's eligibility mask — fans out over a bounded worker
-// pool with results gathered by group index. Output is bit-identical at
-// any worker count.
+// AND-popcount instead of a chain walk per (context, site) pair.
 package identify
 
 import (
@@ -25,7 +21,6 @@ import (
 	"halo/internal/bits"
 	"halo/internal/group"
 	"halo/internal/isa"
-	"halo/internal/pool"
 	"halo/internal/profile"
 )
 
@@ -97,11 +92,8 @@ func buildSiteIndex(contexts []*profile.Context) *siteIndex {
 }
 
 // Build constructs selectors for the groups per Figure 10. Contexts must
-// carry their group assignments (Context.Group; -1 for ungrouped). workers
-// bounds the fan-out (<= 0 selects one worker per CPU, 1 forces serial
-// execution); selector output is a function of the groups and contexts
-// alone, never of the worker count.
-func Build(groups []group.Group, contexts []*profile.Context, workers int) *Result {
+// carry their group assignments (Context.Group; -1 for ungrouped).
+func Build(groups []group.Group, contexts []*profile.Context) *Result {
 	// Process groups from most to least popular.
 	ordered := append([]group.Group(nil), groups...)
 	sort.Slice(ordered, func(i, j int) bool {
@@ -114,9 +106,8 @@ func Build(groups []group.Group, contexts []*profile.Context, workers int) *Resu
 	n := len(contexts)
 	idx := buildSiteIndex(contexts)
 
-	// byGroup lists the contexts carrying each group id, the set the
-	// serial algorithm removed from the conflict universe as it marked
-	// groups ignored.
+	// byGroup lists the contexts carrying each group id: the set a group
+	// removes from the conflict universe once it is reached.
 	byGroup := make(map[int][]int)
 	for i, c := range contexts {
 		if c.Group >= 0 {
@@ -124,57 +115,34 @@ func Build(groups []group.Group, contexts []*profile.Context, workers int) *Resu
 		}
 	}
 
-	// eligible[k]: the conflict universe for ordered group k — every
-	// context except those of groups 0..k in popularity order. The masks
-	// derive from the order alone, so each group's selector construction
-	// is independent and safe to fan out.
-	eligible := make([]*bits.Vec, len(ordered))
-	mask := bits.New(n)
-	mask.SetAll()
-	for k, g := range ordered {
+	// eligible is the conflict universe for the group being built: every
+	// context except those of the groups reached so far, this one
+	// included.
+	eligible := bits.New(n)
+	eligible.SetAll()
+	cur := bits.New(n) // scratch: the surviving-conflict set
+	res := &Result{}
+	siteSet := make(map[isa.Addr]bool)
+	for _, g := range ordered {
 		for _, i := range byGroup[g.ID] {
-			mask.Clear(i)
+			eligible.Clear(i)
 		}
-		eligible[k] = mask.Clone()
-	}
-
-	type groupResult struct {
-		sel      Selector
-		residual int
-		sites    []isa.Addr
-	}
-	results := make([]groupResult, len(ordered))
-	pool.Map(len(ordered), workers, func(k int) error {
-		g := ordered[k]
-		cur := bits.New(n) // scratch: the surviving-conflict set
-		res := groupResult{sel: Selector{Group: g.ID}}
+		sel := Selector{Group: g.ID}
 		for _, member := range g.Members {
-			mctx := contexts[member]
-			conj, conflicts := buildConjunction(mctx, idx, eligible[k], cur)
+			conj, conflicts := buildConjunction(contexts[member], idx, eligible, cur)
 			if conj == nil {
 				continue
 			}
 			if conflicts > 0 {
-				res.residual++
+				res.Residual++
 			}
-			res.sel.Conj = append(res.sel.Conj, conj)
-			res.sites = append(res.sites, conj...)
+			sel.Conj = append(sel.Conj, conj)
+			for _, s := range conj {
+				siteSet[s] = true
+			}
 		}
-		results[k] = res
-		return nil
-	})
-
-	// Gather in popularity order: identical to the serial walk.
-	res := &Result{}
-	siteSet := make(map[isa.Addr]bool)
-	for k := range results {
-		r := &results[k]
-		res.Residual += r.residual
-		if len(r.sel.Conj) > 0 {
-			res.Selectors = append(res.Selectors, r.sel)
-		}
-		for _, s := range r.sites {
-			siteSet[s] = true
+		if len(sel.Conj) > 0 {
+			res.Selectors = append(res.Selectors, sel)
 		}
 	}
 	res.Sites = make([]isa.Addr, 0, len(siteSet))

@@ -28,7 +28,7 @@ func TestBuildDistinguishesByUniqueSite(t *testing.T) {
 		ctx(1, -1, b, shared),
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0}, Accesses: 100}}
-	res := Build(groups, contexts, 0)
+	res := Build(groups, contexts)
 	if len(res.Selectors) != 1 {
 		t.Fatalf("selectors = %d", len(res.Selectors))
 	}
@@ -58,7 +58,7 @@ func TestBuildNeedsConjunction(t *testing.T) {
 		ctx(2, -1, b),   // conflict sharing b
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0}, Accesses: 10}}
-	res := Build(groups, contexts, 0)
+	res := Build(groups, contexts)
 	if got := MatchContext(res.Selectors, contexts[0]); got != 0 {
 		t.Fatalf("member matched group %d", got)
 	}
@@ -81,7 +81,7 @@ func TestBuildPopularityOrder(t *testing.T) {
 		{ID: 0, Members: []affinity.Ctx{0}, Accesses: 10},
 		{ID: 1, Members: []affinity.Ctx{1}, Accesses: 1000},
 	}
-	res := Build(groups, contexts, 0)
+	res := Build(groups, contexts)
 	if res.Selectors[0].Group != 1 {
 		t.Fatalf("most popular group not first: %v", res.Selectors)
 	}
@@ -95,7 +95,7 @@ func TestBuildTieBreakPrefersStackBottom(t *testing.T) {
 		ctx(0, 0, lo, hi),
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0}, Accesses: 5}}
-	res := Build(groups, contexts, 0)
+	res := Build(groups, contexts)
 	conj := res.Selectors[0].Conj[0]
 	if len(conj) != 1 || conj[0] != lo {
 		t.Fatalf("conjunction = %v, want the stack-bottom site %v", conj, lo)
@@ -115,7 +115,7 @@ func TestBuildIgnoresProcessedGroups(t *testing.T) {
 		{ID: 0, Members: []affinity.Ctx{0}, Accesses: 1000},
 		{ID: 1, Members: []affinity.Ctx{1}, Accesses: 10},
 	}
-	res := Build(groups, contexts, 0)
+	res := Build(groups, contexts)
 	if len(res.Selectors) != 2 {
 		t.Fatalf("selectors = %d", len(res.Selectors))
 	}
@@ -135,7 +135,7 @@ func TestBuildResidualConflicts(t *testing.T) {
 		ctx(1, -1, s1, s2),
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0}, Accesses: 10}}
-	res := Build(groups, contexts, 0)
+	res := Build(groups, contexts)
 	if res.Residual == 0 {
 		t.Fatal("identical-chain conflict not reported as residual")
 	}
@@ -156,7 +156,7 @@ func TestBuildSitesUnion(t *testing.T) {
 		{ID: 0, Members: []affinity.Ctx{0, 1}, Accesses: 100},
 		{ID: 1, Members: []affinity.Ctx{2}, Accesses: 50},
 	}
-	res := Build(groups, contexts, 0)
+	res := Build(groups, contexts)
 	if len(res.Sites) != 3 {
 		t.Fatalf("sites = %v, want 3 distinct", res.Sites)
 	}
@@ -177,7 +177,7 @@ func TestMultiMemberGroupDNF(t *testing.T) {
 		ctx(2, -1, other),
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0, 1}, Accesses: 100}}
-	res := Build(groups, contexts, 0)
+	res := Build(groups, contexts)
 	if len(res.Selectors[0].Conj) != 2 {
 		t.Fatalf("conjunctions = %d, want 2", len(res.Selectors[0].Conj))
 	}

@@ -75,7 +75,8 @@ func RuleLens(g *Grammar) []int {
 	return lens
 }
 
-// ExpandRulePrefix materialises the first max terminals of a rule.
+// ExpandRulePrefix materialises the first max terminals of a rule: its
+// whole expansion when that is no longer than max.
 func ExpandRulePrefix(g *Grammar, num int, max int) []int64 {
 	out := make([]int64, 0, max)
 	var walk func(num int32) bool
@@ -95,32 +96,5 @@ func ExpandRulePrefix(g *Grammar, num int, max int) []int64 {
 		return true
 	}
 	walk(int32(num))
-	return out
-}
-
-// ExpandRule materialises a rule's terminal expansion up to max terminals,
-// returning nil if it would exceed the cap.
-func ExpandRule(g *Grammar, num int, max int) []int64 {
-	out := make([]int64, 0, max)
-	var walk func(num int32) bool
-	walk = func(num int32) bool {
-		for s := g.firstOf(num); !g.syms[s].guard; s = g.syms[s].next {
-			v := g.syms[s].value
-			if v < 0 {
-				if !walk(ruleOf(v)) {
-					return false
-				}
-				continue
-			}
-			if len(out) >= max {
-				return false
-			}
-			out = append(out, v)
-		}
-		return true
-	}
-	if !walk(int32(num)) {
-		return nil
-	}
 	return out
 }

@@ -19,12 +19,9 @@ package sequitur
 // append performs no map operations, no allocation in the steady state, and
 // generates no GC write-barrier or scan work.
 
-// symNil and symTomb are digram-table slot sentinels; slab index 0 is
-// reserved so 0 can mean "empty".
-const (
-	symNil  int32 = 0
-	symTomb int32 = -1
-)
+// symNil is the null slab index: index 0 is reserved so 0 can mean "no
+// symbol" in the free list and "empty" in a digram-table slot.
+const symNil int32 = 0
 
 // symbol is a node in a rule body's doubly linked list, addressed by its
 // slab index. A symbol is a terminal (value >= 0), a nonterminal reference
@@ -316,13 +313,19 @@ func (g *Grammar) Expand() []int64 {
 
 // digramTable is a flat open-addressing hash table from digrams (the pair
 // of adjacent symbol keys) to the slab index of their registered
-// occurrence. Linear probing with tombstone deletion; growth rehashes the
-// tombstones away. The table holds no Go pointers.
+// occurrence. Linear probing with backward-shift deletion: removing an
+// entry pulls later members of its probe cluster back into the hole, so
+// the table never holds tombstones and every probe ends at the first
+// empty slot. Each slot keeps its key pair and occurrence together, so a
+// probe step reads one cache line. The table holds no Go pointers.
 type digramTable struct {
-	k0, k1 []int64
-	occ    []int32 // symNil = empty, symTomb = deleted
-	n      int     // live entries
-	used   int     // live + tombstones (probe-chain occupancy)
+	slots []digramSlot
+	n     int // live entries
+}
+
+type digramSlot struct {
+	a, b int64
+	occ  int32 // symNil = empty
 }
 
 const digramTableMinCap = 64
@@ -339,64 +342,54 @@ func digramMix(a, b int64) uint64 {
 	return k
 }
 
-// findSlot probes for (a, b). On a key hit it returns the entry's slot and
-// true; otherwise it returns the insertion slot — the first tombstone on
-// the probe chain if one was passed, else the terminating empty slot — and
-// false. Callers must have ensured spare capacity first.
-func (t *digramTable) findSlot(a, b int64) (int, bool) {
-	mask := uint64(len(t.occ) - 1)
+// find probes for (a, b). On a key hit it returns the entry's slot and
+// true; otherwise it returns the empty slot that ends the probe chain and
+// false. The table must hold at least one empty slot.
+func (t *digramTable) find(a, b int64) (int, bool) {
+	mask := uint64(len(t.slots) - 1)
 	i := digramMix(a, b) & mask
-	slot := -1
-	for t.occ[i] != symNil {
-		if t.occ[i] == symTomb {
-			if slot < 0 {
-				slot = int(i)
-			}
-		} else if t.k0[i] == a && t.k1[i] == b {
+	for t.slots[i].occ != symNil {
+		if t.slots[i].a == a && t.slots[i].b == b {
 			return int(i), true
 		}
 		i = (i + 1) & mask
 	}
-	if slot < 0 {
-		slot = int(i)
-	}
-	return slot, false
+	return int(i), false
 }
 
-// insertAt fills an insertion slot returned by findSlot.
-func (t *digramTable) insertAt(i int, a, b int64, s int32) {
-	if t.occ[i] == symNil {
-		t.used++ // a tombstone reuse keeps the probe-chain occupancy
+// slot returns the slot holding (a, b), claiming an empty one for the key
+// when it is absent (the caller then sets occ), and whether it was present.
+// The table doubles at half load: every delete walks the rest of its
+// cluster, and at three-quarters load the clusters grow long enough to
+// slow SEQUITUR down measurably (DESIGN.md, "Layout synthesis").
+func (t *digramTable) slot(a, b int64) (*digramSlot, bool) {
+	if t.n*2 >= len(t.slots) {
+		t.grow()
 	}
-	t.k0[i], t.k1[i], t.occ[i] = a, b, s
-	t.n++
+	i, hit := t.find(a, b)
+	e := &t.slots[i]
+	if !hit {
+		e.a, e.b = a, b
+		t.n++
+	}
+	return e, hit
 }
 
 // getOrInsert returns the registered occurrence of (a, b), or registers s
 // and reports that no occurrence existed.
 func (t *digramTable) getOrInsert(a, b int64, s int32) (int32, bool) {
-	if t.used*4 >= len(t.occ)*3 {
-		t.grow()
-	}
-	i, hit := t.findSlot(a, b)
+	e, hit := t.slot(a, b)
 	if hit {
-		return t.occ[i], true
+		return e.occ, true
 	}
-	t.insertAt(i, a, b, s)
+	e.occ = s
 	return symNil, false
 }
 
 // put registers s as the occurrence of (a, b), replacing any existing one.
 func (t *digramTable) put(a, b int64, s int32) {
-	if t.used*4 >= len(t.occ)*3 {
-		t.grow()
-	}
-	i, hit := t.findSlot(a, b)
-	if hit {
-		t.occ[i] = s
-		return
-	}
-	t.insertAt(i, a, b, s)
+	e, _ := t.slot(a, b)
+	e.occ = s
 }
 
 // deleteIf removes the entry for (a, b) when s is the registered occurrence.
@@ -404,46 +397,42 @@ func (t *digramTable) deleteIf(a, b int64, s int32) {
 	if t.n == 0 {
 		return
 	}
-	mask := uint64(len(t.occ) - 1)
-	i := digramMix(a, b) & mask
-	for t.occ[i] != symNil {
-		if t.occ[i] != symTomb && t.k0[i] == a && t.k1[i] == b {
-			if t.occ[i] == s {
-				t.occ[i] = symTomb
-				t.n--
-			}
-			return
-		}
-		i = (i + 1) & mask
+	hole, hit := t.find(a, b)
+	if !hit || t.slots[hole].occ != s {
+		return
 	}
+	// Walk the rest of the cluster. The entry at j may fill the hole
+	// unless its home slot lies cyclically in (hole, j], that is, when the
+	// hole is on its probe path; it then leaves a new hole behind.
+	mask := len(t.slots) - 1
+	for j := (hole + 1) & mask; t.slots[j].occ != symNil; j = (j + 1) & mask {
+		home := int(digramMix(t.slots[j].a, t.slots[j].b)) & mask
+		if (j-home)&mask >= (j-hole)&mask {
+			t.slots[hole] = t.slots[j]
+			hole = j
+		}
+	}
+	t.slots[hole] = digramSlot{}
+	t.n--
 }
 
-// grow doubles the table (or compacts it in place when tombstones dominate)
-// and rehashes every live entry.
+// grow doubles the table and rehashes every entry.
 func (t *digramTable) grow() {
-	newCap := len(t.occ) * 2
-	// If the table is mostly tombstones, rehashing at the same capacity
-	// restores the load factor without doubling memory.
-	if t.n*2 < len(t.occ) && newCap > digramTableMinCap {
-		newCap = len(t.occ)
-	}
+	newCap := len(t.slots) * 2
 	if newCap < digramTableMinCap {
 		newCap = digramTableMinCap
 	}
-	k0 := make([]int64, newCap)
-	k1 := make([]int64, newCap)
-	occ := make([]int32, newCap)
+	slots := make([]digramSlot, newCap)
 	mask := uint64(newCap - 1)
-	for i, s := range t.occ {
-		if s == symNil || s == symTomb {
+	for _, e := range t.slots {
+		if e.occ == symNil {
 			continue
 		}
-		j := digramMix(t.k0[i], t.k1[i]) & mask
-		for occ[j] != symNil {
+		j := digramMix(e.a, e.b) & mask
+		for slots[j].occ != symNil {
 			j = (j + 1) & mask
 		}
-		k0[j], k1[j], occ[j] = t.k0[i], t.k1[i], s
+		slots[j] = e
 	}
-	t.k0, t.k1, t.occ = k0, k1, occ
-	t.used = t.n
+	t.slots = slots
 }

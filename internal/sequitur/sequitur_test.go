@@ -1,6 +1,7 @@
 package sequitur
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -167,5 +168,79 @@ func BenchmarkSequitur(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buildGrammar(seq)
+	}
+}
+
+// TestDigramTableMatchesMap drives the digram table and a map oracle with
+// the same random getOrInsert, put and deleteIf calls. The key space is
+// small and widens in phases, so probe clusters run long, wrap past the end
+// of the slot array, and pass through several grows; after every call each
+// key's lookup and the live count must agree with the map.
+func TestDigramTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tab digramTable
+	oracle := make(map[[2]int64]int32)
+	lookup := func(a, b int64) int32 {
+		if len(tab.slots) == 0 {
+			return symNil
+		}
+		i, hit := tab.find(a, b)
+		if !hit {
+			return symNil
+		}
+		return tab.slots[i].occ
+	}
+	caps := map[int]bool{}
+	wrapped := false
+	for _, width := range []int64{3, 6, 12, 24} {
+		for op := 0; op < 3000; op++ {
+			// Nonterminal keys are negative, terminals non-negative.
+			a, b := rng.Int63n(2*width)-width, rng.Int63n(width)
+			k := [2]int64{a, b}
+			s := int32(rng.Intn(4) + 1)
+			switch r := rng.Intn(10); {
+			case r < 4:
+				got, existed := tab.getOrInsert(a, b, s)
+				want, ok := oracle[k]
+				if existed != ok || (ok && got != want) {
+					t.Fatalf("getOrInsert%v = %d,%v, want %d,%v", k, got, existed, want, ok)
+				}
+				if !ok {
+					oracle[k] = s
+				}
+			case r < 6:
+				tab.put(a, b, s)
+				oracle[k] = s
+			default:
+				if rng.Intn(3) > 0 && oracle[k] != symNil {
+					s = oracle[k] // mostly delete the registered occurrence
+				}
+				tab.deleteIf(a, b, s)
+				if oracle[k] == s {
+					delete(oracle, k)
+				}
+			}
+			if tab.n != len(oracle) {
+				t.Fatalf("width %d op %d: n = %d, want %d", width, op, tab.n, len(oracle))
+			}
+			for a := -width; a < width; a++ {
+				for b := int64(0); b < width; b++ {
+					if got, want := lookup(a, b), oracle[[2]int64{a, b}]; got != want {
+						t.Fatalf("width %d op %d: lookup(%d,%d) = %d, want %d", width, op, a, b, got, want)
+					}
+				}
+			}
+			last := len(tab.slots) - 1
+			if last > 0 && tab.slots[0].occ != symNil && tab.slots[last].occ != symNil {
+				wrapped = true
+			}
+			caps[len(tab.slots)] = true
+		}
+	}
+	if len(caps) < 4 {
+		t.Errorf("table saw capacities %v, want at least 4 (several grows)", caps)
+	}
+	if !wrapped {
+		t.Error("no probe cluster wrapped past the end of the slot array")
 	}
 }

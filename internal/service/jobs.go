@@ -382,10 +382,6 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte, trai
 		return nil, fmt.Errorf("program disappeared")
 	}
 	cfg := req.Config.coreConfig()
-	// Synthesis fan-out shares the per-job bound the training pool uses,
-	// so Workers jobs synthesising at once stay at roughly one runner per
-	// CPU. Output is worker-count-invariant; only wall-clock changes.
-	cfg.SynthesisWorkers = trainWorkers
 	// Every job is traced; the spans land in the artifact (and from there
 	// in job status, the report, and the stage histograms).
 	tr := obs.NewTrace()

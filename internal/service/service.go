@@ -66,12 +66,11 @@ type Config struct {
 	// Default 4096.
 	JobHistory int
 	// TrainingWorkers bounds the per-job worker pool that runs a request's
-	// concurrent training runs (OptimizeConfig.TrainingRuns) and the
-	// job's layout-synthesis fan-out (core.Config.SynthesisWorkers). 0
-	// sizes the pool so Workers jobs training at once stay at roughly one
-	// runner per CPU (GOMAXPROCS / Workers, at least 1) — the two pool
-	// levels multiply, so a per-CPU default here would oversubscribe the
-	// machine by a factor of Workers.
+	// concurrent training runs (OptimizeConfig.TrainingRuns). 0 sizes the
+	// pool so Workers jobs training at once stay at roughly one runner per
+	// CPU (GOMAXPROCS / Workers, at least 1) — the two pool levels
+	// multiply, so a per-CPU default here would oversubscribe the machine
+	// by a factor of Workers.
 	TrainingWorkers int
 	// Logger receives structured access-log and job-lifecycle events. Nil
 	// discards them.

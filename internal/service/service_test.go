@@ -552,3 +552,27 @@ func TestServiceTrainingRuns(t *testing.T) {
 			one.Key, zero.Key, one.Cached)
 	}
 }
+
+// TestHugeMaxGroupMembersKeepsServing: max_group_members is a bound, so
+// the largest value validate accepts must settle as an ordinary job and
+// leave the daemon answering. Grouping once sized a buffer from it, which
+// panicked inside the worker goroutine and took the process down.
+func TestHugeMaxGroupMembersKeepsServing(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	progID, _ := c.uploadProgram("art")
+	body := fmt.Sprintf(`{"program":%q,"config":{"max_group_members":9223372036854775807}}`, progID)
+	var st JobStatus
+	if code, resp := c.post("/v1/optimize", []byte(body), &st); code != http.StatusOK && code != http.StatusAccepted {
+		t.Fatalf("optimize: %d %s", code, resp)
+	}
+	if code, _ := c.get("/v1/jobs/"+st.ID+"?wait=1", &st); code != http.StatusOK {
+		t.Fatalf("job wait: %d", code)
+	}
+	if st.State != "done" {
+		t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
+	}
+	var stats Stats
+	if code, _ := c.get("/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("/v1/stats after the job: %d", code)
+	}
+}
