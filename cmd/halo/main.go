@@ -172,7 +172,6 @@ func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	seed := fs.Uint64("seed", 7, "training seed")
 	runs := fs.Int("runs", 1, "independent training runs (seeds seed, seed+1, ...), profiled concurrently and merged")
-	workers := fs.Int("workers", 0, "worker pool for -runs > 1 (0 = one per CPU)")
 	dist := fs.Uint64("affinity-distance", 128, "affinity distance A in bytes")
 	top := fs.Int("top", 20, "contexts to print")
 	trace := fs.Bool("trace", false, "record the data reference trace (hot-data-streams input)")
@@ -188,7 +187,7 @@ func cmdProfile(args []string) error {
 	cfg := core.Config{ProfileSeed: *seed}
 	cfg.Profile.AffinityDistance = *dist
 	cfg.Profile.RecordTrace = *trace
-	prof, err := core.ProfileN(p, cfg, *runs, *workers)
+	prof, err := core.ProfileN(p, cfg, *runs)
 	if err != nil {
 		return err
 	}

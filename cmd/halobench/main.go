@@ -6,8 +6,11 @@
 // Usage:
 //
 //	halobench [-run all|fig9,fig12,fig13,fig14,fig15,tab1,baseline,roms,adversarial]
-//	          [-trials N] [-quick] [-workloads a,b,c] [-parallel N]
-//	          [-json out.json] [-v]
+//	          [-trials N] [-quick] [-workloads a,b,c] [-json out.json] [-v]
+//
+// Workloads, trials and fig12's affinity distances fan out over the
+// process-wide pool of internal/pool, which GOMAXPROCS alone sizes; the
+// tables are identical at any setting, only wall-clock time changes.
 //
 // The "adversarial" experiment runs the hostile-heap workload family (the
 // internal/adversary search engine's discovered sequences) through the
@@ -16,9 +19,10 @@
 //
 // The -json document carries the rendered tables plus one flat result
 // record per measured workload×technique pair (miss reduction, speedup,
-// simulated seconds, ns/op — the wall-clock of one serial measurement
-// run, timed outside the worker pools — and a regressed flag set when the
-// technique added misses or slowed the run against its baseline),
+// simulated seconds, ns/op — the wall-clock of one extra measurement run,
+// timed on a pool worker while the sweep runs — and a regressed flag set
+// when the technique added misses or slowed the run against its
+// baseline),
 // per-workload profiling throughput (events consumed by the training
 // run's profiler and events/sec), a
 // per-workload "synthesis" section (the wall-clock of turning the training
@@ -54,7 +58,6 @@ type jsonDoc struct {
 	Trials    int                       `json:"trials"`
 	Quick     bool                      `json:"quick"`
 	Seed      uint64                    `json:"seed"`
-	Parallel  int                       `json:"parallel"`
 	Workloads []string                  `json:"workloads,omitempty"`
 	Results   []experiments.BenchResult `json:"results"`
 	Profiling []experiments.ProfileStat `json:"profiling"`
@@ -70,7 +73,6 @@ func main() {
 		trials    = flag.Int("trials", 5, "measured trials per configuration (paper: 10)")
 		quick     = flag.Bool("quick", false, "reduced trials and test-scale inputs")
 		workloads = flag.String("workloads", "", "restrict to a comma-separated workload subset")
-		parallel  = flag.Int("parallel", 0, "workload-level worker pool per experiment (0 = one per CPU, 1 = serial)")
 		jsonOut   = flag.String("json", "", "also write machine-readable results as JSON to this file")
 		verbose   = flag.Bool("v", false, "log progress to stderr")
 		seed      = flag.Uint64("seed", 0, "measurement seed base (0 = default)")
@@ -82,11 +84,10 @@ func main() {
 		logw = os.Stderr
 	}
 	opts := experiments.Options{
-		Trials:   *trials,
-		Quick:    *quick,
-		Log:      logw,
-		Seed:     *seed,
-		Parallel: *parallel,
+		Trials: *trials,
+		Quick:  *quick,
+		Log:    logw,
+		Seed:   *seed,
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
@@ -109,7 +110,6 @@ func main() {
 			Trials:    opts.Trials,
 			Quick:     *quick,
 			Seed:      *seed,
-			Parallel:  *parallel,
 			Workloads: opts.Workloads,
 			Results:   engine.BenchResults(),
 			Profiling: engine.ProfileStats(),

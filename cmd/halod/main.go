@@ -10,6 +10,10 @@
 //	halod [-addr :7920] [-workers N] [-queue N] [-max-upload BYTES]
 //	      [-debug-addr :7921]
 //
+// -workers bounds the jobs that run at once. The training runs a job
+// makes itself (training_runs > 1) fan out over the process-wide pool of
+// internal/pool, which GOMAXPROCS alone sizes.
+//
 // Typical session (see README.md for the full walkthrough):
 //
 //	halo build -w povray -o povray.hbin
@@ -44,16 +48,14 @@ func main() {
 	workers := flag.Int("workers", 0, "optimization worker pool size (0 = service default)")
 	queue := flag.Int("queue", 0, "job queue depth (0 = service default)")
 	maxUpload := flag.Int64("max-upload", 0, "max upload size in bytes (0 = service default)")
-	trainWorkers := flag.Int("training-workers", 0, "per-job pool for concurrent training runs (0 = one per CPU)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv := service.New(service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		MaxUploadBytes:  *maxUpload,
-		TrainingWorkers: *trainWorkers,
-		Logger:          logger,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		MaxUploadBytes: *maxUpload,
+		Logger:         logger,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -64,11 +64,11 @@ func ProfileProgram(p *isa.Program, cfg Config) (*Profile, error) {
 }
 
 // ProfileProgramN runs `runs` independent training runs (seeds
-// cfg.ProfileSeed, +1, …) concurrently on a bounded worker pool and merges
-// their profiles deterministically. The result is identical at any worker
-// count; workers <= 0 selects one worker per CPU.
-func ProfileProgramN(p *isa.Program, cfg Config, runs, workers int) (*Profile, error) {
-	return core.ProfileN(p, cfg, runs, workers)
+// cfg.ProfileSeed, +1, …) concurrently on the shared worker pool and
+// merges their profiles deterministically. The result is identical at any
+// pool width.
+func ProfileProgramN(p *isa.Program, cfg Config, runs int) (*Profile, error) {
+	return core.ProfileN(p, cfg, runs)
 }
 
 // OptimizeFromProfile runs grouping, identification and rewriting over an
@@ -127,17 +127,11 @@ func Run(p *isa.Program, pol Policy, seed uint64, machine cache.Config) (RunResu
 	return measure.Run(p, pol, seed, machine)
 }
 
-// MeasureTrials runs several trials (discarding a warm-up) on a worker
-// pool sized to the machine and summarises them. Trial results are
-// gathered by index, so summaries are bit-identical at any pool width.
+// MeasureTrials runs several trials (discarding a warm-up) on the shared
+// worker pool and summarises them. Trial results are gathered by index, so
+// summaries are bit-identical at any pool width.
 func MeasureTrials(p *isa.Program, pol Policy, trials int, baseSeed uint64, machine cache.Config) (Summary, error) {
 	return measure.MeasureTrials(p, pol, trials, baseSeed, machine)
-}
-
-// MeasureTrialsParallel is MeasureTrials with an explicit worker count
-// (<= 0 selects one worker per CPU, 1 forces serial execution).
-func MeasureTrialsParallel(p *isa.Program, pol Policy, trials int, baseSeed uint64, machine cache.Config, workers int) (Summary, error) {
-	return measure.MeasureTrialsParallel(p, pol, trials, baseSeed, machine, workers)
 }
 
 // XeonW2195 returns the evaluation machine's memory-hierarchy model.

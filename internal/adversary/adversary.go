@@ -343,15 +343,6 @@ func (s *Sequence) LiveAtEnd() []int {
 	return out
 }
 
-// NumOps reports the total setup-op count across phases.
-func (s *Sequence) NumOps() int {
-	n := 0
-	for _, ph := range s.Phases {
-		n += len(ph.Ops)
-	}
-	return n
-}
-
 // Fingerprint is a canonical sha256 over everything that defines the
 // sequence. Equal fingerprints mean byte-identical compiled programs; the
 // search-determinism tests pin it.

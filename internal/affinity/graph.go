@@ -11,7 +11,7 @@
 // by context, and edge weights in a flat open-addressing table keyed by the
 // packed context pair. Steady-state AddAccess/AddEdge perform no hashing of
 // composite keys, no pointer chasing and no allocation. Every exported view
-// (Nodes, Edges, EdgeWeights, Adjacency, String) remains sorted and
+// (Nodes, Edges, EdgeWeights, String) remains sorted and
 // deterministic, and Merge remains order-independent, so serialisation and
 // grouping behave exactly as they did over the map-based layout.
 package affinity
@@ -278,26 +278,6 @@ func (g *Graph) Prune(minWeight uint64) *Graph {
 	return out
 }
 
-// Adjacency returns, for each node, its neighbours (loops excluded) in
-// deterministic order.
-func (g *Graph) Adjacency() map[Ctx][]Ctx {
-	adj := make(map[Ctx][]Ctx, g.nnodes)
-	g.edges.forEach(func(k, _ uint64) {
-		e := unpackEdge(k)
-		if e.IsLoop() {
-			return
-		}
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	})
-	for c := range adj {
-		ns := adj[c]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		adj[c] = ns
-	}
-	return adj
-}
-
 // String renders a compact summary.
 func (g *Graph) String() string {
 	var b strings.Builder
@@ -373,7 +353,7 @@ func (t *edgeTable) get(k uint64) uint64 {
 
 // forEach visits every stored edge in unspecified order; callers that
 // expose results sort them (Edges) or are order-insensitive (Merge,
-// Filter, Prune, EdgeWeights, Adjacency).
+// Filter, Prune, EdgeWeights).
 func (t *edgeTable) forEach(fn func(k, w uint64)) {
 	for i, ok := range t.occ {
 		if ok {

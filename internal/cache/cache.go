@@ -183,15 +183,6 @@ func newLevel(cfg LevelConfig) lru {
 	return newLRU(int(cfg.Size)/LineSize, cfg.Ways)
 }
 
-// Access runs one program load or store through the hierarchy, charging
-// stall cycles for the miss path. Accesses that straddle a line boundary
-// touch both lines, as on real hardware.
-func (h *Hierarchy) Access(addr uint64, size uint8, write bool) {
-	stall, mem := h.accessStall(addr, size)
-	h.stallCycle += stall
-	h.memAccess += mem
-}
-
 // accessStall simulates one access and returns the stall cycles and DRAM
 // accesses it cost instead of charging them, so batch consumers can
 // accumulate the charges in locals and write them back once per batch.
@@ -232,8 +223,8 @@ func (h *Hierarchy) linesStall(addr uint64, size uint8) (stall, mem uint64) {
 // guaranteed hit whose MRU move is a no-op. Runs of same-page accesses —
 // the common case the VM's own TLB exploits — therefore charge the hit
 // counters directly and skip the set scan, with totals provably
-// bit-identical to the per-access path (TestBatchedConsumeMatchesPerAccess
-// pins this).
+// bit-identical to charging every access through accessStall
+// (TestBatchedConsumeMatchesPerAccess pins this).
 func (h *Hierarchy) ConsumeEvents(batch []vm.Event) {
 	var stall, mem uint64
 	last := ^uint64(0) // most recently translated page; ^0 = none yet

@@ -19,14 +19,24 @@ func smallConfig() Config {
 	}
 }
 
+// access is the per-access path ConsumeEvents must match: one program load
+// or store run through the hierarchy, its stall cycles and DRAM accesses
+// charged at once. Accesses that straddle a line boundary touch both
+// lines, as on real hardware.
+func (h *Hierarchy) access(addr uint64, size uint8) {
+	stall, mem := h.accessStall(addr, size)
+	h.stallCycle += stall
+	h.memAccess += mem
+}
+
 func TestColdMissThenHit(t *testing.T) {
 	h := New(smallConfig())
-	h.Access(0x1000, 8, false)
+	h.access(0x1000, 8)
 	s := h.Stats()
 	if s.L1D.Misses != 1 || s.L1D.Hits != 0 {
 		t.Fatalf("cold access: %+v", s.L1D)
 	}
-	h.Access(0x1000, 8, false)
+	h.access(0x1000, 8)
 	s = h.Stats()
 	if s.L1D.Hits != 1 {
 		t.Fatalf("warm access missed: %+v", s.L1D)
@@ -35,8 +45,8 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestSameLineSharing(t *testing.T) {
 	h := New(smallConfig())
-	h.Access(0x1000, 8, true)
-	h.Access(0x1008, 8, false) // same 64-byte line
+	h.access(0x1000, 8)
+	h.access(0x1008, 8) // same 64-byte line
 	s := h.Stats()
 	if s.L1D.Misses != 1 || s.L1D.Hits != 1 {
 		t.Fatalf("line sharing broken: %+v", s.L1D)
@@ -45,7 +55,7 @@ func TestSameLineSharing(t *testing.T) {
 
 func TestLineStraddle(t *testing.T) {
 	h := New(smallConfig())
-	h.Access(0x103C, 8, false) // crosses the 0x1040 line boundary
+	h.access(0x103C, 8) // crosses the 0x1040 line boundary
 	s := h.Stats()
 	if s.L1D.Accesses != 2 {
 		t.Fatalf("straddling access touched %d lines, want 2", s.L1D.Accesses)
@@ -59,11 +69,11 @@ func TestLRUEviction(t *testing.T) {
 	// L1: 8 sets x 2 ways. Three lines in the same set evict the LRU.
 	setStride := uint64(8 * 64)
 	a, b, c := uint64(0), setStride, 2*setStride
-	h.Access(a, 8, false)
-	h.Access(b, 8, false)
-	h.Access(c, 8, false) // evicts a
-	h.Access(b, 8, false) // hit
-	h.Access(a, 8, false) // miss again
+	h.access(a, 8)
+	h.access(b, 8)
+	h.access(c, 8) // evicts a
+	h.access(b, 8) // hit
+	h.access(a, 8) // miss again
 	s := h.Stats()
 	if s.L1D.Misses != 4 || s.L1D.Hits != 1 {
 		t.Fatalf("LRU behaviour: %+v", s.L1D)
@@ -74,13 +84,13 @@ func TestMissPathReachesMemory(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Prefetch = false
 	h := New(cfg)
-	h.Access(0x5000, 8, false)
+	h.access(0x5000, 8)
 	s := h.Stats()
 	if s.L2.Misses != 1 || s.L3.Misses != 1 || s.Mem != 1 {
 		t.Fatalf("miss path: %+v", s)
 	}
 	// A second access hits in L1; lower levels see no traffic.
-	h.Access(0x5000, 8, false)
+	h.access(0x5000, 8)
 	s2 := h.Stats()
 	if s2.L2.Accesses != s.L2.Accesses {
 		t.Fatal("L1 hit leaked to L2")
@@ -94,10 +104,10 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 	// Fill one L1 set with 3 lines; the first goes to L2-only residence.
 	setStride := uint64(8 * 64)
 	for i := uint64(0); i < 3; i++ {
-		h.Access(i*setStride, 8, false)
+		h.access(i*setStride, 8)
 	}
 	before := h.Stats().L2.Hits
-	h.Access(0, 8, false) // L1 miss, L2 hit
+	h.access(0, 8) // L1 miss, L2 hit
 	if h.Stats().L2.Hits != before+1 {
 		t.Fatalf("expected L2 hit: %+v", h.Stats())
 	}
@@ -107,8 +117,8 @@ func TestPrefetchNextLine(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Prefetch = true
 	h := New(cfg)
-	h.Access(0x8000, 8, false) // miss; prefetches 0x8040 into L2
-	h.Access(0x8040, 8, false) // L1 miss but L2 hit thanks to prefetch
+	h.access(0x8000, 8) // miss; prefetches 0x8040 into L2
+	h.access(0x8040, 8) // L1 miss but L2 hit thanks to prefetch
 	s := h.Stats()
 	if s.L2.Hits == 0 {
 		t.Fatalf("prefetch ineffective: %+v", s)
@@ -122,12 +132,12 @@ func TestTLBTwoLevels(t *testing.T) {
 	h := New(smallConfig())
 	// Touch 5 pages: DTLB (4 entries) overflows, STLB (16) holds all.
 	for p := uint64(0); p < 5; p++ {
-		h.Access(p*4096, 8, false)
+		h.access(p*4096, 8)
 	}
 	base := h.StallCycles()
 	// Revisit page 0: the DTLB misses but the STLB holds the entry, so
 	// no full page walk (70 cycles) is charged.
-	h.Access(0, 8, false)
+	h.access(0, 8)
 	delta := h.StallCycles() - base
 	if delta >= 70 {
 		t.Fatalf("page walk charged (%d cycles) despite STLB residency", delta)
@@ -147,7 +157,7 @@ func TestTLBTwoLevels(t *testing.T) {
 func TestCycleModelMonotone(t *testing.T) {
 	h := New(smallConfig())
 	c0 := h.Cycles(1000)
-	h.Access(0x9000, 8, false) // adds stall cycles
+	h.access(0x9000, 8) // adds stall cycles
 	c1 := h.Cycles(1000)
 	if c1 <= c0 {
 		t.Fatalf("stalls did not increase cycles: %d -> %d", c0, c1)
@@ -183,7 +193,7 @@ func TestXeonW2195Geometry(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	h := New(smallConfig())
-	h.Access(0, 8, false)
+	h.access(0, 8)
 	if s := h.Stats().String(); len(s) == 0 {
 		t.Fatal("empty stats string")
 	}
@@ -221,7 +231,7 @@ func TestBatchedConsumeMatchesPerAccess(t *testing.T) {
 	ref := New(smallConfig())
 	for _, ev := range mkEvents() {
 		if ev.Kind == vm.EvAccess {
-			ref.Access(ev.Addr, ev.Size, ev.Write)
+			ref.access(ev.Addr, ev.Size)
 		}
 	}
 
@@ -270,7 +280,7 @@ func TestBatchedSharedTranslationRuns(t *testing.T) {
 
 	ref := New(smallConfig())
 	for _, ev := range mkEvents() {
-		ref.Access(ev.Addr, ev.Size, ev.Write)
+		ref.access(ev.Addr, ev.Size)
 	}
 	for _, batchSize := range []int{1, 64, 4096} {
 		h := New(smallConfig())

@@ -92,12 +92,12 @@ func Profile(p *isa.Program, cfg Config) (*profile.Profile, error) {
 }
 
 // ProfileN runs `runs` independent training runs — seeds cfg.ProfileSeed,
-// +1, +2, … — on a bounded worker pool (workers <= 0 selects one per CPU)
-// and merges their profiles deterministically. Because the VM's event
-// engine is reentrant (every run owns its memory, allocator and profiler)
-// and profstore's merge is order-independent, the result is bit-identical
-// at any worker count. runs <= 1 degenerates to a single Profile call.
-func ProfileN(p *isa.Program, cfg Config, runs, workers int) (*profile.Profile, error) {
+// +1, +2, … — on the shared worker pool and merges their profiles
+// deterministically. Because the VM's event engine is reentrant (every run
+// owns its memory, allocator and profiler) and profstore's merge is
+// order-independent, the result is bit-identical at any pool width.
+// runs <= 1 degenerates to a single Profile call.
+func ProfileN(p *isa.Program, cfg Config, runs int) (*profile.Profile, error) {
 	if runs <= 1 {
 		return Profile(p, cfg)
 	}
@@ -109,7 +109,7 @@ func ProfileN(p *isa.Program, cfg Config, runs, workers int) (*profile.Profile, 
 		baseSeed = 7
 	}
 	profs := make([]*profile.Profile, runs)
-	err := pool.Map(runs, workers, func(i int) error {
+	err := pool.Map(runs, 0, func(i int) error {
 		c := cfg
 		c.Trace = nil
 		c.ProfileSeed = baseSeed + uint64(i)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"halo/internal/measure"
@@ -38,12 +39,12 @@ func TestAdversarialQuick(t *testing.T) {
 // the hostile-heap family: every adversarial workload must compute the
 // same program result and leave the same final heap contents (live
 // objects and payload bytes) under the HALO policy as under the baseline
-// allocator — grouping may move objects, never change semantics. Each
-// run is pinned at worker counts 1, 4 and 8, and the trial summaries must
-// be bit-identical across those widths.
+// allocator — grouping may move objects, never change semantics. The
+// trial summaries are measured at GOMAXPROCS 1, 2, 4 and 8, which sizes
+// the worker pool, and must be bit-identical across those widths.
 func TestAdversarialDifferential(t *testing.T) {
 	e := quickEngine()
-	workers := []int{1, 4, 8}
+	procs := []int{1, 2, 4, 8}
 	for _, w := range e.adversarialList() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -80,13 +81,14 @@ func TestAdversarialDifferential(t *testing.T) {
 						halo.TotalLiveObjects(), halo.TotalLiveBytes())
 				}
 			}
-			// Worker-count pinning: the trial summary must not depend on
-			// pool width under either policy.
+			// Pool-width pinning: the trial summary must not depend on
+			// GOMAXPROCS under either policy.
 			for _, p := range policies {
 				var ref measure.Summary
-				for i, nw := range workers {
-					sum, err := measure.MeasureTrialsParallel(
-						a.refProg, p.pol, 2, e.opts.Seed, e.machine, nw)
+				for i, np := range procs {
+					prev := runtime.GOMAXPROCS(np)
+					sum, err := measure.MeasureTrials(a.refProg, p.pol, 2, e.opts.Seed, e.machine)
+					runtime.GOMAXPROCS(prev)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -95,8 +97,8 @@ func TestAdversarialDifferential(t *testing.T) {
 						continue
 					}
 					if sum != ref {
-						t.Fatalf("%s: summary at %d workers differs from %d workers",
-							p.name, nw, workers[0])
+						t.Fatalf("%s: summary at GOMAXPROCS %d differs from GOMAXPROCS %d",
+							p.name, np, procs[0])
 					}
 				}
 			}

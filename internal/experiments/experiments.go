@@ -54,10 +54,6 @@ type Options struct {
 	// Seed bases the measurement seeds. Profiling always uses its own
 	// fixed training seed, distinct from measurement.
 	Seed uint64
-	// Parallel bounds workload-level parallelism within each experiment
-	// (0 = one worker per CPU, 1 = serial). Results are identical at any
-	// setting; only wall-clock time changes.
-	Parallel int
 }
 
 func (o Options) withDefaults() Options {
@@ -323,21 +319,9 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 	return a, nil
 }
 
-// trialWorkers picks the inner MeasureTrials pool width: when the sweep
-// itself fans workloads out (Parallel != 1), trials run serially so the
-// two pool levels never multiply into cores² concurrent simulations; a
-// serial sweep gets the full per-CPU trial pool instead. Either way at
-// most one level is parallel.
-func (e *Engine) trialWorkers() int {
-	if e.opts.Parallel == 1 {
-		return 0
-	}
-	return 1
-}
-
 // summaryFor measures (with caching) one workload under one policy, and
-// times one additional serial run so BenchResults can report a per-run
-// ns/op that does not depend on either pool's width.
+// times one additional run on the calling goroutine so BenchResults can
+// report a per-run ns/op rather than pool throughput.
 func (e *Engine) summaryFor(a *artefacts, label string, pol measure.Policy) (measure.Summary, error) {
 	key := a.w.Name + "/" + label
 	e.mu.Lock()
@@ -347,7 +331,7 @@ func (e *Engine) summaryFor(a *artefacts, label string, pol measure.Policy) (mea
 		return s, nil
 	}
 	e.opts.logf("[%s] measuring %s (%d trials)", a.w.Name, label, e.opts.Trials)
-	s, err := measure.MeasureTrialsParallel(a.refProg, pol, e.opts.Trials, e.opts.Seed, e.machine, e.trialWorkers())
+	s, err := measure.MeasureTrials(a.refProg, pol, e.opts.Trials, e.opts.Seed, e.machine)
 	if err != nil {
 		return measure.Summary{}, fmt.Errorf("%s/%s: %w", a.w.Name, label, err)
 	}
@@ -369,18 +353,22 @@ func (e *Engine) summaryFor(a *artefacts, label string, pol measure.Policy) (mea
 	return s, nil
 }
 
-// forEachWorkload fans fn out over the workloads on the engine's bounded
-// worker pool. fn receives the workload's index so rows land in stable
-// slots; callers assemble tables in index order after the pool drains.
+// forEachWorkload fans fn out over the workloads on the shared worker
+// pool; the trials each workload measures then run inline or on whatever
+// helpers the pool has left. fn receives the workload's index so rows
+// land in stable slots; callers assemble tables in index order after the
+// pool drains.
 func (e *Engine) forEachWorkload(list []workloads.Workload, fn func(i int, w workloads.Workload) error) error {
-	return pool.Map(len(list), e.opts.Parallel, func(i int) error { return fn(i, list[i]) })
+	return pool.Map(len(list), 0, func(i int) error { return fn(i, list[i]) })
 }
 
 // BenchResult is one machine-readable measurement: a workload under a
 // technique, compared against the jemalloc baseline measured in the same
-// sweep. NsPerOp is the harness wall-clock of one dedicated serial
-// measurement run (timed outside the worker pools, so it tracks the
-// engine's per-run speed over time rather than pool throughput).
+// sweep. NsPerOp is the harness wall-clock of one extra measurement run,
+// timed on the goroutine that measured the trials. That goroutine is
+// usually one of the sweep's pool workers, so other workloads may run
+// beside it: NsPerOp is per-run cost under the sweep's own load, not pool
+// throughput and not an idle-machine figure.
 type BenchResult struct {
 	Workload         string  `json:"workload"`
 	Technique        string  `json:"technique"`

@@ -134,3 +134,22 @@ func TestLeelaHALORegressed(t *testing.T) {
 	}
 	t.Fatal("no leela/halo BenchResult")
 }
+
+// TestPovrayHDSRegressed: on povray the hot-data-streams layout adds L1D
+// misses and cycles while HALO helps, so the tables' regressed column must
+// name HDS, not judge HALO alone.
+func TestPovrayHDSRegressed(t *testing.T) {
+	e := quickEngine("povray")
+	for _, fig := range []func() (*Table, error){e.Fig13, e.Fig14} {
+		tab, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tab.Rows) != 1 {
+			t.Fatalf("%s: %d rows, want 1", tab.ID, len(tab.Rows))
+		}
+		if got := tab.Rows[0][len(tab.Rows[0])-1]; got != "HDS" {
+			t.Fatalf("%s povray: regressed = %q, want HDS (row %q)", tab.ID, got, tab.Rows[0])
+		}
+	}
+}

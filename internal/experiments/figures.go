@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"halo/internal/core"
 	"halo/internal/measure"
@@ -70,7 +71,7 @@ func (e *Engine) Fig12() (*Table, error) {
 	// the sweep points fan out over the worker pool; rows are assembled in
 	// distance order afterwards.
 	rows := make([][]string, hi-lo+1)
-	err = pool.Map(len(rows), e.opts.Parallel, func(i int) error {
+	err = pool.Map(len(rows), 0, func(i int) error {
 		dist := uint64(1) << (lo + i)
 		cfg := pipelineConfig(w)
 		cfg.Profile.AffinityDistance = dist
@@ -83,7 +84,7 @@ func (e *Engine) Fig12() (*Table, error) {
 		if err != nil {
 			return fmt.Errorf("fig12 A=%d: %w", dist, err)
 		}
-		s, err := measure.MeasureTrialsParallel(refProg, pol, e.opts.Trials, e.opts.Seed, e.machine, e.trialWorkers())
+		s, err := measure.MeasureTrials(refProg, pol, e.opts.Trials, e.opts.Seed, e.machine)
 		if err != nil {
 			return fmt.Errorf("fig12 A=%d: %w", dist, err)
 		}
@@ -162,7 +163,7 @@ func (e *Engine) Fig13() (*Table, error) {
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].L1DMiss.Median, r[2].L1DMiss.Median)),
 			fmt.Sprintf("%+.2f%%", haloRed),
 			fmt.Sprintf("%.0f", r[0].L1DMiss.Median),
-			regressedFlag(r[0], r[1]),
+			regressedFlag(r),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -171,17 +172,28 @@ func (e *Engine) Fig13() (*Table, error) {
 	return t, nil
 }
 
-// regressedFlag renders the regressed verdict for HALO's summary against
-// the baseline's in the Figure 13 and 14 tables.
-func regressedFlag(base, halo measure.Summary) string {
-	if regressed(measure.Improvement(base.L1DMiss.Median, halo.L1DMiss.Median),
-		measure.Improvement(base.Seconds.Median, halo.Seconds.Median)) {
-		return "REGRESSED"
+// regressedFlag names, in column order, every technique the regressed
+// predicate flags against the baseline in the Figure 13 and 14 tables,
+// given mainResults' {baseline, HALO, HDS} summaries: "HDS", "HALO",
+// "HDS,HALO", or "-" when neither hurt.
+func regressedFlag(r [3]measure.Summary) string {
+	var names []string
+	for _, tech := range []struct {
+		name string
+		s    measure.Summary
+	}{{"HDS", r[2]}, {"HALO", r[1]}} {
+		if regressed(measure.Improvement(r[0].L1DMiss.Median, tech.s.L1DMiss.Median),
+			measure.Improvement(r[0].Seconds.Median, tech.s.Seconds.Median)) {
+			names = append(names, tech.name)
+		}
 	}
-	return "-"
+	if len(names) == 0 {
+		return "-"
+	}
+	return strings.Join(names, ",")
 }
 
-const regressedNote = "regressed = HALO added L1D misses or slowed the run (cycle model) on this workload; not noise — see the adversarial experiment"
+const regressedNote = "regressed = the techniques that added L1D misses or slowed the run (cycle model) on this workload; not noise — see the adversarial experiment"
 
 // Fig14 reproduces Figure 14: execution-time speedup.
 func (e *Engine) Fig14() (*Table, error) {
@@ -201,7 +213,7 @@ func (e *Engine) Fig14() (*Table, error) {
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].Seconds.Median, r[2].Seconds.Median)),
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].Seconds.Median, r[1].Seconds.Median)),
 			fmt.Sprintf("%.4f", r[0].Seconds.Median),
-			regressedFlag(r[0], r[1]),
+			regressedFlag(r),
 		})
 	}
 	t.Notes = append(t.Notes,

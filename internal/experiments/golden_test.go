@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"halo/internal/cache"
@@ -117,21 +118,23 @@ func TestGoldenRunResults(t *testing.T) {
 
 // TestGoldenTrialsWorkerInvariance asserts the parallel measurement
 // harness reproduces the seed engine's serial trial summary at every
-// worker-pool width.
+// worker-pool width, which GOMAXPROCS sets.
 func TestGoldenTrialsWorkerInvariance(t *testing.T) {
 	for _, g := range goldens {
 		t.Run(g.name, func(t *testing.T) {
 			w := workloads.MustGet(g.name)
 			p := w.Build(w.TestScale)
-			for _, workers := range []int{1, 2, 4, 8} {
-				s, err := measure.MeasureTrialsParallel(p, measure.Policy{Kind: measure.Jemalloc},
-					4, 1000, cache.XeonW2195(), workers)
+			for _, procs := range []int{1, 2, 4, 8} {
+				prev := runtime.GOMAXPROCS(procs)
+				s, err := measure.MeasureTrials(p, measure.Policy{Kind: measure.Jemalloc},
+					4, 1000, cache.XeonW2195())
+				runtime.GOMAXPROCS(prev)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				if s.Cycles.Median != g.trialCyclesMedian {
-					t.Errorf("workers=%d: cycles median = %v, want seed engine's %v",
-						workers, s.Cycles.Median, g.trialCyclesMedian)
+					t.Errorf("GOMAXPROCS=%d: cycles median = %v, want seed engine's %v",
+						procs, s.Cycles.Median, g.trialCyclesMedian)
 				}
 			}
 		})

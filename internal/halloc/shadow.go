@@ -37,9 +37,6 @@ func NewShadowHeap(m *mem.Memory) *ShadowHeap {
 	return &ShadowHeap{m: m, live: make(map[uint64]*shadowObj)}
 }
 
-// LiveCount reports the number of live tracked regions.
-func (s *ShadowHeap) LiveCount() int { return len(s.live) }
-
 // Live returns the tracked live regions sorted by base address.
 func (s *ShadowHeap) Live() []mem.Region {
 	out := make([]mem.Region, 0, len(s.live))

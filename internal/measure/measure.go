@@ -209,17 +209,11 @@ type Summary struct {
 
 // MeasureTrials runs trials+1 executions (discarding the first, per the
 // paper's steady-state warm-up) with seeds baseSeed, baseSeed+1, ... and
-// summarises them, using one worker per CPU. Each trial builds its own
-// memory, allocator, VM and cache hierarchy, so trials are independent;
-// results are gathered by trial index, making the summary bit-identical
-// at any worker count.
+// summarises them, fanning the trials out over internal/pool. Each trial
+// builds its own memory, allocator, VM and cache hierarchy, so trials are
+// independent; results are gathered by trial index, making the summary
+// bit-identical at any pool width.
 func MeasureTrials(p *isa.Program, policy Policy, trials int, baseSeed uint64, machine cache.Config) (Summary, error) {
-	return MeasureTrialsParallel(p, policy, trials, baseSeed, machine, 0)
-}
-
-// MeasureTrialsParallel is MeasureTrials with an explicit worker-pool
-// width (<= 0 selects one worker per CPU, 1 forces serial execution).
-func MeasureTrialsParallel(p *isa.Program, policy Policy, trials int, baseSeed uint64, machine cache.Config, workers int) (Summary, error) {
 	if trials < 1 {
 		trials = 1
 	}
@@ -231,7 +225,7 @@ func MeasureTrialsParallel(p *isa.Program, policy Policy, trials int, baseSeed u
 		vm.Predecode(policy.Rewritten)
 	}
 	all := make([]RunResult, trials+1)
-	err := pool.Map(trials+1, workers, func(t int) error {
+	err := pool.Map(trials+1, 0, func(t int) error {
 		r, err := Run(p, policy, baseSeed+uint64(t), machine)
 		if err != nil {
 			return err

@@ -132,9 +132,6 @@ func (m *Memory) Copy(dst, src, n uint64) {
 // TouchedPages reports how many distinct pages have been materialised.
 func (m *Memory) TouchedPages() uint64 { return m.touched }
 
-// TouchedBytes reports the resident footprint in bytes.
-func (m *Memory) TouchedBytes() uint64 { return m.touched * PageSize }
-
 // Release discards the pages fully covered by [addr, addr+n), modelling
 // madvise(MADV_DONTNEED)/munmap page purging. Partially covered pages are
 // left intact. It reports the number of pages released.
@@ -259,6 +256,3 @@ func (o *OS) MappedBytes() uint64 { return o.mapped }
 
 // PeakMappedBytes reports the mapping high-water mark.
 func (o *OS) PeakMappedBytes() uint64 { return o.maxMap }
-
-// LiveRegions returns the number of live mappings.
-func (o *OS) LiveRegions() int { return len(o.regions) }

@@ -4,83 +4,82 @@
 // fan-out deterministic by construction: work items are identified by
 // index, results land in caller-provided slots indexed the same way, and
 // every aggregate is computed from those slots in index order after the
-// pool drains. Worker count therefore changes wall-clock time only — never
-// results, and never which error is reported.
+// pool drains. The number of goroutines therefore changes wall-clock time
+// only — never results, and never which error is reported.
+//
+// The pool, not its callers, picks the width. The process holds one
+// budget of GOMAXPROCS−1 helper goroutines; every Map works through its
+// indices on the calling goroutine and borrows helpers only while the
+// budget has room. A Map nested inside another Map's fn thus runs inline
+// once the outer level has taken the budget, so nested fan-outs never
+// multiply past GOMAXPROCS running tasks per calling goroutine, and since
+// the caller never waits for a helper to start, nesting cannot deadlock.
 package pool
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"halo/internal/obs"
 )
 
-// DefaultWorkers is the pool width used when a caller passes workers <= 0:
-// one worker per schedulable CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// helpers counts the helper goroutines currently borrowed from the
+// process-wide budget by running Map calls. It is package state because
+// the budget must be shared by every Map, nested or concurrent, for the
+// bound to hold.
+var helpers atomic.Int64
 
-// Pool metrics, recorded per Map call and per worker lifetime — never per
-// task — in the process Default registry.
+// Pool metrics, recorded per Map call and per goroutine lifetime — never
+// per task — in the process Default registry.
 var (
 	mMaps = obs.Default.Counter("halo_pool_maps_total",
-		"pool.Map fan-outs executed (serial fast path included)")
+		"pool.Map fan-outs executed (inline runs included)")
 	mTasks = obs.Default.Counter("halo_pool_tasks_total",
 		"work items dispatched through pool.Map")
 	mBusy = obs.Default.Gauge("halo_pool_workers_busy",
-		"worker goroutines currently running pool.Map work")
+		"goroutines currently running pool.Map work, callers included")
 )
 
-// Map runs fn(0) … fn(n-1) on at most workers goroutines and returns the
-// lowest-index error (nil if every call succeeded). Every index runs
-// regardless of other indices failing, which is what makes the returned
-// error — like the results the calls write — independent of scheduling.
-// workers <= 0 selects DefaultWorkers; a single worker degenerates to an
-// in-place serial loop.
+// Map runs fn(0) … fn(n-1) and returns the lowest-index error (nil if
+// every call succeeded). Every index runs regardless of other indices
+// failing, which is what makes the returned error — like the results the
+// calls write — independent of scheduling. The calling goroutine runs
+// indices itself, joined by as many helpers as the process-wide budget of
+// GOMAXPROCS−1 (read at each call) has free; workers > 0 further caps this
+// call at that many goroutines, caller included.
 func Map(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
+	procs := runtime.GOMAXPROCS(0)
+	width := min(procs, n)
+	if workers > 0 {
+		width = min(width, workers)
 	}
 	if obs.Enabled() {
 		mMaps.Inc()
 		mTasks.Add(uint64(n))
 	}
-	if workers == 1 {
-		// Serial fast path. Still runs every index so error selection
-		// matches the parallel path exactly.
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
 		mBusy.Add(1)
 		defer mBusy.Add(-1)
-		var first error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && first == nil {
-				first = err
-			}
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			errs[i] = fn(i)
 		}
-		return first
 	}
-	errs := make([]error, n)
-	next := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for h := 1; h < width && borrow(procs-1); h++ {
+		wg.Add(1)
 		go func() {
-			mBusy.Add(1)
-			defer mBusy.Add(-1)
 			defer wg.Done()
-			for i := range next {
-				errs[i] = fn(i)
-			}
+			defer helpers.Add(-1) // back in the budget before the caller resumes
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -88,4 +87,18 @@ func Map(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// borrow takes one helper from the process-wide budget of GOMAXPROCS−1,
+// reporting false when the budget is spent.
+func borrow(budget int) bool {
+	for {
+		b := helpers.Load()
+		if b >= int64(budget) {
+			return false
+		}
+		if helpers.CompareAndSwap(b, b+1) {
+			return true
+		}
+	}
 }

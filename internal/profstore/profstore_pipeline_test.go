@@ -5,6 +5,7 @@ package profstore_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"halo/internal/core"
@@ -55,8 +56,8 @@ func TestMergedProfileOptimizes(t *testing.T) {
 
 // TestProfileNWorkerInvariance checks the concurrent multi-seed training
 // path end to end: ProfileN must produce byte-identical profile images at
-// any worker-pool width, and must match the hand-rolled serial
-// profile-then-merge equivalent.
+// any worker-pool width (set through GOMAXPROCS), and must match the
+// hand-rolled serial profile-then-merge equivalent.
 func TestProfileNWorkerInvariance(t *testing.T) {
 	w := workloads.MustGet("art")
 	p := w.Build(w.TestScale)
@@ -75,18 +76,20 @@ func TestProfileNWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, 8} {
-		prof, err := core.ProfileN(p, cfg, 3, workers)
+	for _, procs := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		prof, err := core.ProfileN(p, cfg, 3)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		img, err := profstore.Encode(prof)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if !bytes.Equal(img, wantImg) {
-			t.Fatalf("workers=%d: ProfileN image differs from serial merge (%d vs %d bytes)",
-				workers, len(img), len(wantImg))
+			t.Fatalf("GOMAXPROCS=%d: ProfileN image differs from serial merge (%d vs %d bytes)",
+				procs, len(img), len(wantImg))
 		}
 	}
 }

@@ -264,10 +264,6 @@ func (g *Grammar) NumAssigned() int { return len(g.rules) }
 // Live reports whether the rule number is still a live production.
 func (g *Grammar) Live(num int) bool { return num < len(g.rules) && g.rules[num].live }
 
-// RuleOf decodes a nonterminal reference as it appears in a rule body
-// (a negative value) back to its rule number.
-func RuleOf(ref int64) int { return int(-ref - 1) }
-
 // Body returns a rule's symbol sequence: terminal values (>= 0) and rule
 // references encoded as -Number-1.
 func (r *Rule) Body() []int64 {

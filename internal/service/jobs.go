@@ -1,11 +1,14 @@
 package service
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -146,6 +149,7 @@ type Job struct {
 
 	req  OptimizeRequest
 	done chan struct{} // closed when the job settles
+	seq  int           // creation order: /v1/jobs lists jobs by it
 }
 
 // JobStatus is the JSON view of a job.
@@ -211,9 +215,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.artifacts[key]; ok {
 		job := s.newJobLocked(req, key)
 		job.ReqID = ReqID(r.Context())
-		job.State = "done"
 		job.Cached = true
-		close(job.done)
+		s.settleLocked(job, "done")
 		s.mCacheHits.Inc()
 		status := s.jobStatusLocked(job)
 		s.mu.Unlock()
@@ -240,7 +243,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	case s.queue <- job:
 	default:
 		delete(s.jobs, job.ID)
-		s.jobOrder = s.jobOrder[:len(s.jobOrder)-1]
 		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "job queue full (%d pending)", s.cfg.QueueDepth)
 		return
@@ -264,26 +266,26 @@ func (s *Server) newJobLocked(req OptimizeRequest, key string) *Job {
 		Created: time.Now(),
 		req:     req,
 		done:    make(chan struct{}),
+		seq:     s.nextJob,
 	}
 	s.jobs[job.ID] = job
-	s.jobOrder = append(s.jobOrder, job.ID)
-	// Bound the retained history: evict the oldest settled jobs, skipping
-	// (never evicting) queued/running ones. Cached artifacts are keyed
-	// separately and survive eviction.
-	if excess := len(s.jobOrder) - s.cfg.JobHistory; excess > 0 {
-		kept := s.jobOrder[:0]
-		for _, id := range s.jobOrder {
-			j := s.jobs[id]
-			if excess > 0 && (j.State == "done" || j.State == "failed") {
-				delete(s.jobs, id)
-				excess--
-				continue
-			}
-			kept = append(kept, id)
-		}
-		s.jobOrder = kept
+	// Bound the retained history: evict settled jobs, oldest-settled
+	// first. Queued and running jobs are not in s.settled, so they are
+	// never evicted. Cached artifacts are keyed separately and survive.
+	for len(s.jobs) > s.cfg.JobHistory && len(s.settled) > 0 {
+		delete(s.jobs, s.settled[0].ID)
+		s.settled[0] = nil
+		s.settled = s.settled[1:]
 	}
 	return job
+}
+
+// settleLocked gives a job its final state, wakes its waiters and queues
+// it for eviction behind the jobs that settled before it.
+func (s *Server) settleLocked(job *Job, state string) {
+	job.State = state
+	close(job.done)
+	s.settled = append(s.settled, job)
 }
 
 func (s *Server) jobStatusLocked(job *Job) JobStatus {
@@ -336,7 +338,7 @@ func (s *Server) runJob(job *Job) {
 	s.gJobsRunning.Add(1)
 	s.log.Info("job start", "job", job.ID, "req", job.ReqID, "program", job.req.Program)
 	start := time.Now()
-	artifact, err := buildArtifact(prog, job.req, blobs, s.cfg.TrainingWorkers)
+	artifact, err := buildArtifact(prog, job.req, blobs)
 	elapsed := time.Since(start)
 	s.gJobsRunning.Add(-1)
 	if err == nil && obs.Enabled() {
@@ -350,17 +352,16 @@ func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
 	delete(s.inflight, job.Key)
 	if err != nil {
-		job.State = "failed"
 		job.Err = err.Error()
 		s.mJobsFailed.Inc()
+		s.settleLocked(job, "failed")
 	} else {
 		artifact.Key = job.Key
 		artifact.Elapsed = elapsed
 		s.artifacts[job.Key] = artifact
-		job.State = "done"
 		s.mJobsDone.Inc()
+		s.settleLocked(job, "done")
 	}
-	close(job.done)
 	s.mu.Unlock()
 
 	if err != nil {
@@ -377,7 +378,7 @@ func (s *Server) runJob(job *Job) {
 // several, group, identify, rewrite, and package the artifacts. It runs
 // outside the server lock; everything it reads is immutable (program
 // entries, profile blobs) and everything it mutates is freshly decoded.
-func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte, trainWorkers int) (*Artifact, error) {
+func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte) (*Artifact, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("program disappeared")
 	}
@@ -394,7 +395,7 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte, trai
 		// several seeds concurrently on the shared pool when the request
 		// asks for more than one, merged deterministically before grouping.
 		if runs := req.Config.TrainingRuns; runs > 1 {
-			prof, err := core.ProfileN(prog.Prog, cfg, runs, trainWorkers)
+			prof, err := core.ProfileN(prog.Prog, cfg, runs)
 			if err != nil {
 				return nil, fmt.Errorf("training runs: %w", err)
 			}
@@ -509,9 +510,10 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *Job {
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.jobOrder))
-	for _, id := range s.jobOrder {
-		out = append(out, s.jobStatusLocked(s.jobs[id]))
+	jobs := slices.SortedFunc(maps.Values(s.jobs), func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]JobStatus, len(jobs))
+	for i, job := range jobs {
+		out[i] = s.jobStatusLocked(job)
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)

@@ -47,7 +47,6 @@ import (
 
 	"halo/internal/isa"
 	"halo/internal/obs"
-	"halo/internal/pool"
 	"halo/internal/profile"
 	"halo/internal/profstore"
 )
@@ -61,16 +60,13 @@ type Config struct {
 	QueueDepth int
 	// MaxUploadBytes bounds program/profile uploads. Default 64 MiB.
 	MaxUploadBytes int64
-	// JobHistory bounds the retained job records: once exceeded, the
-	// oldest settled jobs are evicted (their cached artifacts survive).
-	// Default 4096.
+	// JobHistory bounds the retained job records: once exceeded, settled
+	// jobs are evicted in the order they settled (their cached artifacts
+	// survive). Queued and running jobs are never evicted. Default 4096.
 	JobHistory int
-	// TrainingWorkers bounds the per-job worker pool that runs a request's
-	// concurrent training runs (OptimizeConfig.TrainingRuns). 0 sizes the
-	// pool so Workers jobs training at once stay at roughly one runner per
-	// CPU (GOMAXPROCS / Workers, at least 1) — the two pool levels
-	// multiply, so a per-CPU default here would oversubscribe the machine
-	// by a factor of Workers.
+	// Deprecated: a job's training runs share the process-wide budget of
+	// internal/pool, which GOMAXPROCS sizes, and ignore this value. The
+	// field is kept only so existing callers still compile.
 	TrainingWorkers int
 	// Logger receives structured access-log and job-lifecycle events. Nil
 	// discards them.
@@ -89,12 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobHistory <= 0 {
 		c.JobHistory = 4096
-	}
-	if c.TrainingWorkers <= 0 {
-		c.TrainingWorkers = pool.DefaultWorkers() / c.Workers
-		if c.TrainingWorkers < 1 {
-			c.TrainingWorkers = 1
-		}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -142,7 +132,7 @@ type Server struct {
 	programs  map[string]*programEntry
 	profiles  map[string]*profileEntry
 	jobs      map[string]*Job
-	jobOrder  []string
+	settled   []*Job // settled jobs still in jobs, in settling order
 	artifacts map[string]*Artifact
 	inflight  map[string]*Job // cache key -> running/queued job
 	nextJob   int

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -434,14 +435,79 @@ func TestJobHistoryBounded(t *testing.T) {
 		c.optimizeWait(req) // cache hits, each still a job record
 	}
 	s.mu.Lock()
-	jobs, order := len(s.jobs), len(s.jobOrder)
+	jobs, settled := len(s.jobs), len(s.settled)
 	s.mu.Unlock()
-	if jobs > 4 || order > 4 {
-		t.Fatalf("job history not bounded: %d jobs, %d order entries", jobs, order)
+	if jobs > 4 || settled > 4 {
+		t.Fatalf("job history not bounded: %d jobs, %d settled entries", jobs, settled)
 	}
 	// The artifact cache must survive eviction.
 	if got := c.optimizeWait(req); !got.Cached {
 		t.Fatal("artifact lost with job eviction")
+	}
+}
+
+// TestJobHistoryKeepsUnsettledJobs: the oldest job stays running while
+// JobHistory+N newer jobs settle. It must survive every eviction, the
+// history must stay within JobHistory plus that one unsettled job, and
+// /v1/jobs must list what remains in creation order. Once the old job
+// settles, it is evicted like any other.
+func TestJobHistoryKeepsUnsettledJobs(t *testing.T) {
+	const history = 4
+	s, c := newTestServer(t, Config{Workers: 1, JobHistory: history})
+	s.mu.Lock()
+	old := s.newJobLocked(OptimizeRequest{}, "old")
+	old.State = "running"
+	var last *Job
+	maxLen := 0
+	for i := 0; i < history+6; i++ {
+		last = s.newJobLocked(OptimizeRequest{}, fmt.Sprint(i))
+		maxLen = max(maxLen, len(s.jobs))
+		s.settleLocked(last, "done")
+	}
+	_, kept := s.jobs[old.ID]
+	s.mu.Unlock()
+	if !kept {
+		t.Fatal("running job evicted")
+	}
+	if maxLen > history+1 {
+		t.Fatalf("history held %d jobs, want at most %d", maxLen, history+1)
+	}
+	var list []JobStatus
+	c.get("/v1/jobs", &list)
+	if len(list) == 0 || list[0].ID != old.ID || list[len(list)-1].ID != last.ID {
+		t.Fatalf("/v1/jobs = %+v, want %s first and %s last", list, old.ID, last.ID)
+	}
+	for i := 1; i < len(list); i++ {
+		if list[i-1].ID >= list[i].ID {
+			t.Fatalf("/v1/jobs out of creation order: %s before %s", list[i-1].ID, list[i].ID)
+		}
+	}
+
+	s.mu.Lock()
+	s.settleLocked(old, "done")
+	for i := 0; i < history; i++ {
+		s.settleLocked(s.newJobLocked(OptimizeRequest{}, fmt.Sprint("after", i)), "done")
+	}
+	_, kept = s.jobs[old.ID]
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if kept || n > history {
+		t.Fatalf("after settling: old job kept = %v, %d jobs (limit %d)", kept, n, history)
+	}
+}
+
+// BenchmarkNewJobFullHistory is the cost of recording one settled job once
+// the default history is full, so every new job evicts one.
+func BenchmarkNewJobFullHistory(b *testing.B) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < s.cfg.JobHistory; i++ {
+		s.settleLocked(s.newJobLocked(OptimizeRequest{}, ""), "done")
+	}
+	for b.Loop() {
+		s.settleLocked(s.newJobLocked(OptimizeRequest{}, ""), "done")
 	}
 }
 
@@ -476,13 +542,14 @@ func TestServiceCacheFlush(t *testing.T) {
 
 // TestServiceTrainingRuns exercises the server-side concurrent training
 // path: a request asking for several training runs must produce the same
-// artifact at any training-pool width, must match the equivalent
-// client-side profile-then-merge request, and must key the cache
-// separately from a single-run request.
+// artifact at any training-pool width (set through GOMAXPROCS), must match
+// the equivalent client-side profile-then-merge request, and must key the
+// cache separately from a single-run request.
 func TestServiceTrainingRuns(t *testing.T) {
-	artifactsAt := func(trainWorkers int) (single, multi []byte) {
+	artifactsAt := func(procs int) (single, multi []byte) {
 		t.Helper()
-		_, c := newTestServer(t, Config{Workers: 2, TrainingWorkers: trainWorkers})
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, c := newTestServer(t, Config{Workers: 2})
 		progID, _ := c.uploadProgram("art")
 
 		one := c.optimizeWait(OptimizeRequest{
@@ -505,12 +572,14 @@ func TestServiceTrainingRuns(t *testing.T) {
 	}
 
 	serialSingle, serialMulti := artifactsAt(1)
-	parallelSingle, parallelMulti := artifactsAt(8)
-	if !bytes.Equal(serialSingle, parallelSingle) {
-		t.Fatal("single-run artifact depends on training workers")
-	}
-	if !bytes.Equal(serialMulti, parallelMulti) {
-		t.Fatal("multi-run artifact depends on training workers")
+	for _, procs := range []int{2, 4, 8} {
+		single, multi := artifactsAt(procs)
+		if !bytes.Equal(serialSingle, single) {
+			t.Fatalf("single-run artifact at GOMAXPROCS %d differs from GOMAXPROCS 1", procs)
+		}
+		if !bytes.Equal(serialMulti, multi) {
+			t.Fatalf("multi-run artifact at GOMAXPROCS %d differs from GOMAXPROCS 1", procs)
+		}
 	}
 	if len(serialMulti) == 0 {
 		t.Fatal("multi-run artifact is empty")
