@@ -100,12 +100,6 @@ commands:
 // the same document cmd/halod serves for finished jobs (internal/policy).
 type Policy = policy.Doc
 
-// PolicySel is one lowered selector.
-type PolicySel = policy.Sel
-
-// PolicyHalloc carries group-allocator tuning.
-type PolicyHalloc = policy.Halloc
-
 func loadProgram(path string) (*isa.Program, error) {
 	img, err := os.ReadFile(path)
 	if err != nil {
@@ -313,26 +307,13 @@ func cmdOpt(args []string) error {
 	if err := os.WriteFile(outPath, img, 0o644); err != nil {
 		return err
 	}
-	pol := Policy{
-		Program: p.Name,
-		NumBits: opt.Rewrite.NumBits,
-		Sites:   map[string]int{},
-		Halloc: PolicyHalloc{
-			ChunkSize: *chunk,
-			NoSpare:   *maxSpare == 0,
-		},
-	}
+	hc := policy.Halloc{ChunkSize: *chunk, NoSpare: *maxSpare == 0}
 	// The allocator's default of one spare chunk stays implicit, so a
 	// default-flag document matches the one halod serves.
 	if *maxSpare > 1 {
-		pol.Halloc.MaxSpareChunks = *maxSpare
+		hc.MaxSpareChunks = *maxSpare
 	}
-	for site, bit := range opt.Rewrite.SiteBits {
-		pol.Sites[site.String()] = bit
-	}
-	for _, s := range opt.BitSelectors {
-		pol.Selectors = append(pol.Selectors, PolicySel{Group: s.Group, Conj: s.Conj})
-	}
+	pol := policy.New(opt, hc)
 	polPath := *polOut
 	if polPath == "" {
 		polPath = strings.TrimSuffix(in, ".hbin") + ".policy.json"
@@ -434,13 +415,14 @@ func cmdPipeline(args []string) error {
 	machine := cache.XeonW2195()
 	test := w.Build(w.TestScale)
 	cfg := core.Config{}
+	cfg.Group.MaxGroups = w.MaxGroups
 	opt, err := core.Optimize(test, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Print(opt.GroupReport())
 	ref := w.Build(w.RefScale)
-	pol, err := opt.HALOPolicy(ref, halloc.Config{ChunkSize: w.ChunkSize, NoSpare: w.NoSpare, AlwaysReuseChunks: w.AlwaysReuse})
+	pol, err := opt.HALOPolicy(ref, w.HallocConfig())
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"halo/internal/profstore"
@@ -142,5 +143,30 @@ func TestOptRunMaxSpareChunks(t *testing.T) {
 		if err := cmdRun([]string{"-alloc", "halo", "-policy", outPol, outBin}); err != nil {
 			t.Fatalf("run -alloc halo after opt %v: %v", tc.flag, err)
 		}
+	}
+}
+
+// TestPipelineAppliesMaxGroups: `halo pipeline` applies the artifact
+// appendix's per-benchmark flags, so roms forms at most its
+// --max-groups 4.
+func TestPipelineAppliesMaxGroups(t *testing.T) {
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = cmdPipeline([]string{"-w", "roms", "-trials", "1"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(got), ", 4 groups\n") {
+		t.Fatalf("roms pipeline does not report 4 groups:\n%s", got)
 	}
 }

@@ -19,17 +19,19 @@
 //
 // The -json document carries the rendered tables plus one flat result
 // record per measured workload×technique pair (miss reduction, speedup,
-// simulated seconds, ns/op — the wall-clock of one extra measurement run,
-// timed on a pool worker while the sweep runs — and a regressed flag set
-// when the technique added misses or slowed the run against its
-// baseline),
+// simulated seconds, trial_ns — the wall-clock of that pair's own trial
+// set, warm-up run included, while the sweep runs — and a regressed flag
+// set when the technique added misses or slowed the run against its
+// baseline; fig12's distances appear as technique "halo@A=<bytes>"),
 // per-workload profiling throughput (events consumed by the training
-// run's profiler and events/sec), a
-// per-workload "synthesis" section (the wall-clock of turning the training
+// run's profiler and events/sec over its "profile" span), a per-workload
+// "synthesis" section (the summed stage spans of turning the training
 // profile into groups, selectors and the HDS policy), a "metrics" section
 // (a snapshot of the process metrics registry plus per-workload pipeline
 // stage spans), and the sweep's wall-clock — the format the repository's
-// BENCH_*.json trajectory records.
+// BENCH_*.json trajectory records. Every workload×technique pair is
+// measured once, so the trial_ns figures add up to the sweep's trial
+// time.
 package main
 
 import (

@@ -16,7 +16,6 @@ import (
 
 	"halo/internal/cache"
 	"halo/internal/core"
-	"halo/internal/halloc"
 	"halo/internal/measure"
 	"halo/internal/workloads"
 )
@@ -35,7 +34,9 @@ func main() {
 	// pipeline: profiling, grouping, identification, rewriting.
 	fmt.Printf("== %s: profiling test input (scale %d) ==\n", w.Name, w.TestScale)
 	testProg := w.Build(w.TestScale)
-	opt, err := core.Optimize(testProg, core.Config{})
+	cfg := core.Config{}
+	cfg.Group.MaxGroups = w.MaxGroups // the artifact appendix's --max-groups
+	opt, err := core.Optimize(testProg, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,11 +47,7 @@ func main() {
 	// 2. Apply the profile to the larger reference input: rewrite the ref
 	// binary at the same sites and lower the selectors.
 	refProg := w.Build(w.RefScale)
-	pol, err := opt.HALOPolicy(refProg, halloc.Config{
-		ChunkSize:         w.ChunkSize,
-		NoSpare:           w.NoSpare,
-		AlwaysReuseChunks: w.AlwaysReuse,
-	})
+	pol, err := opt.HALOPolicy(refProg, w.HallocConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func (e *Engine) Adversarial() (*Table, error) {
 		seq := workloads.AdvSequence(w.Name)
 		if _, err := adversary.ReplayChecked(
 			seq.HeapOps(8),
-			adversary.ReplayConfig{Name: w.Name, Halloc: hallocConfig(w), Groups: 4},
+			adversary.ReplayConfig{Name: w.Name, Halloc: w.HallocConfig(), Groups: 4},
 		); err != nil {
 			corruption = "CORRUPT: " + err.Error()
 		}

@@ -23,6 +23,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,7 +31,6 @@ import (
 
 	"halo/internal/cache"
 	"halo/internal/core"
-	"halo/internal/halloc"
 	"halo/internal/hds"
 	"halo/internal/isa"
 	"halo/internal/measure"
@@ -133,9 +133,6 @@ type artefacts struct {
 	hds *hds.Result
 
 	profEvents uint64     // VM events the training run's profiler consumed
-	profWallNs int64      // wall-clock of the training run
-	synthOptNs int64      // wall-clock of OptimizeFromProfile (group+identify+rewrite)
-	synthHDSNs int64      // wall-clock of the hot-data-streams analysis
 	stages     []obs.Span // per-stage spans of the pipeline run
 
 	refProg *isa.Program
@@ -147,7 +144,8 @@ type artefacts struct {
 }
 
 // Engine caches per-workload artefacts and measurement summaries so the
-// experiments share one profiling run and one trial set per benchmark.
+// experiments share one profiling run and one trial set per benchmark and
+// policy.
 // Experiments fan their workloads out over a bounded worker pool; the
 // caches are mutex-guarded and every table row is assembled in workload
 // order after the pool drains, so output is identical at any parallelism.
@@ -155,10 +153,16 @@ type Engine struct {
 	opts    Options
 	machine cache.Config
 
-	mu     sync.Mutex
-	arts   map[string]*artefacts
-	sums   map[string]measure.Summary
-	wallNs map[string]int64 // harness wall-clock per summaryFor key
+	mu   sync.Mutex
+	arts map[string]*artefacts
+	sums map[string]measured
+}
+
+// measured is one summaryFor entry: the trials' summary and the wall time
+// of the MeasureTrials call that produced it, warm-up run included.
+type measured struct {
+	measure.Summary
+	trialNs int64
 }
 
 // NewEngine builds an experiment engine.
@@ -167,8 +171,7 @@ func NewEngine(opts Options) *Engine {
 		opts:    opts.withDefaults(),
 		machine: cache.XeonW2195(),
 		arts:    map[string]*artefacts{},
-		sums:    map[string]measure.Summary{},
-		wallNs:  map[string]int64{},
+		sums:    map[string]measured{},
 	}
 }
 
@@ -196,22 +199,9 @@ func (e *Engine) workloadList() []workloads.Workload {
 func (e *Engine) adversarialList() []workloads.Workload {
 	var out []workloads.Workload
 	for _, w := range workloads.All() {
-		if !w.Adversarial {
-			continue
+		if w.Adversarial && (len(e.opts.Workloads) == 0 || slices.Contains(e.opts.Workloads, w.Name)) {
+			out = append(out, w)
 		}
-		if len(e.opts.Workloads) > 0 {
-			found := false
-			for _, name := range e.opts.Workloads {
-				if name == w.Name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				continue
-			}
-		}
-		out = append(out, w)
 	}
 	return out
 }
@@ -234,14 +224,6 @@ func pipelineConfig(w workloads.Workload) core.Config {
 	return cfg
 }
 
-func hallocConfig(w workloads.Workload) halloc.Config {
-	return halloc.Config{
-		ChunkSize:         w.ChunkSize,
-		NoSpare:           w.NoSpare,
-		AlwaysReuseChunks: w.AlwaysReuse,
-	}
-}
-
 // artefactsFor profiles a workload on its test input and derives every
 // measurement policy for the ref input (§5.1's methodology: profile on
 // test, measure on ref; the builds share call-site addresses).
@@ -257,24 +239,18 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 	tr := obs.NewTrace()
 	cfg.Trace = tr
 	testProg := w.Build(w.TestScale)
-	profStart := time.Now()
 	prof, err := core.Profile(testProg, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	profWall := time.Since(profStart)
-	optStart := time.Now()
 	opt, err := core.OptimizeFromProfile(testProg, prof, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	optWall := time.Since(optStart)
-	hdsStart := time.Now()
 	hr, err := core.AnalyzeHDS(opt.Profile, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s hds: %w", w.Name, err)
 	}
-	hdsWall := time.Since(hdsStart)
 	e.opts.logf("[%s] %d graph nodes, %d groups, %d sites; hds: %d rules, %d hot streams, %d sets",
 		w.Name, opt.Profile.Graph.NumNodes(), len(opt.Groups), len(opt.Selectors.Sites),
 		hr.Rules, hr.Streams, len(hr.Sets))
@@ -283,7 +259,7 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 	// test and ref builds share call-site addresses, so the profile
 	// transfers — the §5.1 methodology.
 	refProg := w.Build(e.refScale(w))
-	hc := hallocConfig(w)
+	hc := w.HallocConfig()
 	polHALO, err := opt.HALOPolicy(refProg, hc)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
@@ -294,9 +270,6 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 		opt:        opt,
 		hds:        hr,
 		profEvents: prof.Events,
-		profWallNs: profWall.Nanoseconds(),
-		synthOptNs: optWall.Nanoseconds(),
-		synthHDSNs: hdsWall.Nanoseconds(),
 		stages:     tr.Spans(),
 		refProg:    refProg,
 		polBase:    measure.Policy{Kind: measure.Jemalloc},
@@ -319,38 +292,32 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 	return a, nil
 }
 
-// summaryFor measures (with caching) one workload under one policy, and
-// times one additional run on the calling goroutine so BenchResults can
-// report a per-run ns/op rather than pool throughput.
+// summaryFor measures (with caching) one workload under one policy, the
+// only place the experiments run trials, and records how long the trials
+// took.
 func (e *Engine) summaryFor(a *artefacts, label string, pol measure.Policy) (measure.Summary, error) {
 	key := a.w.Name + "/" + label
 	e.mu.Lock()
-	s, ok := e.sums[key]
+	m, ok := e.sums[key]
 	e.mu.Unlock()
 	if ok {
-		return s, nil
+		return m.Summary, nil
 	}
 	e.opts.logf("[%s] measuring %s (%d trials)", a.w.Name, label, e.opts.Trials)
+	start := time.Now()
 	s, err := measure.MeasureTrials(a.refProg, pol, e.opts.Trials, e.opts.Seed, e.machine)
 	if err != nil {
 		return measure.Summary{}, fmt.Errorf("%s/%s: %w", a.w.Name, label, err)
 	}
-	// ns/op: a single dedicated run (the first measured trial's seed),
-	// timed on this goroutine — per-run cost, not pool throughput.
-	start := time.Now()
-	if _, err := measure.Run(a.refProg, pol, e.opts.Seed+1, e.machine); err != nil {
-		return measure.Summary{}, fmt.Errorf("%s/%s: %w", a.w.Name, label, err)
-	}
-	elapsed := time.Since(start)
+	m = measured{Summary: s, trialNs: time.Since(start).Nanoseconds()}
 	e.mu.Lock()
 	if prior, ok := e.sums[key]; ok {
-		s = prior
+		m = prior
 	} else {
-		e.sums[key] = s
-		e.wallNs[key] = elapsed.Nanoseconds()
+		e.sums[key] = m
 	}
 	e.mu.Unlock()
-	return s, nil
+	return m.Summary, nil
 }
 
 // forEachWorkload fans fn out over the workloads on the shared worker
@@ -364,11 +331,11 @@ func (e *Engine) forEachWorkload(list []workloads.Workload, fn func(i int, w wor
 
 // BenchResult is one machine-readable measurement: a workload under a
 // technique, compared against the jemalloc baseline measured in the same
-// sweep. NsPerOp is the harness wall-clock of one extra measurement run,
-// timed on the goroutine that measured the trials. That goroutine is
-// usually one of the sweep's pool workers, so other workloads may run
-// beside it: NsPerOp is per-run cost under the sweep's own load, not pool
-// throughput and not an idle-machine figure.
+// sweep. TrialNs is the wall time of the row's own trial set (the
+// discarded warm-up run plus the measured trials) while the rest of the
+// sweep shares the machine, so it is this row's share of the sweep's
+// trial time, not an idle-machine figure. Fig12's affinity-distance
+// points appear as technique "halo@A=<bytes>".
 type BenchResult struct {
 	Workload         string  `json:"workload"`
 	Technique        string  `json:"technique"`
@@ -376,7 +343,7 @@ type BenchResult struct {
 	SpeedupPct       float64 `json:"speedup_pct"`
 	BaselineSeconds  float64 `json:"baseline_seconds"`
 	Seconds          float64 `json:"seconds"`
-	NsPerOp          int64   `json:"ns_per_op"`
+	TrialNs          int64   `json:"trial_ns"`
 	// Regressed flags results where the technique *hurt* (see regressed).
 	// Easy to misread as noise in a wall of numbers, so it is surfaced
 	// explicitly here and in halobench's rendered tables.
@@ -422,7 +389,7 @@ func (e *Engine) BenchResults() []BenchResult {
 			SpeedupPct:       measure.Improvement(base.Seconds.Median, s.Seconds.Median),
 			BaselineSeconds:  base.Seconds.Median,
 			Seconds:          s.Seconds.Median,
-			NsPerOp:          e.wallNs[k],
+			TrialNs:          s.trialNs,
 		}
 		r.Regressed = regressed(r.MissReductionPct, r.SpeedupPct)
 		out = append(out, r)
@@ -431,8 +398,8 @@ func (e *Engine) BenchResults() []BenchResult {
 }
 
 // ProfileStat is one workload's profiling throughput: how many VM events
-// the training run's profiler consumed and the wall-clock it took, the
-// events/sec trajectory the data-plane work is tracked by.
+// the training run's profiler consumed and the wall-clock of its "profile"
+// span, the events/sec trajectory the data-plane work is tracked by.
 type ProfileStat struct {
 	Workload     string  `json:"workload"`
 	Events       uint64  `json:"events"`
@@ -447,13 +414,14 @@ func (e *Engine) ProfileStats() []ProfileStat {
 	defer e.mu.Unlock()
 	out := make([]ProfileStat, 0, len(e.arts))
 	for _, a := range e.arts {
+		profNs, _, _ := a.stageNs()
 		s := ProfileStat{
 			Workload: a.w.Name,
 			Events:   a.profEvents,
-			WallNs:   a.profWallNs,
+			WallNs:   profNs,
 		}
-		if a.profWallNs > 0 {
-			s.EventsPerSec = float64(a.profEvents) / (float64(a.profWallNs) / 1e9)
+		if profNs > 0 {
+			s.EventsPerSec = float64(a.profEvents) / (float64(profNs) / 1e9)
 		}
 		out = append(out, s)
 	}
@@ -461,11 +429,13 @@ func (e *Engine) ProfileStats() []ProfileStat {
 	return out
 }
 
-// SynthStat is one workload's layout-synthesis cost: the wall-clock of
-// turning its training profile into groups, selectors and the HDS
-// co-allocation policy. This is the per-job cost a halod worker pays on
-// top of profiling (or profile decoding), and the trajectory the
-// synthesis pipeline is tracked by.
+// SynthStat is one workload's layout-synthesis cost: the summed stage
+// spans of turning its training profile into groups, selectors and the
+// HDS co-allocation policy. This is the per-job cost a halod worker pays
+// on top of profiling (or profile decoding), and the trajectory the
+// synthesis pipeline is tracked by. HDSNs leaves out the setup hds.Analyze
+// does before its first span (copying the trace, building the object
+// table).
 type SynthStat struct {
 	Workload   string `json:"workload"`
 	Groups     int    `json:"groups"`
@@ -484,19 +454,37 @@ func (e *Engine) SynthesisStats() []SynthStat {
 	defer e.mu.Unlock()
 	out := make([]SynthStat, 0, len(e.arts))
 	for _, a := range e.arts {
+		_, optNs, hdsNs := a.stageNs()
 		out = append(out, SynthStat{
 			Workload:   a.w.Name,
 			Groups:     len(a.opt.Groups),
 			Selectors:  len(a.opt.Selectors.Selectors),
 			Sites:      len(a.opt.Selectors.Sites),
 			HDSSets:    len(a.hds.Sets),
-			OptimizeNs: a.synthOptNs,
-			HDSNs:      a.synthHDSNs,
-			WallNs:     a.synthOptNs + a.synthHDSNs,
+			OptimizeNs: optNs,
+			HDSNs:      hdsNs,
+			WallNs:     optNs + hdsNs,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })
 	return out
+}
+
+// stageNs adds a's pipeline spans up into the training run ("profile"),
+// HALO's synthesis stages (group, identify, rewrite, lower) and the HDS
+// analysis stages ("hds/...").
+func (a *artefacts) stageNs() (profNs, optNs, hdsNs int64) {
+	for _, s := range a.stages {
+		switch {
+		case s.Name == "profile":
+			profNs += s.DurNs
+		case strings.HasPrefix(s.Name, "hds/"):
+			hdsNs += s.DurNs
+		default:
+			optNs += s.DurNs
+		}
+	}
+	return profNs, optNs, hdsNs
 }
 
 // WorkloadStages is one workload's per-stage span list: the same spans a

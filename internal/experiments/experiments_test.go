@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"halo/internal/obs"
 )
 
 func quickEngine(workloads ...string) *Engine {
@@ -53,6 +56,58 @@ func TestFig13And14ShareMeasurements(t *testing.T) {
 	}
 	if len(e.sums) != sums {
 		t.Fatal("fig14 re-measured despite the cache")
+	}
+}
+
+// vmRuns reads the process-wide count of VM runs.
+func vmRuns() float64 { return obs.Default.Snapshot()["halo_vm_runs_total"] }
+
+// TestFig13VMRuns: fig13 on one workload performs one training run and one
+// trial set (the warm-up run plus the trials) per policy, and nothing more.
+func TestFig13VMRuns(t *testing.T) {
+	e := quickEngine("art")
+	before := vmRuns()
+	if _, err := e.Fig13(); err != nil {
+		t.Fatal(err)
+	}
+	// jemalloc, HALO and HDS.
+	if got, want := vmRuns()-before, float64(1+3*(e.opts.Trials+1)); got != want {
+		t.Fatalf("fig13 on art made %v VM runs, want %v", got, want)
+	}
+}
+
+// TestFig12Quick: the quick affinity-distance sweep covers 8 B to 2 KiB,
+// takes its baseline and its 128 B point (the profiler's default distance)
+// from the measurements fig14 already made, and re-profiles and measures
+// each other distance exactly once.
+func TestFig12Quick(t *testing.T) {
+	e := quickEngine("omnetpp")
+	fig14, err := e.Fig14()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := vmRuns()
+	tab, err := e.Fig12()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := vmRuns()-before, float64(8*(1+e.opts.Trials+1)); got != want {
+		t.Errorf("fig12 after fig14 made %v VM runs, want %v", got, want)
+	}
+	if len(tab.Rows) != 9 {
+		t.Fatalf("fig12 has %d rows, want 9", len(tab.Rows))
+	}
+	for i, row := range tab.Rows {
+		if want := fmt.Sprint(8 << i); row[0] != want {
+			t.Errorf("row %d distance = %s, want %s", i, row[0], want)
+		}
+	}
+	omnetpp := fig14.Rows[0]
+	if want := "jemalloc baseline median: " + omnetpp[3] + "s"; tab.Notes[0] != want {
+		t.Errorf("fig12 note %q, want %q (fig14's omnetpp baseline)", tab.Notes[0], want)
+	}
+	if got, want := tab.Rows[4][4], omnetpp[2]; got != want {
+		t.Errorf("fig12 128 B point %s vs baseline, fig14 omnetpp HALO %s", got, want)
 	}
 }
 

@@ -47,17 +47,21 @@ func (e *Engine) Fig9() (*Table, error) {
 
 // Fig12 reproduces Figure 12: omnetpp execution time at power-of-two
 // affinity distances from 2^3 to 2^17, against the unmodified-jemalloc
-// median (the paper's dashed line).
+// median (the paper's dashed line). The baseline and the 128 B point (the
+// profiler's default distance, so artefactsFor's own configuration) are
+// the engine's cached "jemalloc" and "halo" summaries; every other
+// distance re-profiles the test input and is cached as "halo@A=<bytes>".
 func (e *Engine) Fig12() (*Table, error) {
-	w := workloads.MustGet("omnetpp")
+	a, err := e.artefactsFor(workloads.MustGet("omnetpp"))
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig12",
 		Title:   "omnetpp time elapsed vs affinity distance (dashed line = jemalloc baseline)",
 		Columns: []string{"affinity distance (B)", "median time (s)", "p25", "p75", "vs baseline"},
 	}
-	refProg := w.Build(e.refScale(w))
-	base, err := measure.MeasureTrials(refProg, measure.Policy{Kind: measure.Jemalloc},
-		e.opts.Trials, e.opts.Seed, e.machine)
+	base, err := e.summaryFor(a, "jemalloc", a.polBase)
 	if err != nil {
 		return nil, err
 	}
@@ -67,24 +71,28 @@ func (e *Engine) Fig12() (*Table, error) {
 	if e.opts.Quick {
 		hi = 11
 	}
-	// Each affinity distance re-profiles and re-measures independently, so
-	// the sweep points fan out over the worker pool; rows are assembled in
-	// distance order afterwards.
+	// The sweep points are independent, so they fan out over the worker
+	// pool; rows are assembled in distance order afterwards.
 	rows := make([][]string, hi-lo+1)
 	err = pool.Map(len(rows), 0, func(i int) error {
 		dist := uint64(1) << (lo + i)
-		cfg := pipelineConfig(w)
-		cfg.Profile.AffinityDistance = dist
-		testProg := w.Build(w.TestScale)
-		opt, err := core.Optimize(testProg, cfg)
-		if err != nil {
-			return fmt.Errorf("fig12 A=%d: %w", dist, err)
+		label, pol := "halo", a.polHALO
+		if dist != 128 {
+			// Only the HDS analysis reads the reference trace, and this
+			// profile feeds HALO alone.
+			cfg := pipelineConfig(a.w)
+			cfg.Profile.RecordTrace = false
+			cfg.Profile.AffinityDistance = dist
+			opt, err := core.Optimize(a.w.Build(a.w.TestScale), cfg)
+			if err != nil {
+				return fmt.Errorf("fig12 A=%d: %w", dist, err)
+			}
+			if pol, err = opt.HALOPolicy(a.refProg, a.w.HallocConfig()); err != nil {
+				return fmt.Errorf("fig12 A=%d: %w", dist, err)
+			}
+			label = fmt.Sprintf("halo@A=%d", dist)
 		}
-		pol, err := opt.HALOPolicy(refProg, hallocConfig(w))
-		if err != nil {
-			return fmt.Errorf("fig12 A=%d: %w", dist, err)
-		}
-		s, err := measure.MeasureTrials(refProg, pol, e.opts.Trials, e.opts.Seed, e.machine)
+		s, err := e.summaryFor(a, label, pol)
 		if err != nil {
 			return fmt.Errorf("fig12 A=%d: %w", dist, err)
 		}

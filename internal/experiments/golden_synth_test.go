@@ -60,18 +60,7 @@ func synthesisFingerprint(t *testing.T, name string) string {
 	fmt.Fprintf(&b, "numbits=%d dropped=%d\n", opt.Rewrite.NumBits, opt.DroppedConjs)
 
 	// The policy document exactly as internal/service serves it.
-	pol := policy.Doc{
-		Program: p.Name,
-		NumBits: opt.Rewrite.NumBits,
-		Sites:   map[string]int{},
-	}
-	for site, bit := range opt.Rewrite.SiteBits {
-		pol.Sites[site.String()] = bit
-	}
-	for _, sel := range opt.BitSelectors {
-		pol.Selectors = append(pol.Selectors, policy.Sel{Group: sel.Group, Conj: sel.Conj})
-	}
-	polJSON, err := json.MarshalIndent(pol, "", "  ")
+	polJSON, err := json.MarshalIndent(policy.New(opt, policy.Halloc{}), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

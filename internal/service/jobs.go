@@ -133,9 +133,6 @@ type Artifact struct {
 // straight into the CLI.
 type PolicyDoc = policy.Doc
 
-// PolicySel is one lowered selector.
-type PolicySel = policy.Sel
-
 // Job tracks one optimize request through the worker pool.
 type Job struct {
 	ID        string
@@ -428,18 +425,7 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte) (*Ar
 	if err != nil {
 		return nil, fmt.Errorf("encoding rewritten binary: %w", err)
 	}
-	pol := PolicyDoc{
-		Program: prog.Prog.Name,
-		NumBits: opt.Rewrite.NumBits,
-		Sites:   map[string]int{},
-	}
-	for site, bit := range opt.Rewrite.SiteBits {
-		pol.Sites[site.String()] = bit
-	}
-	for _, sel := range opt.BitSelectors {
-		pol.Selectors = append(pol.Selectors, PolicySel{Group: sel.Group, Conj: sel.Conj})
-	}
-	polJSON, err := json.MarshalIndent(pol, "", "  ")
+	polJSON, err := json.MarshalIndent(policy.New(opt, policy.Halloc{}), "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("encoding policy: %w", err)
 	}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"sort"
 
+	"halo/internal/halloc"
 	"halo/internal/isa"
 	"halo/internal/prog"
 )
@@ -53,6 +54,16 @@ type Workload struct {
 	// (internal/adversary): excluded from the paper-figure experiments,
 	// evaluated by the adversarial suite.
 	Adversarial bool
+}
+
+// HallocConfig is the group-allocator tuning the artifact appendix gives
+// this benchmark.
+func (w Workload) HallocConfig() halloc.Config {
+	return halloc.Config{
+		ChunkSize:         w.ChunkSize,
+		NoSpare:           w.NoSpare,
+		AlwaysReuseChunks: w.AlwaysReuse,
+	}
 }
 
 var registry []Workload
