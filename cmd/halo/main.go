@@ -288,7 +288,6 @@ func cmdOpt(args []string) error {
 		if prof.ProgName != p.Name {
 			return fmt.Errorf("profile %s is for program %q, not %q", *profPath, prof.ProgName, p.Name)
 		}
-		prof.Prog = p
 		opt, err = core.OptimizeFromProfile(p, prof, cfg)
 		if err != nil {
 			return err

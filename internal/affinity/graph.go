@@ -11,9 +11,9 @@
 // by context, and edge weights in a flat open-addressing table keyed by the
 // packed context pair. Steady-state AddAccess/AddEdge perform no hashing of
 // composite keys, no pointer chasing and no allocation. Every exported view
-// (Nodes, Edges, EdgeWeights, String) remains sorted and
-// deterministic, and Merge remains order-independent, so serialisation and
-// grouping behave exactly as they did over the map-based layout.
+// (Nodes, Edges, String) remains sorted and deterministic, and Merge
+// remains order-independent, so serialisation and grouping behave exactly
+// as they did over the map-based layout.
 package affinity
 
 import (
@@ -42,9 +42,6 @@ func MakeEdge(a, b Ctx) EdgeKey {
 	}
 	return EdgeKey{a, b}
 }
-
-// IsLoop reports whether the edge is a self-loop.
-func (e EdgeKey) IsLoop() bool { return e.U == e.V }
 
 // pack encodes a normalised edge as one 64-bit table key.
 func (e EdgeKey) pack() uint64 {
@@ -113,14 +110,6 @@ func (g *Graph) AddEdge(a, b Ctx, w uint64) {
 	g.slot(a)
 	g.slot(b)
 	g.edges.add(MakeEdge(a, b).pack(), w)
-}
-
-// AddAccesses records n macro accesses to a context at once. It is the
-// bulk form of AddAccess used when merging or reconstructing graphs.
-func (g *Graph) AddAccesses(c Ctx, n uint64) {
-	i := g.slot(c)
-	g.acc[i] += n
-	g.total += n
 }
 
 // SetNodeAccesses sets a node's access count without touching the total.
@@ -198,15 +187,6 @@ func (g *Graph) Edges() []EdgeKey {
 			return out[i].U < out[j].U
 		}
 		return out[i].V < out[j].V
-	})
-	return out
-}
-
-// EdgeWeights returns a copy of the edge weights keyed by pair.
-func (g *Graph) EdgeWeights() map[EdgeKey]uint64 {
-	out := make(map[EdgeKey]uint64, g.edges.n)
-	g.edges.forEach(func(k, w uint64) {
-		out[unpackEdge(k)] = w
 	})
 	return out
 }
@@ -353,7 +333,7 @@ func (t *edgeTable) get(k uint64) uint64 {
 
 // forEach visits every stored edge in unspecified order; callers that
 // expose results sort them (Edges) or are order-insensitive (Merge,
-// Filter, Prune, EdgeWeights).
+// Filter, Prune).
 func (t *edgeTable) forEach(fn func(k, w uint64)) {
 	for i, ok := range t.occ {
 		if ok {

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"halo/internal/affinity"
 	"halo/internal/alloc"
 	"halo/internal/group"
 	"halo/internal/halloc"
@@ -123,15 +122,10 @@ func ProfileN(p *isa.Program, cfg Config, runs int) (*profile.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	coverage := cfg.Profile.Coverage
-	if coverage == 0 {
-		coverage = profstore.DefaultCoverage
-	}
-	merged, err := profstore.MergeWithCoverage(coverage, profs...)
+	merged, err := profstore.MergeWithCoverage(cfg.Profile.Coverage, profs...)
 	if err != nil {
 		return nil, fmt.Errorf("core: merging training profiles: %w", err)
 	}
-	merged.Prog = p
 	return merged, nil
 }
 
@@ -147,19 +141,10 @@ func Optimize(p *isa.Program, cfg Config) (*Optimized, error) {
 
 // OptimizeFromProfile runs grouping, identification and rewriting over an
 // existing profile (so one profiling run can feed several configurations).
+// It only reads prof, so concurrent calls may share one profile.
 func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Optimized, error) {
 	endGroup := cfg.Trace.Span("group")
 	groups := group.Form(prof.Graph, cfg.Group)
-
-	// Record group membership on the contexts for identification.
-	for _, c := range prof.Contexts {
-		c.Group = -1
-	}
-	for _, g := range groups {
-		for _, m := range g.Members {
-			prof.Contexts[m].Group = g.ID
-		}
-	}
 	endGroup()
 
 	endIdentify := cfg.Trace.Span("identify")
@@ -243,12 +228,24 @@ func (o *Optimized) GroupReport() string {
 			out += fmt.Sprintf("    %s\n", o.Profile.Contexts[m].Describe(o.Input))
 		}
 	}
-	ungrouped := 0
-	for _, c := range o.Profile.Contexts {
-		if c.Group < 0 && o.Profile.Graph.Accesses(affinity.Ctx(c.ID)) > 0 {
-			ungrouped++
+	out += fmt.Sprintf("  (%d hot contexts ungrouped)\n", o.UngroupedHot())
+	return out
+}
+
+// UngroupedHot counts the contexts with accesses in the filtered graph
+// that no group took: the grey nodes of the paper's Figure 9.
+func (o *Optimized) UngroupedHot() int {
+	grouped := make([]bool, len(o.Profile.Contexts))
+	for _, g := range o.Groups {
+		for _, m := range g.Members {
+			grouped[m] = true
 		}
 	}
-	out += fmt.Sprintf("  (%d hot contexts ungrouped)\n", ungrouped)
-	return out
+	n := 0
+	for _, c := range o.Profile.Contexts {
+		if !grouped[c.ID] && o.Profile.Graph.Accesses(c.ID) > 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"halo/internal/cache"
 	"halo/internal/measure"
+	"halo/internal/profile"
 	"halo/internal/workloads"
 )
 
@@ -68,5 +71,47 @@ func TestPipelineSmoke(t *testing.T) {
 				halo.Cache.L1D.Misses, halo.Cache.L1D.MissRate()*100,
 				halo.GroupedAllocs, halo.ForwardedAlloc, base.Steps)
 		})
+	}
+}
+
+// TestOptimizeFromProfileLeavesProfileUnchanged pins the contract that lets
+// halod share one decoded profile across concurrent jobs: synthesis reads
+// its profile and writes nothing back, whatever the configuration.
+func TestOptimizeFromProfileLeavesProfileUnchanged(t *testing.T) {
+	w := workloads.MustGet("povray")
+	p := w.Build(w.TestScale)
+	prof, err := Profile(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]profile.Context, len(prof.Contexts))
+	for i, c := range prof.Contexts {
+		want[i] = *c
+		want[i].Chain = slices.Clone(c.Chain)
+		want[i].RestoreSerials(slices.Clone(c.Serials()))
+	}
+	graph, raw := prof.Graph.String(), prof.RawGraph.String()
+
+	capped := Config{}
+	capped.Group.MaxGroups = 1
+	for _, cfg := range []Config{{}, capped} {
+		opt, err := OptimizeFromProfile(p, prof, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(opt.Groups) == 0 {
+			t.Fatal("no groups formed; the check would be vacuous")
+		}
+	}
+	if len(prof.Contexts) != len(want) {
+		t.Fatalf("context count changed: %d, want %d", len(prof.Contexts), len(want))
+	}
+	for i, c := range prof.Contexts {
+		if !reflect.DeepEqual(*c, want[i]) {
+			t.Fatalf("context %d changed: %s", i, c.Describe(p))
+		}
+	}
+	if prof.Graph.String() != graph || prof.RawGraph.String() != raw {
+		t.Fatal("affinity graph changed")
 	}
 }

@@ -35,13 +35,7 @@ func (e *Engine) Fig9() (*Table, error) {
 			})
 		}
 	}
-	ungrouped := 0
-	for _, c := range a.opt.Profile.Contexts {
-		if c.Group < 0 && a.opt.Profile.Graph.Accesses(c.ID) > 0 {
-			ungrouped++
-		}
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("%d hot contexts remain ungrouped (grey nodes in the paper's figure)", ungrouped))
+	t.Notes = append(t.Notes, fmt.Sprintf("%d hot contexts remain ungrouped (grey nodes in the paper's figure)", a.opt.UngroupedHot()))
 	return t, nil
 }
 

@@ -91,8 +91,9 @@ func buildSiteIndex(contexts []*profile.Context) *siteIndex {
 	return idx
 }
 
-// Build constructs selectors for the groups per Figure 10. Contexts must
-// carry their group assignments (Context.Group; -1 for ungrouped).
+// Build constructs selectors for the groups per Figure 10. contexts is the
+// profile's context list, indexed by affinity.Ctx; group membership comes
+// from groups alone, and neither argument is written.
 func Build(groups []group.Group, contexts []*profile.Context) *Result {
 	// Process groups from most to least popular.
 	ordered := append([]group.Group(nil), groups...)
@@ -106,15 +107,6 @@ func Build(groups []group.Group, contexts []*profile.Context) *Result {
 	n := len(contexts)
 	idx := buildSiteIndex(contexts)
 
-	// byGroup lists the contexts carrying each group id: the set a group
-	// removes from the conflict universe once it is reached.
-	byGroup := make(map[int][]int)
-	for i, c := range contexts {
-		if c.Group >= 0 {
-			byGroup[c.Group] = append(byGroup[c.Group], i)
-		}
-	}
-
 	// eligible is the conflict universe for the group being built: every
 	// context except those of the groups reached so far, this one
 	// included.
@@ -124,8 +116,8 @@ func Build(groups []group.Group, contexts []*profile.Context) *Result {
 	res := &Result{}
 	siteSet := make(map[isa.Addr]bool)
 	for _, g := range ordered {
-		for _, i := range byGroup[g.ID] {
-			eligible.Clear(i)
+		for _, m := range g.Members {
+			eligible.Clear(int(m))
 		}
 		sel := Selector{Group: g.ID}
 		for _, member := range g.Members {

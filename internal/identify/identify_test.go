@@ -10,8 +10,8 @@ import (
 )
 
 // ctx builds a context with the given chain of call sites.
-func ctx(id affinity.Ctx, grp int, sites ...isa.Addr) *profile.Context {
-	c := &profile.Context{ID: id, Group: grp}
+func ctx(id affinity.Ctx, sites ...isa.Addr) *profile.Context {
+	c := &profile.Context{ID: id}
 	for _, s := range sites {
 		c.Chain = append(c.Chain, profile.ChainEntry{Fn: int32(s.FuncIndex()), Site: s})
 	}
@@ -24,8 +24,8 @@ func TestBuildDistinguishesByUniqueSite(t *testing.T) {
 	// Member passes through site A; the conflicting context does not.
 	a, b, shared := site(1, 1), site(2, 2), site(3, 3)
 	contexts := []*profile.Context{
-		ctx(0, 0, a, shared),
-		ctx(1, -1, b, shared),
+		ctx(0, a, shared),
+		ctx(1, b, shared),
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0}, Accesses: 100}}
 	res := Build(groups, contexts)
@@ -53,9 +53,9 @@ func TestBuildNeedsConjunction(t *testing.T) {
 	// pair (a AND b) does.
 	a, b := site(1, 1), site(2, 2)
 	contexts := []*profile.Context{
-		ctx(0, 0, a, b), // member
-		ctx(1, -1, a),   // conflict sharing a
-		ctx(2, -1, b),   // conflict sharing b
+		ctx(0, a, b), // member
+		ctx(1, a),    // conflict sharing a
+		ctx(2, b),    // conflict sharing b
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0}, Accesses: 10}}
 	res := Build(groups, contexts)
@@ -74,8 +74,8 @@ func TestBuildNeedsConjunction(t *testing.T) {
 func TestBuildPopularityOrder(t *testing.T) {
 	a, b := site(1, 1), site(2, 2)
 	contexts := []*profile.Context{
-		ctx(0, 0, a),
-		ctx(1, 1, b),
+		ctx(0, a),
+		ctx(1, b),
 	}
 	groups := []group.Group{
 		{ID: 0, Members: []affinity.Ctx{0}, Accesses: 10},
@@ -92,7 +92,7 @@ func TestBuildTieBreakPrefersStackBottom(t *testing.T) {
 	// site lower in the stack (earlier in the chain) must be chosen.
 	lo, hi := site(1, 1), site(2, 2)
 	contexts := []*profile.Context{
-		ctx(0, 0, lo, hi),
+		ctx(0, lo, hi),
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0}, Accesses: 5}}
 	res := Build(groups, contexts)
@@ -108,8 +108,8 @@ func TestBuildIgnoresProcessedGroups(t *testing.T) {
 	shared := site(1, 1)
 	extra := site(2, 2)
 	contexts := []*profile.Context{
-		ctx(0, 0, shared),        // popular group
-		ctx(1, 1, shared, extra), // less popular group, overlapping chain
+		ctx(0, shared),        // popular group
+		ctx(1, shared, extra), // less popular group, overlapping chain
 	}
 	groups := []group.Group{
 		{ID: 0, Members: []affinity.Ctx{0}, Accesses: 1000},
@@ -131,8 +131,8 @@ func TestBuildResidualConflicts(t *testing.T) {
 	// separate them, and the residual count must say so.
 	s1, s2 := site(1, 1), site(2, 2)
 	contexts := []*profile.Context{
-		ctx(0, 0, s1, s2),
-		ctx(1, -1, s1, s2),
+		ctx(0, s1, s2),
+		ctx(1, s1, s2),
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0}, Accesses: 10}}
 	res := Build(groups, contexts)
@@ -148,9 +148,9 @@ func TestBuildResidualConflicts(t *testing.T) {
 func TestBuildSitesUnion(t *testing.T) {
 	a, b, c := site(1, 1), site(2, 2), site(3, 3)
 	contexts := []*profile.Context{
-		ctx(0, 0, a),
-		ctx(1, 0, b),
-		ctx(2, 1, c),
+		ctx(0, a),
+		ctx(1, b),
+		ctx(2, c),
 	}
 	groups := []group.Group{
 		{ID: 0, Members: []affinity.Ctx{0, 1}, Accesses: 100},
@@ -172,9 +172,9 @@ func TestMultiMemberGroupDNF(t *testing.T) {
 	// conjunctions (a DNF).
 	a, b, other := site(1, 1), site(2, 2), site(3, 3)
 	contexts := []*profile.Context{
-		ctx(0, 0, a),
-		ctx(1, 0, b),
-		ctx(2, -1, other),
+		ctx(0, a),
+		ctx(1, b),
+		ctx(2, other),
 	}
 	groups := []group.Group{{ID: 0, Members: []affinity.Ctx{0, 1}, Accesses: 100}}
 	res := Build(groups, contexts)

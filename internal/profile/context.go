@@ -32,9 +32,6 @@ type Context struct {
 	// serials logs every allocation serial issued from this context, in
 	// ascending order, for the co-allocatability constraint.
 	serials []uint64
-
-	// Group is assigned by the grouping stage; -1 when ungrouped.
-	Group int
 }
 
 // Sites returns the distinct call sites in the chain, the candidate
@@ -182,7 +179,7 @@ func (t *contextTable) intern(chain []ChainEntry) *Context {
 		return t.list[id]
 	}
 	id := affinity.Ctx(len(t.list))
-	c := &Context{ID: id, Chain: append([]ChainEntry(nil), chain...), Group: -1}
+	c := &Context{ID: id, Chain: append([]ChainEntry(nil), chain...)}
 	t.byKey[string(t.keyBuf)] = id
 	t.list = append(t.list, c)
 	return c

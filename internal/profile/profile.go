@@ -36,6 +36,10 @@ var (
 		"event batches consumed by profiler sinks")
 )
 
+// DefaultCoverage is the paper's node-filter fraction (§4.1): the share of
+// all observed accesses the filtered affinity graph keeps.
+const DefaultCoverage = 0.90
+
 // Config parameterises profiling.
 type Config struct {
 	// AffinityDistance is A in bytes; default 128 (§5.1, Figure 12).
@@ -59,7 +63,7 @@ func (c Config) withDefaults() Config {
 		c.MaxObjectSize = 4096
 	}
 	if c.Coverage == 0 {
-		c.Coverage = 0.90
+		c.Coverage = DefaultCoverage
 	}
 	if c.MaxTrace == 0 {
 		c.MaxTrace = 8 << 20
@@ -74,7 +78,9 @@ type Ref struct {
 	ObjSize uint32   // object size, for co-allocation benefit analysis
 }
 
-// Profile is the result of a profiling run.
+// Profile is the result of a profiling run. It is read-only once Finish,
+// profstore.Decode or a profstore merge returns it: the pipeline stages
+// only read it, so one profile may feed several syntheses at once.
 type Profile struct {
 	Prog     *isa.Program
 	ProgName string          // survives serialisation, where Prog does not
@@ -93,9 +99,6 @@ type Profile struct {
 	// diagnostic only and is not serialised by profstore.
 	Events uint64
 }
-
-// Context returns the context record for an id.
-func (p *Profile) Context(id affinity.Ctx) *Context { return p.Contexts[id] }
 
 // Profiler implements vm.EventSink: it drains the VM's batched event
 // stream, paying one dynamic dispatch per batch and direct calls within.

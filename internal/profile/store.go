@@ -14,7 +14,8 @@ func ChainKey(chain []ChainEntry) string { return chainKey(chain) }
 func (c *Context) Serials() []uint64 { return c.serials }
 
 // RestoreSerials replaces the serial log; decoders use it to rebuild a
-// context exactly as the profiler recorded it.
+// context exactly as the profiler recorded it, and a store that keeps a
+// profile only for synthesis passes nil to drop the log.
 func (c *Context) RestoreSerials(s []uint64) { c.serials = s }
 
 // ContextSet interns reduced chains outside a live profiling run. Interning

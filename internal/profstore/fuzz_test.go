@@ -44,8 +44,9 @@ func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 		b.RestoreSerials([]uint64{2, 7})
 
 		raw := affinity.NewGraph()
-		raw.AddAccesses(a.ID, 90)
-		raw.AddAccesses(b.ID, 10)
+		raw.SetNodeAccesses(a.ID, 90)
+		raw.SetNodeAccesses(b.ID, 10)
+		raw.SetTotalAccesses(100)
 		raw.AddEdge(a.ID, b.ID, 5)
 		raw.AddEdge(a.ID, a.ID, 2) // loop edge
 		p.RawGraph = raw

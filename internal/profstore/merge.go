@@ -10,7 +10,7 @@ import (
 
 // DefaultCoverage is the paper's node-filter fraction (§4.1), applied to
 // the merged raw graph when no explicit coverage is given.
-const DefaultCoverage = 0.90
+const DefaultCoverage = profile.DefaultCoverage
 
 // Merge combines profiles from independent training runs of one program
 // into a single profile, filtering the merged graph at the paper's default
@@ -22,7 +22,8 @@ func Merge(profs ...*profile.Profile) (*profile.Profile, error) {
 // MergeWithCoverage combines profiles of one program (matched by ProgName)
 // by identifying allocation contexts across runs through their reduced
 // chains, summing node access counts and edge weights, and re-filtering the
-// merged raw graph at the given coverage. The result is deterministic and
+// merged raw graph at the given coverage (0 means DefaultCoverage). The
+// inputs are only read. The result is deterministic and
 // independent of argument order: context IDs are assigned in canonical
 // (chain-key) order, and all combination is additive.
 //
@@ -36,8 +37,11 @@ func MergeWithCoverage(coverage float64, profs ...*profile.Profile) (*profile.Pr
 	if len(profs) == 0 {
 		return nil, fmt.Errorf("profstore: merge: no profiles")
 	}
-	if coverage <= 0 || coverage > 1 {
-		return nil, fmt.Errorf("profstore: merge: coverage %v out of (0,1]", coverage)
+	if coverage < 0 || coverage > 1 {
+		return nil, fmt.Errorf("profstore: merge: coverage %v out of [0,1]", coverage)
+	}
+	if coverage == 0 {
+		coverage = DefaultCoverage
 	}
 	name := progName(profs[0])
 	for _, p := range profs {

@@ -64,8 +64,7 @@ const (
 )
 
 // Encode serialises a profile to its binary image. The profile's program is
-// recorded by name only; Decode returns a profile with Prog == nil, which
-// callers re-attach via the program image they stored alongside.
+// recorded by name only; Decode returns a profile with Prog == nil.
 func Encode(p *profile.Profile) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("profstore: encode: nil profile")
@@ -115,8 +114,8 @@ func Encode(p *profile.Profile) ([]byte, error) {
 }
 
 // Decode parses a profile image, verifying its checksum and structure. The
-// returned profile has Prog == nil and ProgName set; attach the program
-// before using APIs that render code locations (DescribeTop, GroupReport).
+// returned profile has Prog == nil and ProgName set. The pipeline takes the
+// program as its own argument; only DescribeTop reads Prog.
 func Decode(image []byte) (*profile.Profile, error) {
 	if len(image) < len(magic)+4 {
 		return nil, fmt.Errorf("profstore: image too short (%d bytes)", len(image))

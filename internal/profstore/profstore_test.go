@@ -116,8 +116,14 @@ func checkGraphsEqual(t *testing.T, label string, want, got *profile.Profile, fi
 			t.Errorf("%s graph accesses(ctx%d) = %d, want %d", label, c, gg.Accesses(c), wg.Accesses(c))
 		}
 	}
-	if !reflect.DeepEqual(wg.EdgeWeights(), gg.EdgeWeights()) {
-		t.Fatalf("%s graph edge weights differ", label)
+	wantEdges, gotEdges := wg.Edges(), gg.Edges()
+	if !reflect.DeepEqual(wantEdges, gotEdges) {
+		t.Fatalf("%s graph edges differ: %v vs %v", label, gotEdges, wantEdges)
+	}
+	for _, e := range wantEdges {
+		if w, g := wg.Weight(e.U, e.V), gg.Weight(e.U, e.V); w != g {
+			t.Errorf("%s graph weight(%d,%d) = %d, want %d", label, e.U, e.V, g, w)
+		}
 	}
 }
 
@@ -348,7 +354,35 @@ func TestMergeValidation(t *testing.T) {
 	if _, err := Merge(a, nil); err == nil {
 		t.Fatal("nil profile merge did not fail")
 	}
-	if _, err := MergeWithCoverage(0, a); err == nil {
-		t.Fatal("zero coverage did not fail")
+	for _, bad := range []float64{-0.5, 1.5} {
+		if _, err := MergeWithCoverage(bad, a); err == nil {
+			t.Fatalf("coverage %v did not fail", bad)
+		}
+	}
+}
+
+// TestMergeZeroCoverageIsDefault checks that coverage 0 asks for the
+// paper's default, as it does everywhere else a coverage is configured.
+func TestMergeZeroCoverageIsDefault(t *testing.T) {
+	a := profileWorkload(t, "art", 3, false)
+	b := profileWorkload(t, "art", 5, false)
+	zero, err := MergeWithCoverage(0, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := MergeWithCoverage(DefaultCoverage, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroImg, err := Encode(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defImg, err := Encode(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(zeroImg, defImg) {
+		t.Fatal("coverage 0 merged differently from DefaultCoverage")
 	}
 }

@@ -8,16 +8,17 @@ import (
 
 	"halo/internal/core"
 	"halo/internal/isa"
+	"halo/internal/profile"
 	"halo/internal/profstore"
 	"halo/internal/workloads"
 )
 
-// fuzzFixture is one small program and its encoded training profile,
-// recorded once per process; every input decodes the profile afresh, as a
-// job does.
+// fuzzFixture is one small program and its training profile, recorded
+// and decoded once per process; every input shares the decoded profile,
+// as the jobs naming a stored profile do.
 type fuzzFixture struct {
 	prog *isa.Program
-	blob []byte
+	prof *profile.Profile
 }
 
 var fuzzInput = sync.OnceValues(func() (fuzzFixture, error) {
@@ -28,7 +29,11 @@ var fuzzInput = sync.OnceValues(func() (fuzzFixture, error) {
 		return fuzzFixture{}, err
 	}
 	blob, err := profstore.Encode(prof)
-	return fuzzFixture{prog: p, blob: blob}, err
+	if err != nil {
+		return fuzzFixture{}, err
+	}
+	stored, err := profstore.Decode(blob)
+	return fuzzFixture{prog: p, prof: stored}, err
 })
 
 // FuzzOptimizeConfig feeds arbitrary /v1/optimize bodies through request
@@ -61,7 +66,7 @@ func FuzzOptimizeConfig(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := profstore.Decode(fx.blob)
+		prof, err := jobProfile(req.Config.Coverage, []*profile.Profile{fx.prof})
 		if err != nil {
 			t.Fatal(err)
 		}

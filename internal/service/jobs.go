@@ -199,10 +199,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, "unknown profile %q", id)
 			return
 		}
-		if pe.ProgName != prog.Prog.Name {
+		if pe.Prof.ProgName != prog.Prog.Name {
 			s.mu.Unlock()
 			httpError(w, http.StatusBadRequest, "profile %s is for program %q, not %q",
-				id, pe.ProgName, prog.Prog.Name)
+				id, pe.Prof.ProgName, prog.Prog.Name)
 			return
 		}
 	}
@@ -324,10 +324,10 @@ func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
 	job.State = "running"
 	prog := s.programs[job.req.Program]
-	blobs := make([][]byte, 0, len(job.req.Profiles))
+	profs := make([]*profile.Profile, 0, len(job.req.Profiles))
 	for _, id := range job.req.Profiles {
 		if pe := s.profiles[id]; pe != nil {
-			blobs = append(blobs, pe.Blob)
+			profs = append(profs, pe.Prof)
 		}
 	}
 	s.mu.Unlock()
@@ -335,7 +335,7 @@ func (s *Server) runJob(job *Job) {
 	s.gJobsRunning.Add(1)
 	s.log.Info("job start", "job", job.ID, "req", job.ReqID, "program", job.req.Program)
 	start := time.Now()
-	artifact, err := buildArtifact(prog, job.req, blobs)
+	artifact, err := buildArtifact(prog, job.req, profs)
 	elapsed := time.Since(start)
 	s.gJobsRunning.Add(-1)
 	if err == nil && obs.Enabled() {
@@ -371,11 +371,11 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
-// buildArtifact runs the pipeline: decode (or record) a profile, merge if
-// several, group, identify, rewrite, and package the artifacts. It runs
-// outside the server lock; everything it reads is immutable (program
-// entries, profile blobs) and everything it mutates is freshly decoded.
-func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte) (*Artifact, error) {
+// buildArtifact runs the pipeline: record a profile, or take the stored
+// ones and merge them if several; then group, identify, rewrite, and
+// package the artifacts. It runs outside the server lock; everything it
+// reads (program entries, stored profiles) is shared and only read.
+func buildArtifact(prog *programEntry, req OptimizeRequest, profs []*profile.Profile) (*Artifact, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("program disappeared")
 	}
@@ -385,40 +385,28 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte) (*Ar
 	tr := obs.NewTrace()
 	cfg.Trace = tr
 
-	var opt *core.Optimized
+	var prof *profile.Profile
 	var err error
-	if len(blobs) == 0 {
+	if len(profs) == 0 {
 		// No profiles: the server runs the training workload itself —
 		// several seeds concurrently on the shared pool when the request
 		// asks for more than one, merged deterministically before grouping.
-		if runs := req.Config.TrainingRuns; runs > 1 {
-			prof, err := core.ProfileN(prog.Prog, cfg, runs)
-			if err != nil {
-				return nil, fmt.Errorf("training runs: %w", err)
-			}
-			opt, err = core.OptimizeFromProfile(prog.Prog, prof, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("optimize: %w", err)
-			}
-		} else if opt, err = core.Optimize(prog.Prog, cfg); err != nil {
-			return nil, fmt.Errorf("optimize: %w", err)
+		if prof, err = core.ProfileN(prog.Prog, cfg, req.Config.TrainingRuns); err != nil {
+			return nil, fmt.Errorf("training runs: %w", err)
 		}
 	} else {
-		// Decode fresh copies: the pipeline mutates context group
-		// assignments, so cached blobs must never share decoded state.
-		// Decoding and merging stands in for the training run, so it takes
-		// the "profile" slot in the stage trace.
+		// Merging stands in for the training run, so it takes the
+		// "profile" slot in the stage trace.
 		endProfile := tr.Span("profile")
-		prof, err := decodeAndMerge(req.Config, blobs)
+		prof, err = jobProfile(req.Config.Coverage, profs)
 		endProfile()
 		if err != nil {
 			return nil, err
 		}
-		prof.Prog = prog.Prog
-		opt, err = core.OptimizeFromProfile(prog.Prog, prof, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("optimize: %w", err)
-		}
+	}
+	opt, err := core.OptimizeFromProfile(prog.Prog, prof, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("optimize: %w", err)
 	}
 
 	binary, err := opt.Rewrite.Prog.Encode()
@@ -444,42 +432,26 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte) (*Ar
 	}, nil
 }
 
-func decodeAndMerge(cfg OptimizeConfig, blobs [][]byte) (*profile.Profile, error) {
-	profs, err := decodeProfiles(blobs)
-	if err != nil {
-		return nil, err
-	}
+// jobProfile is the profile a job groups over stored profiles: one
+// re-filtered at the request's coverage (0 means the default), or several
+// merged. The stored profiles are shared with other jobs and only read.
+func jobProfile(coverage float64, profs []*profile.Profile) (*profile.Profile, error) {
 	if len(profs) == 1 {
 		// Nothing to merge, but the request's coverage must still apply:
-		// the uploaded image carries the uploader's filtered graph.
-		p := profs[0]
-		if cfg.Coverage != 0 {
-			p.Graph = p.RawGraph.Filter(cfg.Coverage)
+		// the uploaded image carries the uploader's filtered graph. The
+		// filtered graph goes on a shallow copy.
+		if coverage == 0 {
+			coverage = profile.DefaultCoverage
 		}
-		return p, nil
-	}
-	coverage := cfg.Coverage
-	if coverage == 0 {
-		coverage = profstore.DefaultCoverage
+		p := *profs[0]
+		p.Graph = p.RawGraph.Filter(coverage)
+		return &p, nil
 	}
 	merged, err := profstore.MergeWithCoverage(coverage, profs...)
 	if err != nil {
 		return nil, fmt.Errorf("merging profiles: %w", err)
 	}
 	return merged, nil
-}
-
-// decodeProfiles decodes fresh profile copies from stored blobs.
-func decodeProfiles(blobs [][]byte) ([]*profile.Profile, error) {
-	profs := make([]*profile.Profile, 0, len(blobs))
-	for _, blob := range blobs {
-		p, err := profstore.Decode(blob)
-		if err != nil {
-			return nil, fmt.Errorf("decoding profile: %w", err)
-		}
-		profs = append(profs, p)
-	}
-	return profs, nil
 }
 
 // --- job endpoints ------------------------------------------------------

@@ -115,11 +115,11 @@ type programEntry struct {
 }
 
 type profileEntry struct {
-	ID       string
-	Blob     []byte
-	ProgName string
-	Contexts int
-	Accesses uint64
+	ID   string
+	Blob []byte
+	// Prof is Blob decoded once, at upload, without the serial logs and
+	// reference trace no job reads. Jobs share it read-only.
+	Prof *profile.Profile
 }
 
 // Server implements http.Handler.
@@ -331,20 +331,21 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid profile image: %v", err)
 		return
 	}
+	// Serial logs and the reference trace are most of a decoded profile,
+	// and no job reads them: merging drops both and synthesis reads
+	// neither. The blob keeps them for download.
+	for _, c := range prof.Contexts {
+		c.RestoreSerials(nil)
+	}
+	prof.Trace = nil
 	writeProfileEntry(w, s.storeProfile(blob, prof))
 }
 
-// storeProfile stores an already-validated profile blob, deduplicating by
-// hash; prof is the blob's decoded form, consulted only for metadata.
+// storeProfile stores an already-validated profile blob and its decoded
+// form, deduplicating by hash. prof is shared read-only from then on.
 func (s *Server) storeProfile(blob []byte, prof *profile.Profile) *profileEntry {
 	id := hashID(blob)
-	entry := &profileEntry{
-		ID:       id,
-		Blob:     blob,
-		ProgName: prof.ProgName,
-		Contexts: len(prof.Contexts),
-		Accesses: prof.TotalAccesses,
-	}
+	entry := &profileEntry{ID: id, Blob: blob, Prof: prof}
 	s.mu.Lock()
 	if prev, dup := s.profiles[id]; dup {
 		entry = prev
@@ -358,10 +359,10 @@ func (s *Server) storeProfile(blob []byte, prof *profile.Profile) *profileEntry 
 func writeProfileEntry(w http.ResponseWriter, e *profileEntry) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":       e.ID,
-		"prog":     e.ProgName,
+		"prog":     e.Prof.ProgName,
 		"bytes":    len(e.Blob),
-		"contexts": e.Contexts,
-		"accesses": e.Accesses,
+		"contexts": len(e.Prof.Contexts),
+		"accesses": e.Prof.TotalAccesses,
 	})
 }
 
@@ -369,7 +370,7 @@ func (s *Server) handleProfileList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	out := make([]map[string]any, 0, len(s.profiles))
 	for _, e := range sortedValues(s.profiles, func(e *profileEntry) string { return e.ID }) {
-		out = append(out, map[string]any{"id": e.ID, "prog": e.ProgName, "bytes": len(e.Blob)})
+		out = append(out, map[string]any{"id": e.ID, "prog": e.Prof.ProgName, "bytes": len(e.Blob)})
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
@@ -400,10 +401,7 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "merge request names no profiles")
 		return
 	}
-	if req.Coverage == 0 {
-		req.Coverage = profstore.DefaultCoverage
-	}
-	blobs := make([][]byte, 0, len(req.Profiles))
+	profs := make([]*profile.Profile, 0, len(req.Profiles))
 	s.mu.Lock()
 	for _, id := range req.Profiles {
 		e := s.profiles[id]
@@ -412,35 +410,22 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, "unknown profile %q", id)
 			return
 		}
-		blobs = append(blobs, e.Blob)
+		profs = append(profs, e.Prof)
 	}
 	s.mu.Unlock()
-	blob, merged, err := mergeBlobs(req.Coverage, blobs)
+	// Unlike the optimize path, a single input is still merged, which
+	// canonicalises its context numbering.
+	merged, err := profstore.MergeWithCoverage(req.Coverage, profs...)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "merge: %v", err)
+		return
+	}
+	blob, err := profstore.Encode(merged)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "merge: %v", err)
 		return
 	}
 	writeProfileEntry(w, s.storeProfile(blob, merged))
-}
-
-// mergeBlobs decodes fresh copies of the given profile images and merges
-// them into a new image, returned alongside its decoded form. Unlike the
-// optimize path, a single input is still merged, which canonicalises its
-// context numbering.
-func mergeBlobs(coverage float64, blobs [][]byte) ([]byte, *profile.Profile, error) {
-	profs, err := decodeProfiles(blobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	merged, err := profstore.MergeWithCoverage(coverage, profs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	img, err := profstore.Encode(merged)
-	if err != nil {
-		return nil, nil, err
-	}
-	return img, merged, nil
 }
 
 // --- helpers ------------------------------------------------------------

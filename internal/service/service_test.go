@@ -14,6 +14,8 @@ import (
 
 	"halo/internal/core"
 	"halo/internal/isa"
+	"halo/internal/policy"
+	"halo/internal/profile"
 	"halo/internal/profstore"
 	"halo/internal/workloads"
 )
@@ -102,7 +104,15 @@ func (c *testClient) uploadProgram(name string) (string, *isa.Program) {
 // training machine would) and uploads the encoded profile.
 func (c *testClient) uploadProfile(p *isa.Program, seed uint64) string {
 	c.t.Helper()
-	prof, err := core.Profile(p, core.Config{ProfileSeed: seed})
+	id, _ := c.uploadProfileWith(p, core.Config{ProfileSeed: seed})
+	return id
+}
+
+// uploadProfileWith profiles the program in-process under cfg and uploads
+// the encoded profile, returning its id and image.
+func (c *testClient) uploadProfileWith(p *isa.Program, cfg core.Config) (string, []byte) {
+	c.t.Helper()
+	prof, err := core.Profile(p, cfg)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -116,7 +126,7 @@ func (c *testClient) uploadProfile(p *isa.Program, seed uint64) string {
 	if code, body := c.post("/v1/profiles", blob, &resp); code != http.StatusOK {
 		c.t.Fatalf("profile upload: %d %s", code, body)
 	}
-	return resp.ID
+	return resp.ID, blob
 }
 
 // optimizeWait submits an optimize request and waits for the job to settle.
@@ -405,7 +415,11 @@ func TestSingleProfileCoverageApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := decodeAndMerge(OptimizeConfig{}, [][]byte{blob})
+	stored, err := profstore.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := jobProfile(0, []*profile.Profile{stored})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,13 +427,131 @@ func TestSingleProfileCoverageApplies(t *testing.T) {
 		t.Fatalf("default coverage changed the graph: %d vs %d nodes",
 			def.Graph.NumNodes(), prof.Graph.NumNodes())
 	}
-	full, err := decodeAndMerge(OptimizeConfig{Coverage: 1.0}, [][]byte{blob})
+	full, err := jobProfile(1.0, []*profile.Profile{stored})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Graph.NumNodes() <= def.Graph.NumNodes() {
 		t.Fatalf("coverage 1.0 kept %d nodes, default kept %d; expected more",
 			full.Graph.NumNodes(), def.Graph.NumNodes())
+	}
+	if stored.Graph.NumNodes() != prof.Graph.NumNodes() {
+		t.Fatal("re-filtering wrote to the stored profile")
+	}
+}
+
+// TestZeroCoverageIsDefaultForOneProfile checks that a job naming one
+// profile reads coverage 0 as the paper's default, as a job naming several
+// does, whatever coverage the uploader recorded at.
+func TestZeroCoverageIsDefaultForOneProfile(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	progID, prog := c.uploadProgram("art")
+	cfg := core.Config{ProfileSeed: 3}
+	cfg.Profile.Coverage = 0.5
+	profID, _ := c.uploadProfileWith(prog, cfg)
+
+	nodesLine := func(coverage float64) string {
+		st := c.optimizeWait(OptimizeRequest{
+			Program:  progID,
+			Profiles: []string{profID},
+			Config:   OptimizeConfig{Coverage: coverage},
+		})
+		_, report := c.get("/v1/jobs/"+st.ID+"/report", nil)
+		line, _, _ := strings.Cut(string(report), "\n")
+		return line
+	}
+	if zero, def := nodesLine(0), nodesLine(profile.DefaultCoverage); zero != def {
+		t.Fatalf("coverage 0 reports %q, coverage %v reports %q", zero, profile.DefaultCoverage, def)
+	}
+}
+
+// TestConcurrentJobsShareStoredProfile runs jobs with different
+// configurations over one stored profile at once. Each served policy must
+// equal the one built in-process from a freshly decoded copy, so no job
+// sees another's writes to the profile they share.
+func TestConcurrentJobsShareStoredProfile(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 4})
+	progID, prog := c.uploadProgram("povray")
+	idA, blobA := c.uploadProfileWith(prog, core.Config{ProfileSeed: 3})
+	idB, blobB := c.uploadProfileWith(prog, core.Config{ProfileSeed: 5})
+
+	decode := func(blob []byte) *profile.Profile {
+		p, err := profstore.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	type variant struct {
+		name     string
+		profiles []string
+		cfg      OptimizeConfig
+	}
+	variants := []variant{
+		{"default", []string{idA}, OptimizeConfig{}},
+		{"max_groups=1", []string{idA}, OptimizeConfig{MaxGroups: 1}},
+		{"coverage=1", []string{idA}, OptimizeConfig{Coverage: 1.0}},
+		{"merge", []string{idA, idB}, OptimizeConfig{}},
+	}
+	want := make([][]byte, len(variants))
+	for i, v := range variants {
+		var prof *profile.Profile
+		if len(v.profiles) == 1 {
+			prof = decode(blobA)
+			coverage := v.cfg.Coverage
+			if coverage == 0 {
+				coverage = profile.DefaultCoverage
+			}
+			prof.Graph = prof.RawGraph.Filter(coverage)
+		} else {
+			var err error
+			if prof, err = profstore.MergeWithCoverage(v.cfg.Coverage, decode(blobA), decode(blobB)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opt, err := core.OptimizeFromProfile(prog, prof, v.cfg.coreConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.MarshalIndent(policy.New(opt, policy.Halloc{}), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// ProfileSeed does not affect a job that names profiles, but it is
+	// part of the cache key, so each seed makes every variant a job of
+	// its own.
+	const seeds = 3
+	var wg sync.WaitGroup
+	errs := make(chan error, seeds*len(variants))
+	for seed := uint64(1); seed <= seeds; seed++ {
+		for i, v := range variants {
+			wg.Add(1)
+			go func(seed uint64, i int, v variant) {
+				defer wg.Done()
+				cfg := v.cfg
+				cfg.ProfileSeed = seed
+				var st JobStatus
+				code, body := c.postJSON("/v1/optimize",
+					OptimizeRequest{Program: progID, Profiles: v.profiles, Config: cfg}, &st)
+				if code != http.StatusAccepted {
+					errs <- fmt.Errorf("%s seed %d: optimize: %d %s", v.name, seed, code, body)
+					return
+				}
+				if code, _ := c.get("/v1/jobs/"+st.ID+"?wait=1", &st); code != http.StatusOK || st.State != "done" {
+					errs <- fmt.Errorf("%s seed %d: job %s: %d %s (%s)", v.name, seed, st.ID, code, st.State, st.Error)
+					return
+				}
+				if _, got := c.get("/v1/jobs/"+st.ID+"/policy", nil); !bytes.Equal(got, want[i]) {
+					errs <- fmt.Errorf("%s seed %d: served policy differs from the in-process one", v.name, seed)
+				}
+			}(seed, i, v)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
