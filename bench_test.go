@@ -51,13 +51,10 @@ func pipelineFor(b *testing.B, name string) (*isa.Program, *core.Optimized, meas
 	if err != nil {
 		b.Fatal(err)
 	}
-	hc := halloc.Config{ChunkSize: w.ChunkSize, NoSpare: w.NoSpare, AlwaysReuseChunks: w.AlwaysReuse}
-	haloPol := measure.Policy{
-		Kind:      measure.HALO,
-		Rewritten: opt.Rewrite.Prog,
-		Selectors: opt.BitSelectors,
-		NumBits:   opt.Rewrite.NumBits,
-		Halloc:    hc,
+	hc := w.HallocConfig()
+	haloPol, err := opt.HALOPolicy(p, hc)
+	if err != nil {
+		b.Fatal(err)
 	}
 	hdsPol := measure.Policy{Kind: measure.HDS, SiteGroups: hr.SiteGroups, Halloc: hc}
 	return p, opt, haloPol, hdsPol
@@ -101,9 +98,9 @@ func BenchmarkFig12AffinitySweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pol := measure.Policy{
-			Kind: measure.HALO, Rewritten: opt.Rewrite.Prog,
-			Selectors: opt.BitSelectors, NumBits: opt.Rewrite.NumBits,
+		pol, err := opt.HALOPolicy(p, halloc.Config{})
+		if err != nil {
+			b.Fatal(err)
 		}
 		if _, err := measure.Run(p, pol, 1001, machine); err != nil {
 			b.Fatal(err)
@@ -457,7 +454,7 @@ func BenchmarkProfileStore(b *testing.B) {
 	})
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := profstore.Merge(profA, profB); err != nil {
+			if _, err := profstore.MergeWithCoverage(0, profA, profB); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -15,8 +15,8 @@
 // Flags come before the positional binary argument.
 //
 // Binaries are the encoded mini-ISA images of internal/isa; profiles are
-// the versioned images of internal/profstore; policies are JSON documents
-// carrying selectors and group-allocator settings.
+// the versioned images of internal/profstore; policies are the JSON
+// documents of internal/policy, the same ones halod serves.
 package main
 
 import (
@@ -29,7 +29,6 @@ import (
 
 	"halo/internal/cache"
 	"halo/internal/core"
-	"halo/internal/halloc"
 	"halo/internal/isa"
 	"halo/internal/measure"
 	"halo/internal/obs"
@@ -95,10 +94,6 @@ commands:
   list           list available workloads
   version        print build information`)
 }
-
-// Policy is the JSON document `halo opt` emits and `halo run` consumes —
-// the same document cmd/halod serves for finished jobs (internal/policy).
-type Policy = policy.Doc
 
 func loadProgram(path string) (*isa.Program, error) {
 	img, err := os.ReadFile(path)
@@ -288,6 +283,11 @@ func cmdOpt(args []string) error {
 		if prof.ProgName != p.Name {
 			return fmt.Errorf("profile %s is for program %q, not %q", *profPath, prof.ProgName, p.Name)
 		}
+		// The graph is filtered by the same rule halod applies to a job
+		// naming this profile, so both write the same binary and policy.
+		if prof, err = profstore.MergeWithCoverage(0, prof); err != nil {
+			return err
+		}
 		opt, err = core.OptimizeFromProfile(p, prof, cfg)
 		if err != nil {
 			return err
@@ -358,11 +358,14 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		var doc Policy
+		var doc policy.Doc
 		if err := json.Unmarshal(data, &doc); err != nil {
 			return err
 		}
-		pol = haloPolicy(p, doc) // the input should already be the rewritten binary
+		// The input should already be the rewritten binary.
+		if pol, err = doc.HALOPolicy(p); err != nil {
+			return fmt.Errorf("%s: %w", *polPath, err)
+		}
 	default:
 		return fmt.Errorf("unknown allocator %q", *allocName)
 	}
@@ -380,26 +383,6 @@ func cmdRun(args []string) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-// haloPolicy turns a policy document into the measurement policy that
-// runs the rewritten binary p under the group allocator.
-func haloPolicy(p *isa.Program, doc Policy) measure.Policy {
-	pol := measure.Policy{
-		Kind:      measure.HALO,
-		Rewritten: p,
-		NumBits:   doc.NumBits,
-		Halloc: halloc.Config{
-			ChunkSize:         doc.Halloc.ChunkSize,
-			MaxSpareChunks:    doc.Halloc.MaxSpareChunks,
-			NoSpare:           doc.Halloc.NoSpare,
-			AlwaysReuseChunks: doc.Halloc.AlwaysReuse,
-		},
-	}
-	for _, s := range doc.Selectors {
-		pol.Selectors = append(pol.Selectors, halloc.BitSelector{Group: s.Group, Conj: s.Conj})
-	}
-	return pol
 }
 
 func cmdPipeline(args []string) error {

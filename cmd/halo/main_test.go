@@ -1,15 +1,36 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"halo/internal/policy"
 	"halo/internal/profstore"
+	"halo/internal/service"
 	"halo/internal/workloads"
 )
+
+// writeWorkload builds a workload's test-scale binary into dir.
+func writeWorkload(t *testing.T, dir, name string) string {
+	t.Helper()
+	w := workloads.MustGet(name)
+	img, err := w.Build(w.TestScale).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name+".hbin")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // TestProfileMergeSmoke drives the profile save/load/merge surface the way
 // a user would: build a binary, profile it at two seeds saving both
@@ -127,7 +148,7 @@ func TestOptRunMaxSpareChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc Policy
+		var doc policy.Doc
 		if err := json.Unmarshal(data, &doc); err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +156,11 @@ func TestOptRunMaxSpareChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hc := haloPolicy(rewritten, doc).Halloc
+		pol, err := doc.HALOPolicy(rewritten)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc := pol.Halloc
 		if hc.MaxSpareChunks != tc.wantSpare || hc.NoSpare != tc.wantNone {
 			t.Fatalf("opt %v: run hands halloc MaxSpareChunks=%d NoSpare=%v, want %d/%v\npolicy: %s",
 				tc.flag, hc.MaxSpareChunks, hc.NoSpare, tc.wantSpare, tc.wantNone, data)
@@ -168,5 +193,119 @@ func TestPipelineAppliesMaxGroups(t *testing.T) {
 	}
 	if !strings.Contains(string(got), ", 4 groups\n") {
 		t.Fatalf("roms pipeline does not report 4 groups:\n%s", got)
+	}
+}
+
+// TestRunRejectsForeignPolicy: a policy document names the program it was
+// written for, and `halo run -alloc halo` must refuse to apply it to
+// another binary, whose instrumented sites it does not describe.
+func TestRunRejectsForeignPolicy(t *testing.T) {
+	dir := t.TempDir()
+	art := writeWorkload(t, dir, "art")
+	pov := writeWorkload(t, dir, "povray")
+	artPol := filepath.Join(dir, "art.policy.json")
+	povBin := filepath.Join(dir, "povray.halo.hbin")
+	if err := cmdOpt([]string{"-o", filepath.Join(dir, "art.halo.hbin"), "-policy", artPol, art}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdOpt([]string{"-o", povBin, "-policy", filepath.Join(dir, "povray.policy.json"), pov}); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdRun([]string{"-alloc", "halo", "-policy", artPol, povBin})
+	if err == nil || !strings.Contains(err.Error(), `for program "art", not "povray"`) {
+		t.Fatalf("run of povray under art's policy: err = %v, want a program mismatch", err)
+	}
+}
+
+// TestOptProfileMatchesHalod: `halo opt -profile` and a halod job naming
+// the same program and profile filter the graph by one rule, so they write
+// the same rewritten binary and policy, even for a profile merged at a
+// coverage other than the default.
+func TestOptProfileMatchesHalod(t *testing.T) {
+	dir := t.TempDir()
+	bin := writeWorkload(t, dir, "art")
+	profA := filepath.Join(dir, "a.hprof")
+	profB := filepath.Join(dir, "b.hprof")
+	merged := filepath.Join(dir, "m50.hprof")
+	for _, args := range [][]string{
+		{"-seed", "3", "-o", profA, bin},
+		{"-seed", "5", "-o", profB, bin},
+	} {
+		if err := cmdProfile(args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cmdProfileMerge([]string{"-coverage", "0.5", "-o", merged, profA, profB}); err != nil {
+		t.Fatal(err)
+	}
+	outBin := filepath.Join(dir, "art.halo.hbin")
+	outPol := filepath.Join(dir, "art.policy.json")
+	if err := cmdOpt([]string{"-profile", merged, "-o", outBin, "-policy", outPol, bin}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := service.New(service.Config{Workers: 1})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	post := func(path, file string, body []byte) string {
+		t.Helper()
+		if file != "" {
+			var err error
+			if body, err = os.ReadFile(file); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			ID string `json:"id"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode >= 300 {
+			t.Fatalf("POST %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return out.ID
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v: %s", path, resp.StatusCode, err, data)
+		}
+		return data
+	}
+	req, err := json.Marshal(service.OptimizeRequest{
+		Program:  post("/v1/programs", bin, nil),
+		Profiles: []string{post("/v1/profiles", merged, nil)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := post("/v1/optimize", "", req)
+	var st service.JobStatus
+	if err := json.Unmarshal(get("/v1/jobs/"+job+"?wait=1"), &st); err != nil || st.State != "done" {
+		t.Fatalf("job %s: %s %s (%v)", job, st.State, st.Error, err)
+	}
+	for _, c := range []struct{ file, path string }{
+		{outBin, "/v1/jobs/" + job + "/binary"},
+		{outPol, "/v1/jobs/" + job + "/policy"},
+	} {
+		local, err := os.ReadFile(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served := get(c.path); !bytes.Equal(local, served) {
+			t.Errorf("%s differs from halod's %s (%d vs %d bytes)", filepath.Base(c.file), c.path, len(local), len(served))
+		}
 	}
 }

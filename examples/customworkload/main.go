@@ -18,6 +18,7 @@ import (
 
 	"halo/internal/cache"
 	"halo/internal/core"
+	"halo/internal/halloc"
 	"halo/internal/isa"
 	"halo/internal/measure"
 	"halo/internal/prog"
@@ -169,12 +170,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hal, err := measure.Run(p, measure.Policy{
-		Kind:      measure.HALO,
-		Rewritten: opt.Rewrite.Prog,
-		Selectors: opt.BitSelectors,
-		NumBits:   opt.Rewrite.NumBits,
-	}, 9, machine)
+	pol, err := opt.HALOPolicy(p, halloc.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	hal, err := measure.Run(p, pol, 9, machine)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,10 +49,3 @@ func main() {
 	fmt.Println("streams for roms (§5.2); the ratio above reproduces that blow-up")
 	fmt.Println("at this simulation's scale.")
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

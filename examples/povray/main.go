@@ -133,16 +133,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var sels []halloc.BitSelector
-	for _, s := range opt.BitSelectors {
-		sels = append(sels, s)
+	pol, err := opt.HALOPolicy(p, halloc.Config{})
+	if err != nil {
+		log.Fatal(err)
 	}
-	hal, err := measure.Run(p, measure.Policy{
-		Kind:      measure.HALO,
-		Rewritten: opt.Rewrite.Prog,
-		Selectors: sels,
-		NumBits:   opt.Rewrite.NumBits,
-	}, 42, machine)
+	hal, err := measure.Run(p, pol, 42, machine)
 	if err != nil {
 		log.Fatal(err)
 	}

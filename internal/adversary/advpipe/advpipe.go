@@ -13,6 +13,7 @@ import (
 	"halo/internal/adversary"
 	"halo/internal/cache"
 	"halo/internal/core"
+	"halo/internal/halloc"
 	"halo/internal/measure"
 )
 
@@ -40,11 +41,9 @@ func EvalPipeline(s *adversary.Sequence, scale int) (Eval, error) {
 		return Eval{}, fmt.Errorf("advpipe: pipeline on %s: %w", s.Name, err)
 	}
 	machine := cache.XeonW2195()
-	pol := measure.Policy{
-		Kind:      measure.HALO,
-		Rewritten: opt.Rewrite.Prog,
-		Selectors: opt.BitSelectors,
-		NumBits:   opt.Rewrite.NumBits,
+	pol, err := opt.HALOPolicy(p, halloc.Config{})
+	if err != nil {
+		return Eval{}, fmt.Errorf("advpipe: rewrite of %s: %w", s.Name, err)
 	}
 	const measureSeed = 1000
 	base, err := measure.Run(p, measure.Policy{Kind: measure.Jemalloc}, measureSeed, machine)

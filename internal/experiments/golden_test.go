@@ -25,7 +25,18 @@ type goldenWorkload struct {
 	// and the default training seed.
 	profileSHA string
 
-	// measure.Run under the jemalloc-like baseline, seed 1000, XeonW2195.
+	// measure.Run of the test-scale build, seed 1000, XeonW2195, one row
+	// per policy. The jemalloc-like baseline row dates from the seed
+	// engine; the grouped rows run the experiment engine's quick-mode
+	// policies (profiled and measured on the test input).
+	runs []goldenRun
+
+	// measure.MeasureTrials(trials=4, baseSeed=1000) quartile medians.
+	trialCyclesMedian float64
+}
+
+type goldenRun struct {
+	policy        string // jemalloc, halo, hds or random
 	result        int64
 	steps         uint64
 	loads, stores uint64
@@ -33,33 +44,32 @@ type goldenWorkload struct {
 	l1dAccesses   uint64
 	cycles        uint64
 
-	// measure.MeasureTrials(trials=4, baseSeed=1000) quartile medians.
-	trialCyclesMedian float64
+	// Group-allocator statistics (zero under jemalloc).
+	grouped, forwarded uint64
+	fragBytes          uint64
 }
 
 var goldens = []goldenWorkload{
 	{
-		name:              "povray",
-		profileSHA:        "1aa6e750d713c99e51c46a33502b639c26ba093d1405669987aeee510ec462a6",
-		result:            56986,
-		steps:             291272,
-		loads:             83333,
-		stores:            25031,
-		l1dMisses:         22809,
-		l1dAccesses:       108364,
-		cycles:            475284,
+		name:       "povray",
+		profileSHA: "1aa6e750d713c99e51c46a33502b639c26ba093d1405669987aeee510ec462a6",
+		runs: []goldenRun{
+			{policy: "jemalloc", result: 56986, steps: 291272, loads: 83333, stores: 25031, l1dMisses: 22809, l1dAccesses: 108364, cycles: 475284},
+			{policy: "halo", result: 56986, steps: 292522, loads: 83333, stores: 25031, l1dMisses: 18793, l1dAccesses: 108364, cycles: 422130, grouped: 625, forwarded: 872, fragBytes: 3106392},
+			{policy: "hds", result: 56986, steps: 291272, loads: 83333, stores: 25031, l1dMisses: 28284, l1dAccesses: 108364, cycles: 576950, grouped: 1497, forwarded: 0, fragBytes: 1002360},
+			{policy: "random", result: 56986, steps: 291272, loads: 83333, stores: 25031, l1dMisses: 25527, l1dAccesses: 108364, cycles: 546015, grouped: 1497, forwarded: 0, fragBytes: 4148088},
+		},
 		trialCyclesMedian: 464698,
 	},
 	{
-		name:              "omnetpp",
-		profileSHA:        "9ff41b3104a8cedf2aca84bb0cc2f34618dc38ef8e564515a470bc554ba4e2c0",
-		result:            4511129,
-		steps:             4431092,
-		loads:             1513817,
-		stores:            545375,
-		l1dMisses:         586887,
-		l1dAccesses:       2059192,
-		cycles:            9287376,
+		name:       "omnetpp",
+		profileSHA: "9ff41b3104a8cedf2aca84bb0cc2f34618dc38ef8e564515a470bc554ba4e2c0",
+		runs: []goldenRun{
+			{policy: "jemalloc", result: 4511129, steps: 4431092, loads: 1513817, stores: 545375, l1dMisses: 586887, l1dAccesses: 2059192, cycles: 9287376},
+			{policy: "halo", result: 4511129, steps: 4434292, loads: 1513817, stores: 545375, l1dMisses: 265625, l1dAccesses: 2059192, cycles: 5444488, grouped: 1600, forwarded: 4401, fragBytes: 447488},
+			{policy: "hds", result: 4511129, steps: 4431092, loads: 1513817, stores: 545375, l1dMisses: 418931, l1dAccesses: 2059192, cycles: 7473512, grouped: 6000, forwarded: 1, fragBytes: 213584},
+			{policy: "random", result: 4511129, steps: 4431092, loads: 1513817, stores: 545375, l1dMisses: 424091, l1dAccesses: 2059192, cycles: 7565965, grouped: 6000, forwarded: 1, fragBytes: 344656},
+		},
 		trialCyclesMedian: 9272469.5,
 	},
 }
@@ -90,27 +100,38 @@ func TestGoldenProfileImages(t *testing.T) {
 	}
 }
 
-// TestGoldenRunResults asserts measurement runs match the seed engine's
-// RunResults exactly.
+// TestGoldenRunResults asserts measurement runs match the recorded
+// RunResults exactly: the baseline pins the VM and cache model, the grouped
+// rows also pin the policies the experiment engine builds.
 func TestGoldenRunResults(t *testing.T) {
 	for _, g := range goldens {
 		t.Run(g.name, func(t *testing.T) {
 			w := workloads.MustGet(g.name)
-			p := w.Build(w.TestScale)
-			r, err := measure.Run(p, measure.Policy{Kind: measure.Jemalloc}, 1000, cache.XeonW2195())
+			a, err := NewEngine(Options{Quick: true, Workloads: []string{g.name}}).artefactsFor(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Result != g.result || r.Steps != g.steps || r.Loads != g.loads || r.Stores != g.stores {
-				t.Errorf("run = result %d steps %d loads %d stores %d, want %d/%d/%d/%d",
-					r.Result, r.Steps, r.Loads, r.Stores, g.result, g.steps, g.loads, g.stores)
+			pols := map[string]measure.Policy{
+				"jemalloc": a.polBase,
+				"halo":     a.polHALO,
+				"hds":      a.polHDS,
+				"random":   a.polRand,
 			}
-			if r.Cache.L1D.Misses != g.l1dMisses || r.Cache.L1D.Accesses != g.l1dAccesses {
-				t.Errorf("L1D = %d misses / %d accesses, want %d/%d",
-					r.Cache.L1D.Misses, r.Cache.L1D.Accesses, g.l1dMisses, g.l1dAccesses)
-			}
-			if r.Cycles != g.cycles {
-				t.Errorf("cycles = %d, want %d", r.Cycles, g.cycles)
+			for _, want := range g.runs {
+				t.Run(want.policy, func(t *testing.T) {
+					r, err := measure.Run(a.refProg, pols[want.policy], 1000, cache.XeonW2195())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := goldenRun{
+						policy: want.policy, result: r.Result, steps: r.Steps, loads: r.Loads, stores: r.Stores,
+						l1dMisses: r.Cache.L1D.Misses, l1dAccesses: r.Cache.L1D.Accesses, cycles: r.Cycles,
+						grouped: r.GroupedAllocs, forwarded: r.ForwardedAlloc, fragBytes: r.FragBytes,
+					}
+					if got != want {
+						t.Errorf("run = %+v\nwant  %+v", got, want)
+					}
+				})
 			}
 		})
 	}

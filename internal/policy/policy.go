@@ -2,10 +2,18 @@
 // the pipeline's frontends: `halo opt` writes it, `halo run -alloc halo`
 // consumes it, and the halod daemon serves it for finished optimize jobs.
 // It lives in its own package so the CLI and the service share one
-// definition and one constructor without depending on each other.
+// definition, one constructor (New) and one reader (Doc.HALOPolicy)
+// without depending on each other.
 package policy
 
-import "halo/internal/core"
+import (
+	"fmt"
+
+	"halo/internal/core"
+	"halo/internal/halloc"
+	"halo/internal/isa"
+	"halo/internal/measure"
+)
 
 // Doc is the policy document.
 type Doc struct {
@@ -33,6 +41,31 @@ func New(opt *core.Optimized, h Halloc) Doc {
 		d.Selectors = append(d.Selectors, Sel{Group: s.Group, Conj: s.Conj})
 	}
 	return d
+}
+
+// HALOPolicy turns the document into the measurement policy that runs p,
+// the rewritten binary it was written for, under the group allocator.
+// Rewriting keeps a program's name, so a document whose program is not p's
+// belongs to another binary: its selectors would read the wrong sites.
+func (d Doc) HALOPolicy(p *isa.Program) (measure.Policy, error) {
+	if d.Program != p.Name {
+		return measure.Policy{}, fmt.Errorf("policy is for program %q, not %q", d.Program, p.Name)
+	}
+	pol := measure.Policy{
+		Kind:      measure.HALO,
+		Rewritten: p,
+		NumBits:   d.NumBits,
+		Halloc: halloc.Config{
+			ChunkSize:         d.Halloc.ChunkSize,
+			MaxSpareChunks:    d.Halloc.MaxSpareChunks,
+			NoSpare:           d.Halloc.NoSpare,
+			AlwaysReuseChunks: d.Halloc.AlwaysReuse,
+		},
+	}
+	for _, s := range d.Selectors {
+		pol.Selectors = append(pol.Selectors, halloc.BitSelector{Group: s.Group, Conj: s.Conj})
+	}
+	return pol, nil
 }
 
 // Sel is one lowered selector.

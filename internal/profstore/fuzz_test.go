@@ -61,7 +61,7 @@ func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 		}
 	})
 
-	merged, err := Merge(rich, rich)
+	merged, err := MergeWithCoverage(0, rich, rich)
 	if err != nil {
 		tb.Fatalf("building merged seed: %v", err)
 	}

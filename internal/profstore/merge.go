@@ -12,27 +12,23 @@ import (
 // the merged raw graph when no explicit coverage is given.
 const DefaultCoverage = profile.DefaultCoverage
 
-// Merge combines profiles from independent training runs of one program
-// into a single profile, filtering the merged graph at the paper's default
-// 90% coverage. See MergeWithCoverage for the semantics.
-func Merge(profs ...*profile.Profile) (*profile.Profile, error) {
-	return MergeWithCoverage(DefaultCoverage, profs...)
-}
-
-// MergeWithCoverage combines profiles of one program (matched by ProgName)
-// by identifying allocation contexts across runs through their reduced
-// chains, summing node access counts and edge weights, and re-filtering the
-// merged raw graph at the given coverage (0 means DefaultCoverage). The
-// inputs are only read. The result is deterministic and
-// independent of argument order: context IDs are assigned in canonical
-// (chain-key) order, and all combination is additive.
+// MergeWithCoverage is the one rule that turns stored profiles into the
+// profile grouping reads: it filters the raw affinity graph at the given
+// coverage (0 means DefaultCoverage), merging first if there are several
+// profiles. The inputs are only read.
 //
-// Two per-run artefacts do not survive merging, by design: allocation
-// serial logs (serial spaces of distinct runs are incomparable; serials
-// only feed the co-allocatability check during live profiling) and data
-// reference traces (the hot-data-streams analysis is defined over a single
-// run's reference order). Merged profiles drive grouping, identification
-// and rewriting — the OptimizeFromProfile path.
+// One profile is not merged: the result is a shallow copy with only the
+// filtered graph replaced, so it keeps its context numbering, serial logs
+// and trace, and a profile recorded at the default coverage re-encodes
+// byte-identically.
+//
+// Several profiles of one program (matched by ProgName) are merged by
+// identifying contexts across runs through their reduced chains and
+// summing node access counts and edge weights. Context IDs are assigned in
+// canonical (chain-key) order and all combination is additive, so the
+// result does not depend on argument order. Serial logs (serial spaces of
+// distinct runs are incomparable) and reference traces (hot-data-streams
+// is defined over one run's reference order) do not survive merging.
 func MergeWithCoverage(coverage float64, profs ...*profile.Profile) (*profile.Profile, error) {
 	if len(profs) == 0 {
 		return nil, fmt.Errorf("profstore: merge: no profiles")
@@ -54,6 +50,11 @@ func MergeWithCoverage(coverage float64, profs ...*profile.Profile) (*profile.Pr
 		if n := progName(p); n != name {
 			return nil, fmt.Errorf("profstore: merge: program mismatch: %q vs %q", name, n)
 		}
+	}
+	if len(profs) == 1 {
+		p := *profs[0]
+		p.Graph = p.RawGraph.Filter(coverage)
+		return &p, nil
 	}
 
 	// Canonical context numbering: every distinct chain across all inputs,

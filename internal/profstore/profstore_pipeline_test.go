@@ -35,7 +35,7 @@ func TestMergedProfileOptimizes(t *testing.T) {
 
 	var reports []string
 	for i := 0; i < 2; i++ {
-		m, err := profstore.Merge(a, b)
+		m, err := profstore.MergeWithCoverage(0, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestProfileNWorkerInvariance(t *testing.T) {
 	p := w.Build(w.TestScale)
 	cfg := core.Config{ProfileSeed: 3}
 
-	manual, err := profstore.Merge(
+	manual, err := profstore.MergeWithCoverage(0,
 		pipelineProfile(t, "art", 3),
 		pipelineProfile(t, "art", 4),
 		pipelineProfile(t, "art", 5),

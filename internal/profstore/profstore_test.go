@@ -15,8 +15,8 @@ import (
 )
 
 // profileWorkload profiles a workload at test scale with the given seed.
-// It drives the profiler directly (core imports this package, so the
-// pipeline facade is off limits here); the equivalent core.Profile path is
+// It drives the profiler directly (core imports this package, so
+// internal/core is off limits here); the equivalent core.Profile path is
 // exercised by profstore_pipeline_test.go in the external test package.
 func profileWorkload(t testing.TB, name string, seed uint64, trace bool) *profile.Profile {
 	t.Helper()
@@ -249,11 +249,11 @@ func TestMergeDeterministic(t *testing.T) {
 	b := profileWorkload(t, "art", 5, false)
 	c := profileWorkload(t, "art", 11, false)
 
-	ab, err := Merge(a, b)
+	ab, err := MergeWithCoverage(0, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := Merge(b, a)
+	ba, err := MergeWithCoverage(0, b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,11 @@ func TestMergeDeterministic(t *testing.T) {
 		t.Fatal("merge(A,B) and merge(B,A) encode differently")
 	}
 
-	abc, err := Merge(a, b, c)
+	abc, err := MergeWithCoverage(0, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cba, err := Merge(c, b, a)
+	cba, err := MergeWithCoverage(0, c, b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestMergeDeterministic(t *testing.T) {
 func TestMergeSums(t *testing.T) {
 	a := profileWorkload(t, "art", 3, false)
 	b := profileWorkload(t, "art", 5, false)
-	m, err := Merge(a, b)
+	m, err := MergeWithCoverage(0, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,20 +343,57 @@ func TestMergeSums(t *testing.T) {
 }
 
 func TestMergeValidation(t *testing.T) {
-	if _, err := Merge(); err == nil {
+	if _, err := MergeWithCoverage(0); err == nil {
 		t.Fatal("empty merge did not fail")
 	}
 	a := profileWorkload(t, "art", 3, false)
 	p := profileWorkload(t, "povray", 3, false)
-	if _, err := Merge(a, p); err == nil {
+	if _, err := MergeWithCoverage(0, a, p); err == nil {
 		t.Fatal("cross-program merge did not fail")
 	}
-	if _, err := Merge(a, nil); err == nil {
+	if _, err := MergeWithCoverage(0, a, nil); err == nil {
 		t.Fatal("nil profile merge did not fail")
 	}
 	for _, bad := range []float64{-0.5, 1.5} {
 		if _, err := MergeWithCoverage(bad, a); err == nil {
 			t.Fatalf("coverage %v did not fail", bad)
+		}
+	}
+	// A single input is validated as each of several would be.
+	if _, err := MergeWithCoverage(0, nil); err == nil {
+		t.Fatal("single nil profile did not fail")
+	}
+	noRaw := *a
+	noRaw.RawGraph = nil
+	if _, err := MergeWithCoverage(0, &noRaw); err == nil {
+		t.Fatal("single profile without a raw graph did not fail")
+	}
+}
+
+// TestMergeSingleKeepsProfile: one profile has nothing to merge, so
+// filtering it at the coverage it was recorded at gives back its own
+// image, context numbering, serial logs and trace included.
+func TestMergeSingleKeepsProfile(t *testing.T) {
+	for _, trace := range []bool{false, true} {
+		p := profileWorkload(t, "art", 3, trace)
+		want, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := MergeWithCoverage(DefaultCoverage, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Encode(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trace=%v: single-profile merge encodes to %d bytes, the profile to %d",
+				trace, len(got), len(want))
+		}
+		if one.Graph == p.Graph {
+			t.Fatal("single-profile merge shares the input's filtered graph")
 		}
 	}
 }

@@ -66,7 +66,7 @@ func FuzzOptimizeConfig(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := jobProfile(req.Config.Coverage, []*profile.Profile{fx.prof})
+		prof, err := profstore.MergeWithCoverage(req.Config.Coverage, fx.prof)
 		if err != nil {
 			t.Fatal(err)
 		}

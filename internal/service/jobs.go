@@ -371,8 +371,8 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
-// buildArtifact runs the pipeline: record a profile, or take the stored
-// ones and merge them if several; then group, identify, rewrite, and
+// buildArtifact runs the pipeline: record a profile, or filter the stored
+// ones at the request's coverage (merging them if several); then group, identify, rewrite, and
 // package the artifacts. It runs outside the server lock; everything it
 // reads (program entries, stored profiles) is shared and only read.
 func buildArtifact(prog *programEntry, req OptimizeRequest, profs []*profile.Profile) (*Artifact, error) {
@@ -398,10 +398,10 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, profs []*profile.Pro
 		// Merging stands in for the training run, so it takes the
 		// "profile" slot in the stage trace.
 		endProfile := tr.Span("profile")
-		prof, err = jobProfile(req.Config.Coverage, profs)
+		prof, err = profstore.MergeWithCoverage(req.Config.Coverage, profs...)
 		endProfile()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("merging profiles: %w", err)
 		}
 	}
 	opt, err := core.OptimizeFromProfile(prog.Prog, prof, cfg)
@@ -430,28 +430,6 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, profs []*profile.Pro
 		Policy:    polJSON,
 		Stages:    tr.Spans(),
 	}, nil
-}
-
-// jobProfile is the profile a job groups over stored profiles: one
-// re-filtered at the request's coverage (0 means the default), or several
-// merged. The stored profiles are shared with other jobs and only read.
-func jobProfile(coverage float64, profs []*profile.Profile) (*profile.Profile, error) {
-	if len(profs) == 1 {
-		// Nothing to merge, but the request's coverage must still apply:
-		// the uploaded image carries the uploader's filtered graph. The
-		// filtered graph goes on a shallow copy.
-		if coverage == 0 {
-			coverage = profile.DefaultCoverage
-		}
-		p := *profs[0]
-		p.Graph = p.RawGraph.Filter(coverage)
-		return &p, nil
-	}
-	merged, err := profstore.MergeWithCoverage(coverage, profs...)
-	if err != nil {
-		return nil, fmt.Errorf("merging profiles: %w", err)
-	}
-	return merged, nil
 }
 
 // --- job endpoints ------------------------------------------------------

@@ -332,7 +332,7 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Serial logs and the reference trace are most of a decoded profile,
-	// and no job reads them: merging drops both and synthesis reads
+	// and no job reads them: merging several drops both and synthesis reads
 	// neither. The blob keeps them for download.
 	for _, c := range prof.Contexts {
 		c.RestoreSerials(nil)
@@ -413,8 +413,9 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 		profs = append(profs, e.Prof)
 	}
 	s.mu.Unlock()
-	// Unlike the optimize path, a single input is still merged, which
-	// canonicalises its context numbering.
+	// Optimize jobs take stored profiles through the same call, so a
+	// merged profile optimises exactly as its inputs would together. A
+	// single input is re-filtered, not renumbered.
 	merged, err := profstore.MergeWithCoverage(req.Coverage, profs...)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "merge: %v", err)

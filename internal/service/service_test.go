@@ -210,7 +210,7 @@ func TestServiceEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mergedLocal, err := profstore.Merge(profLocalA, profLocalB)
+			mergedLocal, err := profstore.MergeWithCoverage(0, profLocalA, profLocalB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -419,7 +419,7 @@ func TestSingleProfileCoverageApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := jobProfile(0, []*profile.Profile{stored})
+	def, err := profstore.MergeWithCoverage(0, stored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestSingleProfileCoverageApplies(t *testing.T) {
 		t.Fatalf("default coverage changed the graph: %d vs %d nodes",
 			def.Graph.NumNodes(), prof.Graph.NumNodes())
 	}
-	full, err := jobProfile(1.0, []*profile.Profile{stored})
+	full, err := profstore.MergeWithCoverage(1.0, stored)
 	if err != nil {
 		t.Fatal(err)
 	}
