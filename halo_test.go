@@ -1,74 +1,30 @@
 package halo
 
 import (
-	"bytes"
-	"fmt"
-	"path/filepath"
 	"testing"
 
-	"halo/internal/measure"
+	"halo/internal/core"
 	"halo/internal/workloads"
 )
 
-// TestFacadeEndToEnd exercises the public API exactly as the README's
-// library-usage section does.
-func TestFacadeEndToEnd(t *testing.T) {
-	w := workloads.MustGet("art")
-	prog := w.Build(w.TestScale)
-
-	opt, err := Optimize(prog, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opt.Groups) == 0 || len(opt.BitSelectors) == 0 {
-		t.Fatalf("pipeline produced no policy: %d groups, %d selectors",
-			len(opt.Groups), len(opt.BitSelectors))
-	}
-
-	machine := XeonW2195()
-	base, err := Run(prog, Policy{Kind: measure.Jemalloc}, 1, machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Run(prog, Policy{
-		Kind:      measure.HALO,
-		Rewritten: opt.Rewrite.Prog,
-		Selectors: opt.BitSelectors,
-		NumBits:   opt.Rewrite.NumBits,
-	}, 1, machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Result != fast.Result {
-		t.Fatalf("results diverge: %d vs %d", base.Result, fast.Result)
-	}
-	if fast.GroupedAllocs == 0 {
-		t.Fatal("no allocations grouped")
-	}
-	// art is the clearest winner in the suite: the optimisation must
-	// reduce L1D misses here.
-	if fast.Cache.L1D.Misses >= base.Cache.L1D.Misses {
-		t.Fatalf("no miss reduction: %d -> %d", base.Cache.L1D.Misses, fast.Cache.L1D.Misses)
-	}
-}
-
-// TestFacadeProfileAndHDS exercises the two-stage API: profile once, then
-// derive both HALO and hot-data-streams policies from it.
+// TestFacadeProfileAndHDS drives profiling, HALO grouping and the HDS
+// analysis as separate stages on one povray profile, the way a caller
+// outside the core package chains them.
 func TestFacadeProfileAndHDS(t *testing.T) {
 	w := workloads.MustGet("povray")
 	prog := w.Build(w.TestScale)
-	cfg := Config{}
+	cfg := core.Config{}
 	cfg.Profile.RecordTrace = true
 
-	prof, err := ProfileProgram(prog, cfg)
+	prof, err := core.Profile(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := OptimizeFromProfile(prog, prof, cfg)
+	opt, err := core.OptimizeFromProfile(prog, prof, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, err := AnalyzeHDS(prof, cfg)
+	hr, err := core.AnalyzeHDS(prof, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,88 +34,8 @@ func TestFacadeProfileAndHDS(t *testing.T) {
 	if len(opt.Selectors.Sites) < 2 {
 		t.Fatalf("HALO found %d sites, want several", len(opt.Selectors.Sites))
 	}
-	distinctHDS := map[int]bool{}
-	for _, g := range hr.SiteGroups {
-		distinctHDS[g] = true
-	}
 	if len(hr.SiteGroups) > 1 {
 		t.Fatalf("HDS identified %d sites through the wrapper; povray should collapse to at most 1",
 			len(hr.SiteGroups))
-	}
-	_ = distinctHDS
-}
-
-// TestFacadeProfileStore exercises the profile persistence surface: two
-// training runs at different seeds, saved, reloaded, merged, and driven
-// through OptimizeFromProfile.
-func TestFacadeProfileStore(t *testing.T) {
-	w := workloads.MustGet("art")
-	prog := w.Build(w.TestScale)
-
-	dir := t.TempDir()
-	paths := make([]string, 0, 2)
-	for i, seed := range []uint64{3, 5} {
-		prof, err := ProfileProgram(prog, Config{ProfileSeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("art.%d.hprof", i))
-		if err := SaveProfile(path, prof); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
-	}
-	loaded := make([]*Profile, 0, 2)
-	for _, path := range paths {
-		prof, err := LoadProfile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded = append(loaded, prof)
-	}
-	merged, err := MergeProfiles(loaded...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.ProgName != "art" {
-		t.Fatalf("merged program = %q", merged.ProgName)
-	}
-	opt, err := OptimizeFromProfile(prog, merged, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opt.Groups) == 0 || len(opt.BitSelectors) == 0 {
-		t.Fatalf("merged profile produced no policy: %d groups, %d selectors",
-			len(opt.Groups), len(opt.BitSelectors))
-	}
-
-	// Encode/Decode round-trips the merged profile byte-identically.
-	img, err := EncodeProfile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeProfile(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img2, err := EncodeProfile(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img, img2) {
-		t.Fatal("profile image not stable under decode/encode")
-	}
-}
-
-// TestFacadeTrials exercises the trial aggregation path.
-func TestFacadeTrials(t *testing.T) {
-	w := workloads.MustGet("analyzer")
-	prog := w.Build(w.TestScale)
-	s, err := MeasureTrials(prog, Policy{Kind: measure.Jemalloc}, 2, 50, XeonW2195())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Seconds.Median <= 0 {
-		t.Fatalf("median = %v", s.Seconds.Median)
 	}
 }

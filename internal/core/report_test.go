@@ -83,21 +83,5 @@ func TestHDSSetFormation(t *testing.T) {
 		if sites != len(res.SiteGroups) {
 			t.Errorf("%s: %d sites across packed sets, %d in the site table", name, sites, len(res.SiteGroups))
 		}
-		if name != "povray" {
-			continue
-		}
-		// povray's defining property: HALO tells contexts apart through
-		// the pov_malloc wrapper (several sites); the immediate-call-site
-		// scheme sees at most the wrapper's one.
-		opt, err := OptimizeFromProfile(p, prof, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(opt.Selectors.Sites) < 2 {
-			t.Errorf("povray: HALO found %d sites, want several", len(opt.Selectors.Sites))
-		}
-		if len(res.SiteGroups) > 1 {
-			t.Errorf("povray: HDS identified %d sites through the wrapper, want at most 1", len(res.SiteGroups))
-		}
 	}
 }
