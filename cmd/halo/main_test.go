@@ -217,6 +217,28 @@ func TestRunRejectsForeignPolicy(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUninstrumentedBinary: rewriting keeps the program's
+// name, so only the instrumentation tells art's rewritten binary from the
+// original. `halo run -alloc halo` must refuse art's policy on the
+// original, where no selector could ever match and HALO would silently
+// measure the default allocator.
+func TestRunRejectsUninstrumentedBinary(t *testing.T) {
+	dir := t.TempDir()
+	art := writeWorkload(t, dir, "art")
+	artBin := filepath.Join(dir, "art.halo.hbin")
+	artPol := filepath.Join(dir, "art.policy.json")
+	if err := cmdOpt([]string{"-o", artBin, "-policy", artPol, art}); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdRun([]string{"-alloc", "halo", "-policy", artPol, art})
+	if err == nil || !strings.Contains(err.Error(), `binary "art" is not instrumented for this policy`) {
+		t.Fatalf("run of the original art under its HALO policy: err = %v, want an instrumentation mismatch", err)
+	}
+	if err := cmdRun([]string{"-alloc", "halo", "-policy", artPol, artBin}); err != nil {
+		t.Fatalf("run of the rewritten art under its own policy: %v", err)
+	}
+}
+
 // TestOptProfileMatchesHalod: `halo opt -profile` and a halod job naming
 // the same program and profile filter the graph by one rule, so they write
 // the same rewritten binary and policy, even for a profile merged at a

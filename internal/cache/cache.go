@@ -225,17 +225,37 @@ func (h *Hierarchy) linesStall(addr uint64, size uint8) (stall, mem uint64) {
 // counters directly and skip the set scan, with totals provably
 // bit-identical to charging every access through accessStall
 // (TestBatchedConsumeMatchesPerAccess pins this).
+//
+// The same argument holds one level up for cache lines. An access that
+// touches a single line leaves that line at the MRU slot of its L1D set,
+// and the L1D hit it took (or the fill it caused) moves nothing below.
+// The next access to that same single line is therefore an L1D hit and a
+// DTLB hit that change no replacement state, so runs of same-line
+// accesses are counted in a local and charged as hits once per batch
+// (TestBatchedSameLineRuns pins this).
 func (h *Hierarchy) ConsumeEvents(batch []vm.Event) {
-	var stall, mem uint64
+	var stall, mem, repeats uint64
 	last := ^uint64(0) // most recently translated page; ^0 = none yet
 	pb := h.cfg.TLB.PageBits
+	lastLine := ^uint64(0)        // line of the previous access if it touched only that line; ^0 = none
+	lineInPage := pb >= LineShift // otherwise a line can span pages: no same-line shortcut
 	for i := range batch {
 		ev := &batch[i]
 		if ev.Kind != vm.EvAccess {
 			continue
 		}
+		end := ev.Addr + uint64(ev.Size) - 1
+		line := ev.Addr >> LineShift
+		if line == lastLine && end>>LineShift == line {
+			repeats++
+			continue
+		}
+		lastLine = ^uint64(0)
+		if lineInPage && end>>LineShift == line {
+			lastLine = line
+		}
 		page := ev.Addr >> pb
-		if end := (ev.Addr + uint64(ev.Size) - 1) >> pb; page == last && end == page {
+		if page == last && end>>pb == page {
 			h.tlb.stats.Accesses++
 			h.tlb.stats.Hits++
 			s, m := h.linesStall(ev.Addr, ev.Size)
@@ -246,9 +266,13 @@ func (h *Hierarchy) ConsumeEvents(batch []vm.Event) {
 		s, m := h.accessStall(ev.Addr, ev.Size)
 		stall += s
 		mem += m
-		last = (ev.Addr + uint64(ev.Size) - 1) >> pb
+		last = end >> pb
 	}
-	h.stallCycle += stall
+	h.l1.stats.Accesses += repeats
+	h.l1.stats.Hits += repeats
+	h.tlb.stats.Accesses += repeats
+	h.tlb.stats.Hits += repeats
+	h.stallCycle += stall + repeats*h.cfg.L1.Latency
 	h.memAccess += mem
 }
 

@@ -255,6 +255,64 @@ func TestBatchedConsumeMatchesPerAccess(t *testing.T) {
 	}
 }
 
+func TestBatchedSameLineRuns(t *testing.T) {
+	// Runs of accesses to one line — the case the batched path charges
+	// as L1D+DTLB hits without a lookup — broken by line straddles,
+	// set-colliding lines, page changes and non-access records. Totals
+	// must match the per-access reference exactly, also with a nonzero
+	// L1 latency and with pages smaller than a line (shortcut off).
+	mkEvents := func() []vm.Event {
+		evs := make([]vm.Event, 0, 20000)
+		base := uint64(0x20_0000)
+		for r := 0; r < 200; r++ {
+			line := base + uint64(r%13)*0x440 // wanders over sets and pages
+			for i := 0; i < 40; i++ {
+				size := uint8(1 << (i % 4))
+				evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: line + uint64(i*8)%(64-uint64(size)), Size: size, Write: i%3 == 0})
+				if i%9 == 0 {
+					evs = append(evs, vm.Event{Kind: vm.EvCall, Addr: line + 4096})
+				}
+			}
+			// Line straddle: two lines, so the next access takes the full path.
+			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: line + 124, Size: 8})
+			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: line + 128, Size: 8})
+			// Same L1 set, different line: evicts the run's line in time.
+			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: line + 1<<10, Size: 8})
+			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: line + 2<<10, Size: 8})
+			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: line, Size: 8})
+		}
+		return evs
+	}
+
+	slow := smallConfig()
+	slow.L1.Latency = 4
+	tiny := smallConfig()
+	tiny.TLB.PageBits, tiny.STLB.PageBits = 5, 5
+	for name, cfg := range map[string]Config{"small": smallConfig(), "l1-latency": slow, "tiny-pages": tiny} {
+		ref := New(cfg)
+		for _, ev := range mkEvents() {
+			if ev.Kind == vm.EvAccess {
+				ref.access(ev.Addr, ev.Size)
+			}
+		}
+		for _, batchSize := range []int{1, 7, 4096} {
+			h := New(cfg)
+			evs := mkEvents()
+			for len(evs) > 0 {
+				n := min(batchSize, len(evs))
+				h.ConsumeEvents(evs[:n])
+				evs = evs[n:]
+			}
+			if h.Stats() != ref.Stats() {
+				t.Errorf("%s batch=%d: stats diverge:\n got %+v\nwant %+v", name, batchSize, h.Stats(), ref.Stats())
+			}
+			if h.StallCycles() != ref.StallCycles() {
+				t.Errorf("%s batch=%d: stalls %d, want %d", name, batchSize, h.StallCycles(), ref.StallCycles())
+			}
+		}
+	}
+}
+
 func TestBatchedSharedTranslationRuns(t *testing.T) {
 	// Dense same-page runs — the case the batched path serves via the
 	// shared translation (MRU repeat-hit) instead of a TLB set scan —

@@ -79,10 +79,13 @@ func Profile(p *isa.Program, cfg Config) (*profile.Profile, error) {
 	if seed == 0 {
 		seed = 7
 	}
+	// The profiler drains batches on a borrowed pool helper when one is
+	// free; it is read only after Run returns.
 	v := vm.New(p, memory, alloc.NewSizeSeg(osm), prof, vm.Config{
-		Seed:      seed,
-		MaxSteps:  cfg.ProfileMaxSteps,
-		BatchSize: cfg.ProfileBatchSize,
+		Seed:        seed,
+		MaxSteps:    cfg.ProfileMaxSteps,
+		BatchSize:   cfg.ProfileBatchSize,
+		OverlapSink: true,
 	})
 	if _, err := v.Run(); err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)

@@ -155,11 +155,14 @@ func Run(p *isa.Program, policy Policy, seed uint64, machine cache.Config) (RunR
 		prog = policy.Rewritten
 	}
 
-	// The hierarchy consumes the VM's event stream batch-at-a-time.
+	// The hierarchy consumes the VM's event stream batch-at-a-time, on a
+	// borrowed pool helper when one is free, so the cache model overlaps
+	// the VM; hier is read only after Run returns.
 	hier := cache.New(machine)
 	v := vm.New(prog, memory, allocator, hier, vm.Config{
-		Seed:       seed,
-		GroupState: state,
+		Seed:        seed,
+		GroupState:  state,
+		OverlapSink: true,
 	})
 	res, err := v.Run()
 	if err != nil {

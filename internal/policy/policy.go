@@ -8,6 +8,7 @@ package policy
 
 import (
 	"fmt"
+	"maps"
 
 	"halo/internal/core"
 	"halo/internal/halloc"
@@ -46,10 +47,19 @@ func New(opt *core.Optimized, h Halloc) Doc {
 // HALOPolicy turns the document into the measurement policy that runs p,
 // the rewritten binary it was written for, under the group allocator.
 // Rewriting keeps a program's name, so a document whose program is not p's
-// belongs to another binary: its selectors would read the wrong sites.
+// belongs to another binary: its selectors would read the wrong sites. For
+// the same reason the name cannot tell the rewritten binary from its
+// original, so p's instrumentation must also be exactly the document's
+// sites and bits: on an un-rewritten p no group-state bit would ever be
+// set, and every allocation would silently fall through to the default
+// allocator.
 func (d Doc) HALOPolicy(p *isa.Program) (measure.Policy, error) {
 	if d.Program != p.Name {
 		return measure.Policy{}, fmt.Errorf("policy is for program %q, not %q", d.Program, p.Name)
+	}
+	if got := instrumentation(p); !maps.Equal(got, d.Sites) || d.NumBits != len(got) {
+		return measure.Policy{}, fmt.Errorf("binary %q is not instrumented for this policy: %d instrumented call sites, the policy names %d sites over %d bits",
+			p.Name, len(got), len(d.Sites), d.NumBits)
 	}
 	pol := measure.Policy{
 		Kind:      measure.HALO,
@@ -66,6 +76,22 @@ func (d Doc) HALOPolicy(p *isa.Program) (measure.Policy, error) {
 		pol.Selectors = append(pol.Selectors, halloc.BitSelector{Group: s.Group, Conj: s.Conj})
 	}
 	return pol, nil
+}
+
+// instrumentation reads the rewriter's site-to-bit assignment back out of
+// p: every call instruction bracketed by a group-state set and clear of
+// one bit, keyed like Doc.Sites.
+func instrumentation(p *isa.Program) map[string]int {
+	sites := make(map[string]int)
+	for _, f := range p.Funcs {
+		for i := 0; i+2 < len(f.Code); i++ {
+			set, call, clr := f.Code[i], f.Code[i+1], f.Code[i+2]
+			if set.Op == isa.OpGroupSet && call.IsCall() && clr.Op == isa.OpGroupClr && clr.Imm == set.Imm {
+				sites[call.Addr.String()] = int(set.Imm)
+			}
+		}
+	}
+	return sites
 }
 
 // Sel is one lowered selector.

@@ -1,6 +1,7 @@
 // Package pool is the bounded worker pool shared by the measurement
-// harness (internal/measure), the experiment engine (internal/experiments)
-// and the optimization service (internal/service). It exists to make
+// harness (internal/measure), the experiment engine (internal/experiments),
+// the optimization service (internal/service) and the VM's event stage
+// (internal/vm, which borrows one helper per run through Go). It exists to make
 // fan-out deterministic by construction: work items are identified by
 // index, results land in caller-provided slots indexed the same way, and
 // every aggregate is computed from those slots in index order after the
@@ -87,6 +88,25 @@ func Map(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// Go runs fn on one helper goroutine borrowed from the process-wide
+// budget and returns a channel that is closed once fn has returned and the
+// helper is back in the budget. When the budget is spent it runs nothing
+// and reports false, leaving the caller to do the work inline, so callers
+// that use Go never push the process past GOMAXPROCS running tasks either.
+// fn must not panic: a caller that needs a panic back recovers it in fn.
+func Go(fn func()) (done <-chan struct{}, ok bool) {
+	if !borrow(runtime.GOMAXPROCS(0) - 1) {
+		return nil, false
+	}
+	ch := make(chan struct{})
+	go func() {
+		defer close(ch)
+		defer helpers.Add(-1) // back in the budget before done closes
+		fn()
+	}()
+	return ch, true
 }
 
 // borrow takes one helper from the process-wide budget of GOMAXPROCS−1,

@@ -331,19 +331,20 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid profile image: %v", err)
 		return
 	}
-	// Serial logs and the reference trace are most of a decoded profile,
-	// and no job reads them: merging several drops both and synthesis reads
-	// neither. The blob keeps them for download.
-	for _, c := range prof.Contexts {
-		c.RestoreSerials(nil)
-	}
-	prof.Trace = nil
 	writeProfileEntry(w, s.storeProfile(blob, prof))
 }
 
 // storeProfile stores an already-validated profile blob and its decoded
 // form, deduplicating by hash. prof is shared read-only from then on.
+// Serial logs and the reference trace are most of a decoded profile, and
+// no job reads them: merging several drops both and synthesis reads
+// neither. They are dropped from prof here; the blob keeps them for
+// download.
 func (s *Server) storeProfile(blob []byte, prof *profile.Profile) *profileEntry {
+	for _, c := range prof.Contexts {
+		c.RestoreSerials(nil)
+	}
+	prof.Trace = nil
 	id := hashID(blob)
 	entry := &profileEntry{ID: id, Blob: blob, Prof: prof}
 	s.mu.Lock()
@@ -402,6 +403,7 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	profs := make([]*profile.Profile, 0, len(req.Profiles))
+	var blob []byte
 	s.mu.Lock()
 	for _, id := range req.Profiles {
 		e := s.profiles[id]
@@ -411,22 +413,34 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		profs = append(profs, e.Prof)
+		blob = e.Blob
 	}
 	s.mu.Unlock()
+	// A single input is re-filtered, not renumbered, and keeps the serial
+	// logs and trace the stored form dropped, so decode its image afresh:
+	// the result is then byte-identical to `halo profile-merge` of the
+	// same file.
+	if len(profs) == 1 {
+		full, err := profstore.Decode(blob)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "merge: stored profile: %v", err)
+			return
+		}
+		profs[0] = full
+	}
 	// Optimize jobs take stored profiles through the same call, so a
-	// merged profile optimises exactly as its inputs would together. A
-	// single input is re-filtered, not renumbered.
+	// merged profile optimises exactly as its inputs would together.
 	merged, err := profstore.MergeWithCoverage(req.Coverage, profs...)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "merge: %v", err)
 		return
 	}
-	blob, err := profstore.Encode(merged)
+	out, err := profstore.Encode(merged)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "merge: %v", err)
 		return
 	}
-	writeProfileEntry(w, s.storeProfile(blob, merged))
+	writeProfileEntry(w, s.storeProfile(out, merged))
 }
 
 // --- helpers ------------------------------------------------------------

@@ -777,3 +777,47 @@ func TestHugeMaxGroupMembersKeepsServing(t *testing.T) {
 		t.Fatalf("/v1/stats after the job: %d", code)
 	}
 }
+
+// TestSingleProfileMergeMatchesCLI: merging one uploaded profile through
+// halod gives the image `halo profile-merge` writes for the same file
+// (profstore.MergeWithCoverage of the decoded file, encoded): the same
+// bytes and so the same id, at the default coverage (where that image is
+// the file itself) and at another.
+func TestSingleProfileMergeMatchesCLI(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	_, p := c.uploadProgram("art")
+	id, blob := c.uploadProfileWith(p, core.Config{ProfileSeed: 3})
+	for _, coverage := range []float64{0, 0.5} {
+		prof, err := profstore.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := profstore.MergeWithCoverage(coverage, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := profstore.Encode(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coverage == 0 && !bytes.Equal(want, blob) {
+			t.Fatalf("profile-merge of one default-coverage file is not the file (%d vs %d bytes)", len(want), len(blob))
+		}
+		var resp struct {
+			ID    string `json:"id"`
+			Bytes int    `json:"bytes"`
+		}
+		code, body := c.postJSON("/v1/profiles/merge",
+			map[string]any{"profiles": []string{id}, "coverage": coverage}, &resp)
+		if code != http.StatusOK {
+			t.Fatalf("coverage %v: merge: %d %s", coverage, code, body)
+		}
+		if resp.ID != hashID(want) || resp.Bytes != len(want) {
+			t.Fatalf("coverage %v: halod merged to %s (%d bytes), profile-merge to %s (%d bytes)",
+				coverage, resp.ID, resp.Bytes, hashID(want), len(want))
+		}
+		if _, got := c.get("/v1/profiles/"+resp.ID, nil); !bytes.Equal(got, want) {
+			t.Fatalf("coverage %v: served merged image differs from profile-merge's", coverage)
+		}
+	}
+}

@@ -78,10 +78,11 @@ func (v *VM) emit(ev Event) {
 	}
 }
 
-// flushEvents delivers any buffered events to the sink. The VM flushes when
-// the buffer fills and once when Run finishes (on success, trap, or budget
-// exhaustion), so sinks always observe the complete stream. Engine metrics
-// are sampled here, per batch, so the per-event paths stay untouched.
+// flushEvents delivers any buffered events to the sink, or to the stage's
+// helper when Run has one (stage.go). The VM flushes when the buffer fills
+// and once when Run finishes (on success, trap, or budget exhaustion), so
+// sinks always observe the complete stream. Engine metrics are sampled
+// here, per batch, so the per-event paths stay untouched.
 func (v *VM) flushEvents() {
 	if v.sink == nil || len(v.events) == 0 {
 		return
@@ -90,6 +91,10 @@ func (v *VM) flushEvents() {
 		mEvents.Add(uint64(len(v.events)))
 		mBatches.Inc()
 		mBatchFill.Set(int64(len(v.events) * 100 / cap(v.events)))
+	}
+	if v.stage != nil {
+		v.hand(v.stage)
+		return
 	}
 	v.sink.ConsumeEvents(v.events)
 	v.events = v.events[:0]

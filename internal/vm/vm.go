@@ -112,6 +112,14 @@ type Config struct {
 	// predecoded threaded dispatcher. Both engines produce bit-identical
 	// results, step counts and event streams.
 	Dispatch DispatchMode
+	// OverlapSink runs the sink on a helper goroutine borrowed from
+	// internal/pool's budget while the VM fills the next batch
+	// (stage.go); with no helper free, delivery stays inline. The sink
+	// sees the same batches in the same order either way, but its state
+	// may be read only after Run returns. Worth it for sinks with real
+	// per-batch work (the cache model, the profiler); a near-empty sink
+	// runs slower staged, since every batch wakes the helper.
+	OverlapSink bool
 }
 
 // Defaults for Config.
@@ -129,6 +137,7 @@ type VM struct {
 	siteAware SiteAware
 	sink      EventSink
 	events    []Event
+	stage     *stage // non-nil while a staged Run has a helper
 	group     *bits.Vec
 
 	cfg Config
@@ -200,7 +209,7 @@ func New(p *isa.Program, memory *mem.Memory, alloc Allocator, sink EventSink, cf
 		cfg:   cfg,
 		rng:   cfg.Seed,
 	}
-	if sink != nil {
+	if sink != nil && !cfg.OverlapSink {
 		v.events = make([]Event, 0, cfg.BatchSize)
 	}
 	if sa, ok := alloc.(SiteAware); ok {
@@ -257,7 +266,10 @@ func (v *VM) Run() (int64, error) {
 	if obs.Enabled() {
 		mRuns.Inc()
 	}
-	defer v.flushEvents()
+	if v.cfg.OverlapSink && v.sink != nil {
+		v.startStage()
+	}
+	defer v.finishEvents()
 	entry := v.prog.Funcs[v.prog.Entry]
 	v.regs = make([]int64, 0, 4096)
 	v.regs = append(v.regs, make([]int64, entry.NRegs)...)
@@ -282,6 +294,16 @@ func (v *VM) Run() (int64, error) {
 		}
 	}
 	return res, err
+}
+
+// finishEvents delivers what is still buffered when Run exits and, for a
+// staged run, waits until the sink has drained it all.
+func (v *VM) finishEvents() {
+	if s := v.stage; s != nil {
+		v.endStage(s)
+		return
+	}
+	v.flushEvents()
 }
 
 // runSwitch is the reference interpreter: one switch over isa opcodes,
