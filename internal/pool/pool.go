@@ -1,11 +1,11 @@
 // Package pool is the bounded worker pool shared by the measurement
 // harness (internal/measure), the experiment engine (internal/experiments),
 // the optimization service (internal/service) and the VM's event stage
-// (internal/vm, which borrows one helper per run through Go). It exists to make
-// fan-out deterministic by construction: work items are identified by
-// index, results land in caller-provided slots indexed the same way, and
-// every aggregate is computed from those slots in index order after the
-// pool drains. The number of goroutines therefore changes wall-clock time
+// (internal/vm, which borrows one helper per run through Go). It exists
+// to make fan-out deterministic by construction: work items are
+// identified by index, results land in caller-provided slots indexed the
+// same way, and every aggregate is computed from those slots in index
+// order after the pool drains. The number of goroutines therefore changes wall-clock time
 // only — never results, and never which error is reported.
 //
 // The pool, not its callers, picks the width. The process holds one

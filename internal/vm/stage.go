@@ -106,11 +106,10 @@ func (v *VM) hand(s *stage) {
 	}
 }
 
-// endStage hands over the last partial batch, waits for the helper to drain
-// everything and return to the budget, recycles the buffers, and raises
-// the sink's panic if it had one.
+// endStage, once the last batch has been handed over, waits for the
+// helper to drain everything and return to the budget, recycles the
+// buffers, and raises the sink's panic if it had one.
 func (v *VM) endStage(s *stage) {
-	v.flushEvents()
 	v.stage, v.events = nil, nil
 	close(s.full)
 	<-s.done

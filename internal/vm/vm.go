@@ -118,7 +118,7 @@ type Config struct {
 	// sees the same batches in the same order either way, but its state
 	// may be read only after Run returns. Worth it for sinks with real
 	// per-batch work (the cache model, the profiler); a near-empty sink
-	// runs slower staged, since every batch wakes the helper.
+	// gains nothing and pays a goroutine handoff per batch.
 	OverlapSink bool
 }
 
@@ -299,11 +299,10 @@ func (v *VM) Run() (int64, error) {
 // finishEvents delivers what is still buffered when Run exits and, for a
 // staged run, waits until the sink has drained it all.
 func (v *VM) finishEvents() {
+	v.flushEvents()
 	if s := v.stage; s != nil {
 		v.endStage(s)
-		return
 	}
-	v.flushEvents()
 }
 
 // runSwitch is the reference interpreter: one switch over isa opcodes,
