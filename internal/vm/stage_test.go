@@ -34,12 +34,6 @@ func (s *probeSink) ConsumeEvents(batch []Event) {
 	}
 }
 
-// withProcs runs fn at the given GOMAXPROCS.
-func withProcs(n int, fn func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
-	fn()
-}
-
 // buildLoopProgram allocates, stores, loads and calls n times, then runs
 // tail (nil for a plain return). It emits about 6n events.
 func buildLoopProgram(t *testing.T, n int, tail func(f *prog.FuncBuilder)) *isa.Program {
@@ -72,7 +66,7 @@ func buildLoopProgram(t *testing.T, n int, tail func(f *prog.FuncBuilder)) *isa.
 // runStream runs p once and returns the sink plus Run's error and any
 // panic raised through Run. A Run that does not return within 20 s
 // fails the test as deadlocked.
-func runStream(t *testing.T, p *isa.Program, alloc Allocator, sink *probeSink, cfg Config) (err error, raised any) {
+func runStream(t *testing.T, p *isa.Program, alloc Allocator, sink *probeSink, cfg Config) (raised any, err error) {
 	t.Helper()
 	type outcome struct {
 		err    error
@@ -93,7 +87,7 @@ func runStream(t *testing.T, p *isa.Program, alloc Allocator, sink *probeSink, c
 	}()
 	select {
 	case o := <-ch:
-		return o.err, o.raised
+		return o.raised, o.err
 	case <-time.After(20 * time.Second):
 		t.Fatal("Run did not return: deadlock")
 		return nil, nil
@@ -112,15 +106,12 @@ func stagedAgainstInline(t *testing.T, p *isa.Program, newAlloc func() Allocator
 		return newAlloc()
 	}
 	want := &probeSink{panicAt: panicAt}
-	wantErr, wantRaised := runStream(t, p, alloc(), want, cfg)
+	wantRaised, wantErr := runStream(t, p, alloc(), want, cfg)
 	got := &probeSink{panicAt: panicAt}
-	var gotErr error
-	var gotRaised any
-	withProcs(2, func() {
-		cfg.OverlapSink = true
-		gotErr, gotRaised = runStream(t, p, alloc(), got, cfg)
-		pooltest.RequireHelper(t)
-	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg.OverlapSink = true
+	gotRaised, gotErr := runStream(t, p, alloc(), got, cfg)
+	pooltest.RequireHelper(t)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("staged error %v, inline %v", gotErr, wantErr)
 	}
