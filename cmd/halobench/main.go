@@ -7,6 +7,10 @@
 //
 //	halobench [-run all|fig9,fig12,fig13,fig14,fig15,tab1,baseline,roms,adversarial]
 //	          [-trials N] [-quick] [-workloads a,b,c] [-json out.json] [-v]
+//	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// -cpuprofile and -memprofile write pprof CPU and allocation profiles of
+// the whole sweep.
 //
 // Workloads, trials and fig12's affinity distances fan out over the
 // process-wide pool of internal/pool, which GOMAXPROCS alone sizes; the
@@ -36,6 +40,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -70,16 +75,32 @@ type jsonDoc struct {
 }
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "halobench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command; the profiles it was asked for are written on
+// every return path.
+func run() (err error) {
 	var (
-		run       = flag.String("run", "all", "comma-separated experiment ids (fig9, fig12, fig13, fig14, fig15, tab1, baseline, roms, adversarial) or 'all'")
-		trials    = flag.Int("trials", 5, "measured trials per configuration (paper: 10)")
-		quick     = flag.Bool("quick", false, "reduced trials and test-scale inputs")
-		workloads = flag.String("workloads", "", "restrict to a comma-separated workload subset")
-		jsonOut   = flag.String("json", "", "also write machine-readable results as JSON to this file")
-		verbose   = flag.Bool("v", false, "log progress to stderr")
-		seed      = flag.Uint64("seed", 0, "measurement seed base (0 = default)")
+		runIDs     = flag.String("run", "all", "comma-separated experiment ids (fig9, fig12, fig13, fig14, fig15, tab1, baseline, roms, adversarial) or 'all'")
+		trials     = flag.Int("trials", 5, "measured trials per configuration (paper: 10)")
+		quick      = flag.Bool("quick", false, "reduced trials and test-scale inputs")
+		workloads  = flag.String("workloads", "", "restrict to a comma-separated workload subset")
+		jsonOut    = flag.String("json", "", "also write machine-readable results as JSON to this file")
+		verbose    = flag.Bool("v", false, "log progress to stderr")
+		seed       = flag.Uint64("seed", 0, "measurement seed base (0 = default)")
+		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+		memprofile = flag.String("memprofile", "", "write a pprof allocation profile of the sweep to this file")
 	)
 	flag.Parse()
+	stop, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	var logw io.Writer
 	if *verbose {
@@ -96,7 +117,7 @@ func main() {
 	}
 
 	engine := experiments.NewEngine(opts)
-	ids := strings.Split(*run, ",")
+	ids := strings.Split(*runIDs, ",")
 	start := time.Now()
 	tables, err := engine.Run(ids)
 	wall := time.Since(start)
@@ -104,8 +125,7 @@ func main() {
 		fmt.Println(t.Render())
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "halobench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if *jsonOut != "" {
 		doc := jsonDoc{
@@ -125,13 +145,12 @@ func main() {
 		}
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "halobench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "halobench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
+	return nil
 }

@@ -6,14 +6,19 @@
 // committed BENCH_vm.json and fails when any workload's threaded-engine
 // events/sec drops by more than -tol percent.
 //
+// -cpuprofile and -memprofile write pprof CPU and allocation profiles of
+// the whole run.
+//
 // Usage:
 //
 //	vmbench [-reps N] [-workloads a,b] [-out BENCH_vm.json]
 //	        [-baseline BENCH_vm.json] [-tol 20]
+//	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +26,7 @@ import (
 	"time"
 
 	"halo/internal/mem"
+	"halo/internal/obs"
 	"halo/internal/vm"
 	"halo/internal/workloads"
 )
@@ -123,14 +129,31 @@ func measure(name string, mode vm.DispatchMode) (Result, error) {
 }
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "vmbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command; the profiles it was asked for are written on
+// every return path.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("vmbench", flag.ExitOnError)
 	var (
-		reps     = flag.Int("reps", 5, "repetitions per configuration (best-of wins)")
-		names    = flag.String("workloads", "povray,omnetpp", "comma-separated workloads")
-		out      = flag.String("out", "", "write results as JSON to this file")
-		baseline = flag.String("baseline", "", "compare against a committed BENCH_vm.json")
-		tol      = flag.Float64("tol", 20, "max allowed threaded events/sec regression, percent")
+		reps       = fs.Int("reps", 5, "repetitions per configuration (best-of wins)")
+		names      = fs.String("workloads", "povray,omnetpp", "comma-separated workloads")
+		out        = fs.String("out", "", "write results as JSON to this file")
+		baseline   = fs.String("baseline", "", "compare against a committed BENCH_vm.json")
+		tol        = fs.Float64("tol", 20, "max allowed threaded events/sec regression, percent")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprofile = fs.String("memprofile", "", "write a pprof allocation profile of the run to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	stop, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	doc := Doc{Reps: *reps}
 	for _, name := range strings.Split(*names, ",") {
@@ -139,8 +162,7 @@ func main() {
 			for i := 0; i < *reps; i++ {
 				r, err := measure(name, mode)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "vmbench: %v\n", err)
-					os.Exit(1)
+					return err
 				}
 				if r.EventsPerSec > best.EventsPerSec {
 					best = r
@@ -156,21 +178,18 @@ func main() {
 	if *out != "" {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vmbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "vmbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
 
-	if *baseline != "" {
-		if failed := checkBaseline(doc, *baseline, *tol); failed {
-			os.Exit(1)
-		}
+	if *baseline != "" && checkBaseline(doc, *baseline, *tol) {
+		return errors.New("threaded engine regressed against the baseline")
 	}
+	return nil
 }
 
 // checkBaseline compares threaded-engine events/sec and steps/sec against

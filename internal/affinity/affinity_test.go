@@ -183,6 +183,36 @@ func TestQueueCompactionReleasesBurstMemory(t *testing.T) {
 	}
 }
 
+// TestQueuePushSteadyStateAllocs drives a warm queue, whose graph already
+// holds every node and edge and whose dedup stamps cover every object,
+// through many dead-prefix compactions: sliding the live window back to
+// the front of its backing array must not allocate.
+func TestQueuePushSteadyStateAllocs(t *testing.T) {
+	g := NewGraph()
+	q := NewQueue(128, g, nil)
+	next := uint64(0)
+	compactions := 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			obj := next%64 + 1
+			next++
+			head := q.head
+			q.Push(acc(obj, Ctx(obj%4), 8))
+			if q.head < head {
+				compactions++
+			}
+		}
+	}
+	push(5000) // warm up
+	compactions = 0
+	if allocs := testing.AllocsPerRun(10, func() { push(5000) }); allocs != 0 {
+		t.Fatalf("Push allocated %.1f times per 5000 pushes on a warm queue", allocs)
+	}
+	if compactions < 10*4 {
+		t.Fatalf("only %d compactions over the measured pushes", compactions)
+	}
+}
+
 func TestGraphNoCtxNode(t *testing.T) {
 	// The NoCtx sentinel (-1) is a legal node: the dense layout must keep
 	// it addressable and ordered before every real context.

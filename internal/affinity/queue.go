@@ -108,8 +108,8 @@ func (q *Queue) seen(obj uint64) bool {
 // Push observes one machine-level access. Consecutive accesses to a single
 // object are part of the same macro-level access and do not re-trigger
 // traversal (the deduplication constraint). Steady-state pushes allocate
-// nothing: the entry window, the dedup stamps and the graph all reuse
-// their backing arrays.
+// nothing: the entry window slides back to the front of its backing array,
+// and the dedup stamps and the graph reuse theirs.
 func (q *Queue) Push(a Access) {
 	if n := len(q.entries); n > q.head && q.entries[n-1].Obj == a.Obj {
 		return
@@ -141,18 +141,21 @@ func (q *Queue) Push(a Access) {
 	q.compact()
 }
 
-// compact bounds the backing array. Two triggers: the dead prefix
-// dominates the slice (the original growth bound), or a bursty phase left
-// capacity far beyond the live window — the second re-allocates at the
-// window size so the burst's memory is actually released.
+// compact bounds the backing array. Two triggers: a bursty phase left
+// capacity far beyond the live window, which re-allocates at the window
+// size so the burst's memory is actually released; or the dead prefix
+// dominates the slice, which slides the live window to the front of the
+// same backing array.
 func (q *Queue) compact() {
 	live := len(q.entries) - q.head
-	deadPrefix := q.head > 1024 && q.head > live
-	oversized := q.head > 0 && cap(q.entries) >= 4096 && live*4 < cap(q.entries)
-	if !deadPrefix && !oversized {
+	switch {
+	case q.head > 0 && cap(q.entries) >= 4096 && live*4 < cap(q.entries):
+		q.entries = append(q.entries[:0:0], q.entries[q.head:]...)
+	case q.head > 1024 && q.head > live:
+		q.entries = q.entries[:copy(q.entries, q.entries[q.head:])]
+	default:
 		return
 	}
-	q.entries = append(q.entries[:0:0], q.entries[q.head:]...)
 	q.head = 0
 }
 

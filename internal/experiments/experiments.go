@@ -434,8 +434,7 @@ func (e *Engine) ProfileStats() []ProfileStat {
 // HDS co-allocation policy. This is the per-job cost a halod worker pays
 // on top of profiling (or profile decoding), and the trajectory the
 // synthesis pipeline is tracked by. HDSNs leaves out the setup hds.Analyze
-// does before its first span (copying the trace, building the object
-// table).
+// does before its first span (building the object table).
 type SynthStat struct {
 	Workload   string `json:"workload"`
 	Groups     int    `json:"groups"`

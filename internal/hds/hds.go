@@ -16,6 +16,7 @@ import (
 	"halo/internal/isa"
 	"halo/internal/obs"
 	"halo/internal/profile"
+	"halo/internal/sequitur"
 )
 
 // Config parameterises the full hot-data-streams analysis.
@@ -49,13 +50,9 @@ type Result struct {
 func Analyze(p *profile.Profile, cfg Config, tr *obs.Trace) *Result {
 	// Object identities and their allocation sites/sizes, laid out densely
 	// by allocation serial.
-	trace := make([]int64, len(p.Trace))
 	var maxSerial int64 = -1
-	for i, r := range p.Trace {
-		trace[i] = int64(r.Obj)
-		if trace[i] > maxSerial {
-			maxSerial = trace[i]
-		}
+	for _, r := range p.Trace {
+		maxSerial = max(maxSerial, int64(r.Obj))
 	}
 	objects := NewObjects(maxSerial)
 	for _, r := range p.Trace {
@@ -63,7 +60,11 @@ func Analyze(p *profile.Profile, cfg Config, tr *obs.Trace) *Result {
 	}
 
 	endSeq := tr.Span("hds/sequitur")
-	ext := ExtractStreams(trace, cfg.Streams)
+	g := sequitur.NewGrammar()
+	for _, r := range p.Trace {
+		g.Append(int64(r.Obj))
+	}
+	ext := ExtractStreams(g, cfg.Streams)
 	endSeq()
 	endSets := tr.Span("hds/sets")
 	sets := BuildSets(ext.Streams, objects)

@@ -114,7 +114,7 @@ func TestTruncatedStreamPrefix(t *testing.T) {
 			seq = append(seq, i)
 		}
 	}
-	res := ExtractStreams(seq, StreamConfig{})
+	res := ExtractStreams(grammarOf(seq), StreamConfig{})
 	if len(res.Streams) == 0 {
 		t.Fatal("no streams from a long periodic trace")
 	}

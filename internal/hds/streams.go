@@ -53,24 +53,19 @@ type ExtractResult struct {
 	TraceLen   int
 }
 
-// ExtractStreams builds the grammar over the trace of object identities
-// and extracts minimal hot data streams: rule expansions within the length
-// window, hottest first, until the selected streams' heat accounts for the
-// configured fraction of the trace.
-func ExtractStreams(trace []int64, cfg StreamConfig) *ExtractResult {
+// ExtractStreams extracts minimal hot data streams from the grammar of a
+// trace of object identities: rule expansions within the length window,
+// hottest first, until the selected streams' heat accounts for the
+// configured fraction of the trace. Candidates are gathered in rule
+// creation order, which fixes the order the sort sees among equal streams.
+func ExtractStreams(g *sequitur.Grammar, cfg StreamConfig) *ExtractResult {
 	cfg = cfg.withDefaults()
-	g := sequitur.NewGrammar()
-	for _, v := range trace {
-		g.Append(v)
-	}
 	freq := sequitur.RuleFreq(g)
 	lens := sequitur.RuleLens(g)
 
 	var cands []Stream
-	for num := 0; num < g.NumAssigned(); num++ {
-		if num == 0 || !g.Live(num) {
-			continue // the start rule is the whole trace
-		}
+	for _, r := range g.Rules()[1:] { // the start rule is the whole trace
+		num := r.Number
 		l := lens[num]
 		if l < cfg.MinLen {
 			continue
@@ -91,8 +86,8 @@ func ExtractStreams(trace []int64, cfg StreamConfig) *ExtractResult {
 		return less(cands[i].Objects, cands[j].Objects)
 	})
 
-	res := &ExtractResult{Candidates: len(cands), Rules: g.NumRules(), TraceLen: len(trace)}
-	want := int(cfg.Coverage * float64(len(trace)))
+	res := &ExtractResult{Candidates: len(cands), Rules: g.NumRules(), TraceLen: g.Length()}
+	want := int(cfg.Coverage * float64(g.Length()))
 	for _, s := range cands {
 		if res.Covered >= want {
 			break

@@ -1,6 +1,19 @@
 package hds
 
-import "testing"
+import (
+	"testing"
+
+	"halo/internal/sequitur"
+)
+
+// grammarOf builds the SEQUITUR grammar of an object-identity trace.
+func grammarOf(trace []int64) *sequitur.Grammar {
+	g := sequitur.NewGrammar()
+	for _, v := range trace {
+		g.Append(v)
+	}
+	return g
+}
 
 func TestExtractStreamsFindsHotStream(t *testing.T) {
 	// Objects 10,11,12 are traversed 50 times; 90..99 appear once each.
@@ -11,7 +24,7 @@ func TestExtractStreamsFindsHotStream(t *testing.T) {
 	for i := int64(90); i < 100; i++ {
 		seq = append(seq, i)
 	}
-	res := ExtractStreams(seq, StreamConfig{})
+	res := ExtractStreams(grammarOf(seq), StreamConfig{})
 	if len(res.Streams) == 0 {
 		t.Fatal("no hot streams found")
 	}
@@ -33,7 +46,7 @@ func TestExtractStreamsLengthWindow(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		seq = append(seq, 1, 2, 3, 4)
 	}
-	res := ExtractStreams(seq, StreamConfig{MinLen: 2, MaxLen: 3, Coverage: 0.9})
+	res := ExtractStreams(grammarOf(seq), StreamConfig{MinLen: 2, MaxLen: 3, Coverage: 0.9})
 	for _, s := range res.Streams {
 		if len(s.Objects) < 2 || len(s.Objects) > 3 {
 			t.Fatalf("stream length %d outside window", len(s.Objects))

@@ -100,11 +100,18 @@ type Profile struct {
 	Events uint64
 }
 
+// traceBlock is the length of one reference-trace recording block (16 Ki
+// refs, 256 KiB).
+const traceBlock = 1 << 14
+
 // Profiler implements vm.EventSink: it drains the VM's batched event
 // stream, paying one dynamic dispatch per batch and direct calls within.
 // Per-event work is allocation-free in steady state: the shadow stack, the
 // chain scratch buffers, the object index, the affinity queue and the
-// graph all reuse their backing arrays.
+// graph all reuse their backing arrays. The reference trace, which only
+// grows, is recorded in fixed traceBlock-length blocks, so it allocates one
+// block per traceBlock refs and never copies what it has recorded until
+// Finish joins the blocks.
 type Profiler struct {
 	prog *isa.Program
 	cfg  Config
@@ -128,9 +135,13 @@ type Profiler struct {
 	// scans when the serial range is short.
 	serialCtx []affinity.Ctx
 
-	serial   uint64
-	events   uint64
+	serial uint64
+	events uint64
+
+	// trace is the block being filled, blocks the full ones before it,
+	// and traceLen the refs recorded in all of them.
 	trace    []Ref
+	blocks   [][]Ref
 	traceLen int
 
 	totalAllocs   uint64
@@ -312,14 +323,40 @@ func (p *Profiler) access(addr uint64, size uint8) {
 		Size:   uint32(size),
 		Serial: o.serial,
 	})
-	if p.cfg.RecordTrace && len(p.trace) < p.cfg.MaxTrace {
+	if p.cfg.RecordTrace && p.traceLen < p.cfg.MaxTrace {
 		// The reference trace is macro-deduplicated the same way the
 		// affinity queue is: consecutive references to one object are a
-		// single trace element.
+		// single trace element. A new block starts only when a ref is
+		// recorded, so the last ref is always in p.trace.
 		if n := len(p.trace); n == 0 || p.trace[n-1].Obj != o.serial {
+			if n == cap(p.trace) {
+				p.nextBlock()
+			}
 			p.trace = append(p.trace, Ref{Obj: o.serial, Site: isa.Addr(o.rawSite), ObjSize: uint32(o.size)})
+			p.traceLen++
 		}
 	}
+}
+
+// nextBlock files the full trace block and starts an empty one.
+func (p *Profiler) nextBlock() {
+	if p.trace != nil {
+		p.blocks = append(p.blocks, p.trace)
+	}
+	p.trace = make([]Ref, 0, traceBlock)
+}
+
+// joinTrace returns the recorded trace as one exact-length slice (nil when
+// nothing was recorded).
+func (p *Profiler) joinTrace() []Ref {
+	if p.traceLen == 0 {
+		return nil
+	}
+	out := make([]Ref, 0, p.traceLen)
+	for _, b := range p.blocks {
+		out = append(out, b...)
+	}
+	return append(out, p.trace...)
 }
 
 // Finish produces the profile. The affinity graph is filtered to the
@@ -331,7 +368,7 @@ func (p *Profiler) Finish() *Profile {
 		Graph:         p.graph.Filter(p.cfg.Coverage),
 		RawGraph:      p.graph,
 		Contexts:      p.contexts.list,
-		Trace:         p.trace,
+		Trace:         p.joinTrace(),
 		TotalAllocs:   p.totalAllocs,
 		TrackedAllocs: p.trackedAllocs,
 		TotalAccesses: p.graph.TotalAccesses(),

@@ -6,13 +6,13 @@ package sequitur
 
 // RuleFreq computes how many times each rule's expansion occurs in the full
 // input: the start rule occurs once, and every reference inside a rule
-// occurring f times contributes f to the referenced rule. Rule numbers are
-// assigned densely (deleted numbers are simply never revisited), so the
-// counts live in slices indexed by rule number rather than maps.
+// occurring f times contributes f to the referenced rule. The counts live
+// in a slice indexed by rule slot (Rule.Number) rather than a map; entries
+// of free slots stay 0.
 func RuleFreq(g *Grammar) []int {
 	// Topological order: parents before children.
 	order := make([]int32, 0, g.NumRules())
-	state := make([]uint8, g.NumAssigned()) // 0 unvisited, 1 visiting, 2 done
+	state := make([]uint8, len(g.rules)) // 0 unvisited, 1 visiting, 2 done
 	var dfs func(num int32)
 	dfs = func(num int32) {
 		state[num] = 1
@@ -25,7 +25,7 @@ func RuleFreq(g *Grammar) []int {
 		order = append(order, num) // post-order: children first
 	}
 	dfs(0)
-	freq := make([]int, g.NumAssigned())
+	freq := make([]int, len(g.rules))
 	freq[0] = 1
 	// Walk parents before children: reverse post-order.
 	for i := len(order) - 1; i >= 0; i-- {
@@ -44,9 +44,9 @@ func RuleFreq(g *Grammar) []int {
 }
 
 // RuleLens computes each rule's terminal expansion length, indexed by rule
-// number (-1 marks numbers of deleted rules, never queried).
+// slot (-1 marks free slots, never queried).
 func RuleLens(g *Grammar) []int {
-	lens := make([]int, g.NumAssigned())
+	lens := make([]int, len(g.rules))
 	for i := range lens {
 		lens[i] = -1
 	}

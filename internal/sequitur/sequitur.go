@@ -5,15 +5,20 @@
 // (the paper's PLDI '06 comparison technique).
 package sequitur
 
+import "sort"
+
 // This file implements the grammar: linear
 // time, incremental inference of a context-free grammar whose language is
 // exactly the input string, maintaining the digram-uniqueness and
-// rule-utility invariants.
+// rule-utility invariants. Like the reference implementation, match
+// enforces rule utility only for the first symbol of the rule it makes or
+// reuses, so a few inputs keep a rule that is referenced once.
 //
 // The grammar is laid out for the trace-compression fast path. Symbols live
 // in one dense slab addressed by int32 index (with a free list threaded
-// through retired nodes), rules in a slice indexed by rule number (numbers
-// are assigned densely and deleted numbers never reused), and the digram
+// through retired nodes), rules in a slot table whose retired slots a free
+// list hands to later rules (so the table never outgrows the peak live rule
+// count, and a creation stamp keeps creation order), and the digram
 // index is a flat open-addressing hash table from symbol-key pairs to slab
 // indices. Nothing in the structure holds a Go pointer, so a terminal
 // append performs no map operations, no allocation in the steady state, and
@@ -31,29 +36,36 @@ type symbol struct {
 	next, prev int32
 	value      int64 // the digram key: terminal value, or -ruleNumber-1
 	guard      bool
+	reg        bool // the digram table holds this symbol's digram at it
 }
 
 // ruleData is a grammar production's slab-side state.
 type ruleData struct {
 	guard int32 // slab index of the guard sentinel
 	count int32 // references from other rules
+	born  int   // creation stamp: the number of rules created before it
 	live  bool
 }
 
 // Grammar is a SEQUITUR grammar under construction.
 type Grammar struct {
-	syms    []symbol
-	free    int32 // free-list head (threaded through next), symNil when empty
-	rules   []ruleData
-	nlive   int
-	length  int // terminals consumed
-	digrams digramTable
+	syms      []symbol
+	free      int32 // free-list head (threaded through next), symNil when empty
+	rules     []ruleData
+	freeRules []int32 // retired rule slots, reused before the table grows
+	created   int     // rules ever created: the next creation stamp
+	nlive     int
+	length    int // terminals consumed
+	digrams   digramTable
 }
 
 // Rule is a handle on a grammar production.
 type Rule struct {
-	g      *Grammar
-	Number int // stable id; 0 is the start rule
+	g *Grammar
+	// Number is the rule's slot in the grammar's rule table; 0 is the
+	// start rule. A rule keeps its slot while it lives, but a later Append
+	// may delete it and hand the slot to a new rule.
+	Number int
 }
 
 // NewGrammar returns an empty grammar.
@@ -94,20 +106,33 @@ func (g *Grammar) freeSymbol(i int32) {
 	g.free = i
 }
 
+// newRule creates an empty rule in a retired slot, or in a new one when
+// every slot is live.
 func (g *Grammar) newRule() int32 {
-	num := int32(len(g.rules))
+	var num int32
+	if n := len(g.freeRules); n > 0 {
+		num = g.freeRules[n-1]
+		g.freeRules = g.freeRules[:n-1]
+	} else {
+		num = int32(len(g.rules))
+		g.rules = append(g.rules, ruleData{})
+	}
 	guard := g.newSymbol(ntKey(num), true)
 	g.syms[guard].next, g.syms[guard].prev = guard, guard
-	g.rules = append(g.rules, ruleData{guard: guard, live: true})
+	g.rules[num] = ruleData{guard: guard, born: g.created, live: true}
+	g.created++
 	g.nlive++
 	return num
 }
 
-// deleteRule removes a rule inlined by the utility invariant. Its number is
-// retired, never reused.
+// deleteRule removes a rule inlined by the utility invariant and retires
+// its slot for reuse. Its one reference was the occurrence being expanded,
+// and both digrams around that occurrence left the digram table with it,
+// so no table entry still carries the retired slot's key.
 func (g *Grammar) deleteRule(num int32) {
 	g.freeSymbol(g.rules[num].guard)
 	g.rules[num].live = false
+	g.freeRules = append(g.freeRules, num)
 	g.nlive--
 }
 
@@ -134,13 +159,23 @@ func (g *Grammar) insertAfter(s, y int32) {
 }
 
 // deleteDigram removes the digram table entry starting at s, if it is the
-// registered occurrence.
+// registered occurrence. The reg flag answers that without a probe: about
+// half the calls on omnetpp's trace find nothing to delete.
 func (g *Grammar) deleteDigram(s int32) {
-	n := g.syms[s].next
-	if g.syms[s].guard || n == symNil || g.syms[n].guard {
+	if !g.syms[s].reg {
 		return
 	}
+	g.syms[s].reg = false
+	n := g.syms[s].next
 	g.digrams.deleteIf(g.syms[s].value, g.syms[n].value, s)
+}
+
+// register makes s the table's occurrence of its digram.
+func (g *Grammar) register(s int32) {
+	if old := g.digrams.put(g.syms[s].value, g.syms[g.syms[s].next].value, s); old != symNil {
+		g.syms[old].reg = false
+	}
+	g.syms[s].reg = true
 }
 
 // unlink removes s from its list, updating digrams and rule usage.
@@ -165,6 +200,7 @@ func (g *Grammar) check(s int32) bool {
 	}
 	found, existed := g.digrams.getOrInsert(g.syms[s].value, g.syms[n].value, s)
 	if !existed {
+		g.syms[s].reg = true
 		return false
 	}
 	if g.syms[found].next != s {
@@ -185,8 +221,7 @@ func (g *Grammar) match(s, found int32) {
 		r = g.newRule()
 		g.insertAfter(g.lastOf(r), g.copySymbol(s))
 		g.insertAfter(g.lastOf(r), g.copySymbol(g.syms[s].next))
-		f := g.firstOf(r)
-		g.digrams.put(g.syms[f].value, g.syms[g.syms[f].next].value, f)
+		g.register(g.firstOf(r))
 		g.substitute(found, r)
 		g.substitute(s, r)
 	}
@@ -230,7 +265,7 @@ func (g *Grammar) expand(s int32) {
 	g.join(left, f)
 	g.join(l, right)
 	if !g.syms[l].guard && !g.syms[right].guard {
-		g.digrams.put(g.syms[l].value, g.syms[g.syms[l].next].value, l)
+		g.register(l)
 	}
 	g.freeSymbol(s)
 }
@@ -256,14 +291,6 @@ func (g *Grammar) Length() int { return g.length }
 // NumRules reports the live rule count (including the start rule).
 func (g *Grammar) NumRules() int { return g.nlive }
 
-// NumAssigned reports how many rule numbers have ever been handed out;
-// slices indexed by rule number size themselves with it (deleted numbers
-// are never reused).
-func (g *Grammar) NumAssigned() int { return len(g.rules) }
-
-// Live reports whether the rule number is still a live production.
-func (g *Grammar) Live(num int) bool { return num < len(g.rules) && g.rules[num].live }
-
 // Body returns a rule's symbol sequence: terminal values (>= 0) and rule
 // references encoded as -Number-1.
 func (r *Rule) Body() []int64 {
@@ -275,8 +302,8 @@ func (r *Rule) Body() []int64 {
 	return out
 }
 
-// Rules returns the live rules in ascending rule-number order; the first is
-// always the start rule (number 0).
+// Rules returns the live rules in creation order; the first is always the
+// start rule (number 0).
 func (g *Grammar) Rules() []*Rule {
 	out := make([]*Rule, 0, g.nlive)
 	for num := range g.rules {
@@ -284,6 +311,7 @@ func (g *Grammar) Rules() []*Rule {
 			out = append(out, &Rule{g: g, Number: num})
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return g.rules[out[i].Number].born < g.rules[out[j].Number].born })
 	return out
 }
 
@@ -382,10 +410,13 @@ func (t *digramTable) getOrInsert(a, b int64, s int32) (int32, bool) {
 	return symNil, false
 }
 
-// put registers s as the occurrence of (a, b), replacing any existing one.
-func (t *digramTable) put(a, b int64, s int32) {
+// put registers s as the occurrence of (a, b), replacing and returning
+// any existing one (symNil when there was none).
+func (t *digramTable) put(a, b int64, s int32) int32 {
 	e, _ := t.slot(a, b)
+	old := e.occ
 	e.occ = s
+	return old
 }
 
 // deleteIf removes the entry for (a, b) when s is the registered occurrence.
