@@ -22,14 +22,14 @@ type liveChecker struct {
 func (c *liveChecker) ConsumeEvents(batch []vm.Event) {
 	for i := range batch {
 		if batch[i].Kind == vm.EvAlloc {
-			c.onAlloc(batch[i].Alloc())
+			c.onAlloc(&batch[i])
 		}
 	}
 }
 
-func (c *liveChecker) onAlloc(ev vm.AllocEvent) {
+func (c *liveChecker) onAlloc(ev *vm.Event) {
 	c.n++
-	switch ev.Kind {
+	switch ev.AKind {
 	case vm.KindFree:
 		if ev.Old == 0 {
 			return
@@ -42,20 +42,20 @@ func (c *liveChecker) onAlloc(ev vm.AllocEvent) {
 	case vm.KindRealloc:
 		delete(c.live, ev.Old)
 	}
-	if ev.Ptr == 0 {
+	if ev.Addr == 0 {
 		return
 	}
-	size := ev.Size
+	size := ev.Bytes
 	if size == 0 {
 		size = 1
 	}
 	for b, s := range c.live {
-		if ev.Ptr < b+s && b < ev.Ptr+size {
+		if ev.Addr < b+s && b < ev.Addr+size {
 			c.t.Fatalf("event %d: overlap new [%#x,%#x) (site %s) with live [%#x,%#x)",
-				c.n, ev.Ptr, ev.Ptr+size, ev.Site, b, b+s)
+				c.n, ev.Addr, ev.Addr+size, ev.Site, b, b+s)
 		}
 	}
-	c.live[ev.Ptr] = size
+	c.live[ev.Addr] = size
 }
 
 func TestHALORunLiveInvariants(t *testing.T) {

@@ -117,8 +117,6 @@ type GroupAlloc struct {
 	slabOff uint64
 
 	stats      alloc.Stats // grouped-data statistics
-	groupLive  uint64      // live grouped payload bytes
-	groupRes   uint64      // resident grouped bytes (chunks holding pages)
 	peakRes    uint64      // grouped resident at its peak
 	liveAtPeak uint64      // grouped live bytes when peak was recorded
 
@@ -184,7 +182,6 @@ func (a *GroupAlloc) groupMalloc(g int, size uint64) uint64 {
 	c.live++
 	a.sizes[ptr] = size
 	a.grouped++
-	a.groupLive += size
 	a.stats.Allocs++
 	a.stats.LiveObjects++
 	a.stats.LiveBytes += size
@@ -213,7 +210,6 @@ func (a *GroupAlloc) newChunk(g int) *chunk {
 		c := a.purged[n-1]
 		a.purged = a.purged[:n-1]
 		c.group, c.bump, c.live = g, chunkHeader, 0
-		a.groupRes += a.cfg.ChunkSize
 		a.stats.Resident += a.cfg.ChunkSize
 		a.recordPeak()
 		return c
@@ -228,7 +224,6 @@ func (a *GroupAlloc) newChunk(g int) *chunk {
 	c := &chunk{base: a.slab.Base + a.slabOff, group: g, bump: chunkHeader}
 	a.slabOff += a.cfg.ChunkSize
 	a.chunks[c.base] = c
-	a.groupRes += a.cfg.ChunkSize
 	a.stats.Resident += a.cfg.ChunkSize
 	a.recordPeak()
 	return c
@@ -237,9 +232,9 @@ func (a *GroupAlloc) newChunk(g int) *chunk {
 // recordPeak samples fragmentation at the grouped-data memory high-water
 // mark, the moment Table 1 reports.
 func (a *GroupAlloc) recordPeak() {
-	if a.groupRes >= a.peakRes {
-		a.peakRes = a.groupRes
-		a.liveAtPeak = a.groupLive
+	if a.stats.Resident >= a.peakRes {
+		a.peakRes = a.stats.Resident
+		a.liveAtPeak = a.stats.LiveBytes
 	}
 }
 
@@ -268,7 +263,6 @@ func (a *GroupAlloc) Free(ptr uint64) {
 		panic(fmt.Sprintf("halloc: double or invalid free of %#x in chunk %#x", ptr, c.base))
 	}
 	delete(a.sizes, ptr)
-	a.groupLive -= size
 	a.stats.Frees++
 	a.stats.LiveObjects--
 	a.stats.LiveBytes -= size
@@ -293,7 +287,6 @@ func (a *GroupAlloc) Free(ptr uint64) {
 		// later reuse.
 		a.os.Purge(c.base, a.cfg.ChunkSize)
 		a.purged = append(a.purged, c)
-		a.groupRes -= a.cfg.ChunkSize
 		a.stats.Resident -= a.cfg.ChunkSize
 	}
 }
@@ -383,10 +376,3 @@ func (a *GroupAlloc) GroupedAllocs() uint64 { return a.grouped }
 
 // ForwardedAllocs reports requests passed to the fallback allocator.
 func (a *GroupAlloc) ForwardedAllocs() uint64 { return a.forwarded }
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,10 @@
 package profile
 
-import "halo/internal/affinity"
+import (
+	"fmt"
+
+	"halo/internal/affinity"
+)
 
 // object is a live heap object tracked at object-level granularity.
 type object struct {
@@ -24,11 +28,12 @@ type object struct {
 // address space. Objects live in a slot slab recycled through a free
 // list; steady-state insert/remove/find allocate nothing.
 //
-// The 8-byte granule matches the minimum spacing of the simulation's
-// allocators (the smallest size class is 8 and runs are page-aligned), so
-// in profiling runs each granule is covered by at most one live object.
-// The structure stays correct for arbitrary geometries: granules shared
-// by several objects are demoted to an overflow list keyed by granule.
+// The 8-byte granule matches the minimum spacing of the allocator every
+// profiling run uses (alloc.SizeSeg: size classes are multiples of 8 and
+// runs are page-aligned), so each granule is covered by at most one live
+// object, and the index holds exactly one slot per granule. A second live
+// object in an occupied granule is a broken invariant, not a case to
+// handle: insert panics.
 type objIndex struct {
 	objs []object // slot slab; slot i live iff objs[i].size != 0
 	free []int32  // recycled slots
@@ -38,7 +43,6 @@ type objIndex struct {
 	// chunks[g>>chunkShift - baseChunk][g&chunkMask].
 	chunks    [][]int32
 	baseChunk int
-	overflow  map[uint64][]int32 // granule -> slots, when shared
 }
 
 const (
@@ -46,8 +50,7 @@ const (
 	chunkShift   = 16 // granules per chunk: 64K -> 512 KiB of address space
 	chunkMask    = 1<<chunkShift - 1
 
-	slotEmpty    int32 = -1 // granule covers no live object
-	slotOverflow int32 = -2 // granule shared; consult overflow
+	slotEmpty int32 = -1 // granule covers no live object
 )
 
 func newObjIndex() *objIndex { return &objIndex{} }
@@ -119,20 +122,11 @@ func (t *objIndex) insert(o object) {
 	lo, hi := granules(o.base, o.size)
 	for g := lo; g <= hi; g++ {
 		c := t.chunkFor(g, true)
-		switch prev := c[g&chunkMask]; prev {
-		case slotEmpty:
-			c[g&chunkMask] = slot
-		case slotOverflow:
-			t.overflow[g] = append(t.overflow[g], slot) //halo:hotalloc-ok overflow list is a rare sub-granule collision path, amortised by the map entry
-		default:
-			// A neighbour already covers this granule (sub-granule
-			// packing); demote the granule to the overflow list.
-			if t.overflow == nil {
-				t.overflow = make(map[uint64][]int32) //halo:hotalloc-ok one-time lazy init of the overflow table
-			}
-			t.overflow[g] = append(t.overflow[g], prev, slot) //halo:hotalloc-ok overflow list is a rare sub-granule collision path, amortised by the map entry
-			c[g&chunkMask] = slotOverflow
+		if prev := c[g&chunkMask]; prev != slotEmpty {
+			//halo:errfmt-ok invariant trap: the profiling allocator never places two live objects in one granule
+			panic(fmt.Sprintf("profile: object %#x shares granule %#x with live object %#x", o.base, g<<granuleShift, t.objs[prev].base)) //halo:hotalloc-ok terminal path: the run ends here
 		}
+		c[g&chunkMask] = slot
 	}
 	t.size++
 }
@@ -145,24 +139,10 @@ func (t *objIndex) slotAt(addr uint64) int32 {
 	if c == nil {
 		return -1
 	}
-	switch s := c[(addr>>granuleShift)&chunkMask]; s {
-	case slotEmpty:
-		return -1
-	case slotOverflow:
-		for _, s := range t.overflow[addr>>granuleShift] {
-			if t.objs[s].base == addr {
-				return s
-			}
-		}
-		return -1
-	default:
-		if t.objs[s].base == addr {
-			return s
-		}
-		// The granule's owner starts earlier; an object based at addr
-		// would have demoted the granule to overflow, so none exists.
-		return -1
+	if s := c[(addr>>granuleShift)&chunkMask]; s != slotEmpty && t.objs[s].base == addr {
+		return s
 	}
+	return -1
 }
 
 // remove deletes the object based exactly at addr, returning it if present.
@@ -178,28 +158,7 @@ func (t *objIndex) remove(addr uint64) *object {
 	o := &t.objs[slot]
 	lo, hi := granules(o.base, o.size)
 	for g := lo; g <= hi; g++ {
-		c := t.chunkFor(g, false)
-		switch s := c[g&chunkMask]; s {
-		case slot:
-			c[g&chunkMask] = slotEmpty
-		case slotOverflow:
-			left := t.overflow[g][:0]
-			for _, s := range t.overflow[g] {
-				if s != slot {
-					left = append(left, s) //halo:hotalloc-ok left reuses overflow[g]'s backing array and only ever shrinks it
-				}
-			}
-			switch len(left) {
-			case 1:
-				c[g&chunkMask] = left[0]
-				delete(t.overflow, g)
-			case 0:
-				c[g&chunkMask] = slotEmpty
-				delete(t.overflow, g)
-			default:
-				t.overflow[g] = left
-			}
-		}
+		t.chunkFor(g, false)[g&chunkMask] = slotEmpty
 	}
 	o.size = 0 // mark the slot dead; o.base etc. stay readable
 	t.free = append(t.free, slot)
@@ -221,24 +180,14 @@ func (t *objIndex) find(addr uint64) *object {
 	if c == nil {
 		return nil
 	}
-	switch s := c[g&chunkMask]; s {
-	case slotEmpty:
-		return nil
-	case slotOverflow:
-		for _, s := range t.overflow[g] {
-			o := &t.objs[s]
-			if o.base <= addr && addr-o.base < o.size {
-				return o
-			}
-		}
-		return nil
-	default:
-		o := &t.objs[s]
-		if o.base <= addr && addr-o.base < o.size {
-			return o
-		}
+	s := c[g&chunkMask]
+	if s == slotEmpty {
 		return nil
 	}
+	if o := &t.objs[s]; o.base <= addr && addr-o.base < o.size {
+		return o
+	}
+	return nil
 }
 
 // len reports the live object count.

@@ -213,7 +213,7 @@ func (p *Profiler) ConsumeEvents(batch []vm.Event) {
 		case vm.EvReturn:
 			p.ret()
 		case vm.EvAlloc:
-			p.alloc(ev.Alloc())
+			p.alloc(ev)
 		}
 	}
 }
@@ -271,8 +271,8 @@ func (p *Profiler) currentContext(rawSite isa.Addr) *Context {
 // alloc tracks one intercepted memory-management call.
 //
 //halo:hot
-func (p *Profiler) alloc(ev vm.AllocEvent) {
-	switch ev.Kind {
+func (p *Profiler) alloc(ev *vm.Event) {
+	switch ev.AKind {
 	case vm.KindFree:
 		p.objects.remove(ev.Old)
 		return
@@ -280,7 +280,7 @@ func (p *Profiler) alloc(ev vm.AllocEvent) {
 		p.objects.remove(ev.Old)
 	}
 	p.totalAllocs++
-	if ev.Ptr == 0 {
+	if ev.Addr == 0 {
 		return
 	}
 	ctx := p.currentContext(ev.Site)
@@ -288,16 +288,16 @@ func (p *Profiler) alloc(ev vm.AllocEvent) {
 	ctx.Allocs++
 	ctx.serials = append(ctx.serials, p.serial)
 	p.serialCtx = append(p.serialCtx, ctx.ID)
-	if ev.Size > p.cfg.MaxObjectSize {
+	if ev.Bytes > p.cfg.MaxObjectSize {
 		return // not a grouping candidate; leave untracked
 	}
 	p.trackedAllocs++
-	size := ev.Size
+	size := ev.Bytes
 	if size == 0 {
 		size = 1
 	}
 	p.objects.insert(object{
-		base:    ev.Ptr,
+		base:    ev.Addr,
 		size:    size,
 		serial:  p.serial,
 		ctx:     ctx.ID,

@@ -307,44 +307,47 @@ func TestObjIndexProperty(t *testing.T) {
 	}
 }
 
-// TestObjIndexSubGranulePacking pins the overflow path: objects packed
-// tighter than the 8-byte shadow granule (impossible under the built-in
-// allocators, but the index must stay exact for any geometry).
-func TestObjIndexSubGranulePacking(t *testing.T) {
-	idx := newObjIndex()
-	// Three 2-byte objects inside one granule, plus one straddling the
-	// granule boundary.
-	for i := 0; i < 3; i++ {
-		idx.insert(object{base: 64 + uint64(i)*2, size: 2, serial: uint64(i + 1)})
+// TestObjIndexSharedGranulePanics pins the index's one-object-per-granule
+// invariant: a second live object in an occupied 8-byte granule panics,
+// whether it starts inside the granule or straddles into it, while objects
+// in the neighbouring granules and a re-allocation at the same base are
+// accepted.
+func TestObjIndexSharedGranulePanics(t *testing.T) {
+	build := func() *objIndex {
+		idx := newObjIndex()
+		idx.insert(object{base: 64, size: 2, serial: 1}) // granule 8 (64..71)
+		idx.insert(object{base: 56, size: 8, serial: 2}) // granule 7
+		idx.insert(object{base: 72, size: 8, serial: 3}) // granule 9
+		idx.insert(object{base: 64, size: 4, serial: 4}) // replaces serial 1
+		return idx
 	}
-	idx.insert(object{base: 70, size: 4, serial: 5}) // spans granules 8 and 9
-	for i := 0; i < 3; i++ {
-		base := 64 + uint64(i)*2
-		for off := uint64(0); off < 2; off++ {
-			got := idx.find(base + off)
-			if got == nil || got.serial != uint64(i+1) {
-				t.Fatalf("find(%d) = %v, want serial %d", base+off, got, i+1)
-			}
+	idx := build()
+	if idx.len() != 3 {
+		t.Fatalf("len = %d, want 3", idx.len())
+	}
+	for addr, want := range map[uint64]uint64{56: 2, 67: 4, 79: 3} {
+		if got := idx.find(addr); got == nil || got.serial != want {
+			t.Fatalf("find(%d) = %v, want serial %d", addr, got, want)
 		}
 	}
-	if got := idx.find(72); got == nil || got.serial != 5 {
-		t.Fatalf("straddling object not found at 72: %v", got)
-	}
-	if idx.len() != 4 {
-		t.Fatalf("len = %d, want 4", idx.len())
-	}
-	// Remove the middle object; its neighbours must survive intact.
-	if o := idx.remove(66); o == nil || o.serial != 2 {
-		t.Fatalf("remove(66) = %v, want serial 2", o)
-	}
-	if got := idx.find(66); got != nil {
-		t.Fatalf("removed object still found: %v", got)
-	}
-	if got := idx.find(65); got == nil || got.serial != 1 {
-		t.Fatalf("neighbour lost after overflow removal: %v", got)
-	}
-	if got := idx.find(71); got == nil || got.serial != 5 {
-		t.Fatalf("straddler lost after overflow removal: %v", got)
+	for _, tc := range []struct {
+		o      object
+		shared bool
+	}{
+		{object{base: 66, size: 2, serial: 5}, true},   // inside granule 8
+		{object{base: 60, size: 8, serial: 6}, true},   // straddles granules 7 and 8
+		{object{base: 68, size: 8, serial: 7}, true},   // straddles granules 8 and 9
+		{object{base: 80, size: 8, serial: 8}, false},  // granule 10
+		{object{base: 40, size: 16, serial: 9}, false}, // granules 5 and 6
+	} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			build().insert(tc.o)
+			return false
+		}()
+		if panicked != tc.shared {
+			t.Errorf("insert %+v: panicked = %v, want %v", tc.o, panicked, tc.shared)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"halo/internal/alloc"
+	"halo/internal/bits"
 	"halo/internal/isa"
 	"halo/internal/mem"
 	"halo/internal/vm"
@@ -17,7 +18,7 @@ func runProg(t *testing.T, p *isa.Program, seed uint64) (int64, uint64, uint64, 
 	t.Helper()
 	m := mem.NewMemory()
 	osm := mem.NewOS(m)
-	v := vm.New(p, m, alloc.NewSizeSeg(osm), nil, vm.Config{Seed: seed, GroupBits: 4096})
+	v := vm.New(p, m, alloc.NewSizeSeg(osm), nil, vm.Config{Seed: seed, GroupState: bits.New(4096)})
 	res, err := v.Run()
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name, err)

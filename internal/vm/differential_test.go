@@ -24,9 +24,10 @@ func (c *captureSink) ConsumeEvents(batch []Event) {
 
 const fuzzBufSize = 256
 
-// genOps emits n random operations into f. The generated code is always
-// well-defined: divisors are non-zero, memory accesses stay inside the
-// buf/big scratch buffers, loops are bounded. Common adjacent idioms —
+// genOps emits n random operations into f. Inline divisors are non-zero,
+// memory accesses stay inside the buf/big scratch buffers and loops are
+// bounded; the only trap a generated program can reach is leaf_divp's
+// division or mod by a zero argument. Common adjacent idioms —
 // pairs (const+add, cmp+branch, addi+load, load+add, const+store,
 // load+store) and triples (const+add+load, load+cmp+branch,
 // addi+load+add) — are emitted deliberately and repeatedly, and big spans
@@ -152,8 +153,9 @@ func genOps(rng *rand.Rand, f *prog.FuncBuilder, temps []prog.Reg, buf, big prog
 const fuzzBigSize = (tlbSize+1)*mem.PageSize + 64
 
 // genProgram builds a deterministic random program: two straight-line
-// helpers, two lib leaf functions (one straight-line, one that divides, a
-// trapping op whose fault reports the callee's frame), and a main
+// helpers, three lib leaf functions (one straight-line, one that divides
+// by 3, and one that divides or mods by its second argument, so a zero
+// argument traps in the callee's frame), and a main
 // that mixes direct computation, loops, calls and memory traffic over a
 // small scratch buffer plus a TLB-spanning big buffer.
 func genProgram(seed int64) *isa.Program {
@@ -175,6 +177,18 @@ func genProgram(seed int64) *isa.Program {
 		h.Add(r, r, h.Param(1))
 		h.Ret(r)
 	}
+	{ // div or mod by the caller's operand, on the dividend's low bit
+		h := b.LibFunc("leaf_divp", 2)
+		r := h.Reg()
+		h.And(r, h.Param(0), h.ConstReg(1))
+		mod := h.NewLabel()
+		h.Bz(r, mod)
+		h.Div(r, h.Param(0), h.Param(1))
+		h.Ret(r)
+		h.Bind(mod)
+		h.Mod(r, h.Param(0), h.Param(1))
+		h.Ret(r)
+	}
 
 	for _, name := range []string{"h1", "h2"} {
 		h := b.Func(name, 2)
@@ -186,7 +200,7 @@ func genProgram(seed int64) *isa.Program {
 		for i := 0; i < 3; i++ {
 			temps = append(temps, h.ConstReg(rng.Int63n(50)))
 		}
-		genOps(rng, h, temps, buf, big, []string{"leaf_inl", "leaf_div"}, 6+rng.Intn(10))
+		genOps(rng, h, temps, buf, big, []string{"leaf_inl", "leaf_div", "leaf_divp"}, 6+rng.Intn(10))
 		h.Free(big)
 		h.Free(buf)
 		h.Ret(temps[rng.Intn(len(temps))])
@@ -201,7 +215,7 @@ func genProgram(seed int64) *isa.Program {
 	for i := 0; i < 6; i++ {
 		temps = append(temps, f.ConstReg(rng.Int63n(100)))
 	}
-	callees := []string{"h1", "h2", "leaf_inl", "leaf_div"}
+	callees := []string{"h1", "h2", "leaf_inl", "leaf_div", "leaf_divp"}
 	genOps(rng, f, temps, buf, big, callees, 8+rng.Intn(12))
 	for l := 0; l < 2+rng.Intn(2); l++ {
 		f.LoopN(2+rng.Int63n(4), func(prog.Reg) {

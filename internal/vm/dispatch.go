@@ -1,10 +1,10 @@
-// Threaded dispatch: the predecoded execution core. A handler table
-// indexed by decoded opcode replaces the reference interpreter's giant
-// switch (vm.go), in the style of classic func-table ISA simulators — with
-// the hottest paths kept inline in the loop itself: loads and stores (the
-// event-emit fast path), constants, adds, branches and calls/returns.
-// Everything else costs one indirect call through the table. Every step
-// executes exactly one decoded record.
+// Threaded dispatch: the predecoded execution core. The loop executes
+// exactly one decoded record per step through a single switch over the
+// decoded opcode (predecode.go), which the compiler lowers to a jump
+// table; every defined opcode is an inline case, so no step pays an
+// indirect call. The reference interpreter's switch over raw isa.Inst
+// (vm.go) stays as the differential oracle, and both trap with the same
+// text.
 //
 // Hot state lives in locals for the whole run — pc, step/load/store
 // counters, the register window — and is written back to the VM and frame
@@ -19,126 +19,6 @@ import (
 	"halo/internal/isa"
 	"halo/internal/mem"
 )
-
-// dhandler executes one table-dispatched instruction and returns the next
-// pc. Errors are sentinel trap causes; the loop wraps them with frame
-// context.
-type dhandler func(v *VM, in *dinst, regs []int64, pc int) (int, error)
-
-// Sentinel trap causes for table handlers, formatted exactly like the
-// reference interpreter's messages.
-var (
-	errDivZero = errors.New("division by zero")
-	errModZero = errors.New("mod by zero")
-)
-
-// dtab is the handler table. Slots the loop handles inline are backed by
-// hIllegal for safety; they are never reached through the table.
-var dtab = [dopCount]dhandler{}
-
-func init() {
-	for i := range dtab {
-		dtab[i] = hIllegal
-	}
-	dtab[dNop] = hNop
-	dtab[dMov] = hMov
-	dtab[dSub] = hSub
-	dtab[dMul] = hMul
-	dtab[dDiv] = hDiv
-	dtab[dMod] = hMod
-	dtab[dAnd] = hAnd
-	dtab[dOr] = hOr
-	dtab[dXor] = hXor
-	dtab[dShl] = hShl
-	dtab[dShr] = hShr
-	dtab[dEq] = hEq
-	dtab[dNe] = hNe
-	dtab[dLt] = hLt
-	dtab[dLe] = hLe
-	dtab[dGroupSet] = hGroupSet
-	dtab[dGroupClr] = hGroupClr
-}
-
-func hIllegal(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	return 0, &illegalOp{op: isa.Opcode(in.imm)}
-}
-
-// illegalOp formats the reference interpreter's illegal-opcode trap cause.
-type illegalOp struct{ op isa.Opcode }
-
-func (e *illegalOp) Error() string { return "illegal opcode " + e.op.String() }
-
-func hNop(v *VM, in *dinst, regs []int64, pc int) (int, error) { return pc + 1, nil }
-func hMov(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = regs[in.b]
-	return pc + 1, nil
-}
-func hSub(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = regs[in.b] - regs[in.c]
-	return pc + 1, nil
-}
-func hMul(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = regs[in.b] * regs[in.c]
-	return pc + 1, nil
-}
-func hDiv(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	if regs[in.c] == 0 {
-		return 0, errDivZero
-	}
-	regs[in.a] = regs[in.b] / regs[in.c]
-	return pc + 1, nil
-}
-func hMod(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	if regs[in.c] == 0 {
-		return 0, errModZero
-	}
-	regs[in.a] = regs[in.b] % regs[in.c]
-	return pc + 1, nil
-}
-func hAnd(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = regs[in.b] & regs[in.c]
-	return pc + 1, nil
-}
-func hOr(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = regs[in.b] | regs[in.c]
-	return pc + 1, nil
-}
-func hXor(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = regs[in.b] ^ regs[in.c]
-	return pc + 1, nil
-}
-func hShl(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = regs[in.b] << (uint64(regs[in.c]) & 63)
-	return pc + 1, nil
-}
-func hShr(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = int64(uint64(regs[in.b]) >> (uint64(regs[in.c]) & 63))
-	return pc + 1, nil
-}
-func hEq(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = b2i(regs[in.b] == regs[in.c])
-	return pc + 1, nil
-}
-func hNe(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = b2i(regs[in.b] != regs[in.c])
-	return pc + 1, nil
-}
-func hLt(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = b2i(regs[in.b] < regs[in.c])
-	return pc + 1, nil
-}
-func hLe(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	regs[in.a] = b2i(regs[in.b] <= regs[in.c])
-	return pc + 1, nil
-}
-func hGroupSet(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	v.group.Set(int(in.imm))
-	return pc + 1, nil
-}
-func hGroupClr(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	v.group.Clear(int(in.imm))
-	return pc + 1, nil
-}
 
 const pageMask = mem.PageSize - 1
 
@@ -354,6 +234,68 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 					pc++
 				}
 
+			// ---- arithmetic, comparisons, group-state bits ----
+			case dNop:
+				pc++
+			case dMov:
+				regs[in.a] = regs[in.b]
+				pc++
+			case dSub:
+				regs[in.a] = regs[in.b] - regs[in.c]
+				pc++
+			case dMul:
+				regs[in.a] = regs[in.b] * regs[in.c]
+				pc++
+			case dDiv:
+				if regs[in.c] == 0 {
+					f.pc = pc
+					sync()
+					return 0, v.trap(*f, "division by zero") //halo:hotalloc-ok cold trap exit: execution ends here
+				}
+				regs[in.a] = regs[in.b] / regs[in.c]
+				pc++
+			case dMod:
+				if regs[in.c] == 0 {
+					f.pc = pc
+					sync()
+					return 0, v.trap(*f, "mod by zero") //halo:hotalloc-ok cold trap exit: execution ends here
+				}
+				regs[in.a] = regs[in.b] % regs[in.c]
+				pc++
+			case dAnd:
+				regs[in.a] = regs[in.b] & regs[in.c]
+				pc++
+			case dOr:
+				regs[in.a] = regs[in.b] | regs[in.c]
+				pc++
+			case dXor:
+				regs[in.a] = regs[in.b] ^ regs[in.c]
+				pc++
+			case dShl:
+				regs[in.a] = regs[in.b] << (uint64(regs[in.c]) & 63)
+				pc++
+			case dShr:
+				regs[in.a] = int64(uint64(regs[in.b]) >> (uint64(regs[in.c]) & 63))
+				pc++
+			case dEq:
+				regs[in.a] = b2i(regs[in.b] == regs[in.c])
+				pc++
+			case dNe:
+				regs[in.a] = b2i(regs[in.b] != regs[in.c])
+				pc++
+			case dLt:
+				regs[in.a] = b2i(regs[in.b] < regs[in.c])
+				pc++
+			case dLe:
+				regs[in.a] = b2i(regs[in.b] <= regs[in.c])
+				pc++
+			case dGroupSet:
+				v.group.Set(int(in.imm))
+				pc++
+			case dGroupClr:
+				v.group.Clear(int(in.imm))
+				pc++
+
 			// ---- control transfers ----
 			case dRet:
 				val := regs[in.a]
@@ -428,14 +370,10 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 			case dHalt:
 				sync()
 				return 0, nil
-			default:
-				npc, herr := dtab[in.op](v, in, regs, pc)
-				if herr != nil {
-					f.pc = pc
-					sync()
-					return 0, v.trap(*f, "%s", herr)
-				}
-				pc = npc
+			default: // dIllegal: imm holds the undefined isa opcode
+				f.pc = pc
+				sync()
+				return 0, v.trap(*f, "illegal opcode %s", isa.Opcode(in.imm)) //halo:hotalloc-ok cold trap exit: execution ends here
 			}
 		}
 	}

@@ -52,11 +52,6 @@ type Event struct {
 	Bytes uint64
 }
 
-// Alloc converts an EvAlloc record to an AllocEvent.
-func (e *Event) Alloc() AllocEvent {
-	return AllocEvent{Kind: e.AKind, Ptr: e.Addr, Old: e.Old, Size: e.Bytes, Site: e.Site}
-}
-
 // EventSink consumes batches of events. The batch slice is owned by the VM
 // and reused after the call returns; sinks must not retain it. Batches are
 // delivered in execution order and are never empty.

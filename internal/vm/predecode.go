@@ -10,8 +10,7 @@ import (
 	"halo/internal/obs"
 )
 
-// dop is a decoded opcode, indexing the threaded dispatcher's handler
-// table.
+// dop is a decoded opcode, the threaded dispatcher's switch tag.
 type dop uint8
 
 // Decoded opcodes. They mirror isa's, with calls split by target kind.

@@ -29,7 +29,8 @@ type Allocator interface {
 	Free(ptr uint64)
 }
 
-// AllocKind distinguishes the memory-management externals in AllocEvent.
+// AllocKind distinguishes the memory-management externals in an EvAlloc
+// event's AKind field.
 type AllocKind uint8
 
 // Allocation event kinds.
@@ -55,15 +56,6 @@ func (k AllocKind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// AllocEvent describes one intercepted memory-management call.
-type AllocEvent struct {
-	Kind AllocKind
-	Ptr  uint64   // resulting pointer (0 for free)
-	Old  uint64   // prior pointer for realloc/free
-	Size uint64   // requested size (n*size for calloc)
-	Site isa.Addr // the raw, immediate call site of the external call
-}
-
 // SiteAware is implemented by allocators that want to know the immediate
 // call site of each memory-management request — the analogue of reading the
 // return address off the stack, which is how the paper's specialised
@@ -78,7 +70,7 @@ type DispatchMode uint8
 // Execution engines.
 const (
 	// DispatchThreaded is the default: the program is predecoded once
-	// (predecode.go) and executed by the func-table threaded dispatcher
+	// (predecode.go) and executed by the threaded dispatcher
 	// (dispatch.go).
 	DispatchThreaded DispatchMode = iota
 	// DispatchSwitch is the reference switch interpreter, retained verbatim
@@ -96,11 +88,9 @@ type Config struct {
 	MaxDepth int
 	// Out receives print output; nil discards it.
 	Out io.Writer
-	// GroupBits sizes the group-state vector; 0 allocates DefaultGroupBits
-	// so unrewritten binaries still run gset/gclr-free.
-	GroupBits int
-	// GroupState, when non-nil, is used as the group-state vector instead
-	// of allocating one. The harness shares it between the VM and the
+	// GroupState, when non-nil, is used as the group-state vector; nil
+	// allocates DefaultGroupBits bits, so unrewritten binaries still run
+	// gset/gclr-free. The harness shares it between the VM and the
 	// specialised allocator's selector classifier, mirroring the real
 	// allocator locating the state vector in process memory (§4.4).
 	GroupState *bits.Vec
@@ -190,15 +180,12 @@ func New(p *isa.Program, memory *mem.Memory, alloc Allocator, sink EventSink, cf
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = DefaultMaxDepth
 	}
-	if cfg.GroupBits == 0 {
-		cfg.GroupBits = DefaultGroupBits
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
 	group := cfg.GroupState
 	if group == nil {
-		group = bits.New(cfg.GroupBits)
+		group = bits.New(DefaultGroupBits)
 	}
 	v := &VM{
 		prog:  p,

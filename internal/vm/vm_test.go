@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -183,16 +184,16 @@ func TestMallocFreeEvents(t *testing.T) {
 	if res != 7 {
 		t.Fatalf("heap round trip = %d", res)
 	}
-	var events []AllocEvent
-	for i := range sink.events {
-		if sink.events[i].Kind == EvAlloc {
-			events = append(events, sink.events[i].Alloc())
+	var events []Event
+	for _, ev := range sink.events {
+		if ev.Kind == EvAlloc {
+			events = append(events, ev)
 		}
 	}
-	if len(events) != 2 || events[0].Kind != KindMalloc || events[1].Kind != KindFree {
+	if len(events) != 2 || events[0].AKind != KindMalloc || events[1].AKind != KindFree {
 		t.Fatalf("events = %+v", events)
 	}
-	if events[0].Size != 24 || events[0].Ptr == 0 {
+	if events[0].Bytes != 24 || events[0].Addr == 0 {
 		t.Fatalf("malloc event = %+v", events[0])
 	}
 	if events[0].Site == isa.NoAddr {
@@ -310,19 +311,86 @@ func TestPrintAndExit(t *testing.T) {
 	}
 }
 
+// TestTraps runs each trapping program under both engines: each must
+// trap, with the same message from either engine.
 func TestTraps(t *testing.T) {
-	t.Run("div by zero", func(t *testing.T) {
+	divLike := func(op func(f *prog.FuncBuilder, dst, a, b prog.Reg)) *isa.Program {
 		b := prog.NewBuilder("test")
 		f := b.Func("main", 0)
 		x := f.ConstReg(1)
 		z := f.ConstReg(0)
 		r := f.Reg()
-		f.Div(r, x, z)
+		op(f, r, x, z)
 		f.Ret(r)
-		p, _ := b.Build()
-		m := mem.NewMemory()
-		if _, err := New(p, m, newBump(m), nil, Config{}).Run(); err == nil {
-			t.Fatal("no trap")
+		return b.MustBuild()
+	}
+	// illegalAt hand-builds main(): r0 = flag; bnz r0 over an undefined
+	// opcode; ret r0. The builder refuses undefined opcodes, and the trap
+	// must fire only when execution reaches one.
+	illegalAt := func(flag int64) *isa.Program {
+		p := &isa.Program{Name: "test", Funcs: []*isa.Func{{
+			Name: "main", NRegs: 1,
+			Code: []isa.Inst{
+				{Op: isa.OpConst, A: 0, Imm: flag},
+				{Op: isa.OpBnz, A: 0, Imm: 3},
+				{Op: isa.Opcode(200)},
+				{Op: isa.OpRet, A: 0},
+			},
+		}}}
+		p.Link()
+		return p
+	}
+	stackOverflow := func() *isa.Program {
+		b := prog.NewBuilder("test")
+		f := b.Func("main", 0)
+		f.Ret(f.Call("main"))
+		return b.MustBuild()
+	}
+	badIndirect := func() *isa.Program {
+		b := prog.NewBuilder("test")
+		f := b.Func("main", 0)
+		bad := f.ConstReg(99)
+		f.Ret(f.CallInd(bad))
+		return b.MustBuild()
+	}
+	cases := []struct {
+		name string
+		p    *isa.Program
+		want string // substring of the trap message
+	}{
+		{"div by zero", divLike((*prog.FuncBuilder).Div), "division by zero"},
+		{"mod by zero", divLike((*prog.FuncBuilder).Mod), "mod by zero"},
+		{"illegal opcode", illegalAt(0), "illegal opcode op(200)"},
+		{"stack overflow", stackOverflow(), "call stack overflow"},
+		{"bad indirect target", badIndirect(), "indirect call to bad function index 99"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var msgs [2]string
+			for i, mode := range []DispatchMode{DispatchSwitch, DispatchThreaded} {
+				m := mem.NewMemory()
+				_, err := New(tc.p, m, newBump(m), nil, Config{MaxDepth: 64, Dispatch: mode}).Run()
+				if err == nil {
+					t.Fatalf("mode %d: no trap", mode)
+				}
+				msgs[i] = err.Error()
+			}
+			if msgs[0] != msgs[1] {
+				t.Fatalf("trap text differs:\n switch:   %s\n threaded: %s", msgs[0], msgs[1])
+			}
+			if !strings.Contains(msgs[0], tc.want) {
+				t.Fatalf("trap %q does not mention %q", msgs[0], tc.want)
+			}
+		})
+	}
+	t.Run("illegal opcode not reached", func(t *testing.T) {
+		p := illegalAt(1)
+		for _, mode := range []DispatchMode{DispatchSwitch, DispatchThreaded} {
+			m := mem.NewMemory()
+			res, err := New(p, m, newBump(m), nil, Config{Dispatch: mode}).Run()
+			if err != nil || res != 1 {
+				t.Fatalf("mode %d: res %d err %v, want 1 <nil>", mode, res, err)
+			}
 		}
 	})
 	t.Run("step budget", func(t *testing.T) {
@@ -332,31 +400,12 @@ func TestTraps(t *testing.T) {
 		f.Bind(l)
 		f.Jmp(l)
 		p, _ := b.Build()
-		m := mem.NewMemory()
-		_, err := New(p, m, newBump(m), nil, Config{MaxSteps: 1000}).Run()
-		if err != ErrMaxSteps {
-			t.Fatalf("err = %v", err)
-		}
-	})
-	t.Run("stack overflow", func(t *testing.T) {
-		b := prog.NewBuilder("test")
-		f := b.Func("main", 0)
-		f.Ret(f.Call("main"))
-		p, _ := b.Build()
-		m := mem.NewMemory()
-		if _, err := New(p, m, newBump(m), nil, Config{MaxDepth: 64}).Run(); err == nil {
-			t.Fatal("no overflow trap")
-		}
-	})
-	t.Run("bad indirect target", func(t *testing.T) {
-		b := prog.NewBuilder("test")
-		f := b.Func("main", 0)
-		bad := f.ConstReg(99)
-		f.Ret(f.CallInd(bad))
-		p, _ := b.Build()
-		m := mem.NewMemory()
-		if _, err := New(p, m, newBump(m), nil, Config{}).Run(); err == nil {
-			t.Fatal("no trap")
+		for _, mode := range []DispatchMode{DispatchSwitch, DispatchThreaded} {
+			m := mem.NewMemory()
+			_, err := New(p, m, newBump(m), nil, Config{MaxSteps: 1000, Dispatch: mode}).Run()
+			if err != ErrMaxSteps {
+				t.Fatalf("mode %d: err = %v", mode, err)
+			}
 		}
 	})
 }
