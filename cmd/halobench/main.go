@@ -33,9 +33,10 @@
 // profile into groups, selectors and the HDS policy), a "metrics" section
 // (a snapshot of the process metrics registry plus per-workload pipeline
 // stage spans), and the sweep's wall-clock — the format the repository's
-// BENCH_*.json trajectory records. Every workload×technique pair is
-// measured once, so the trial_ns figures add up to the sweep's trial
-// time.
+// BENCH_*.json trajectory records. Every distinct layout is measured
+// once: a row that shares its layout with another row of its workload
+// names that row in shares_layout_with and has trial_ns 0, so the
+// trial_ns figures add up to the sweep's trial time.
 package main
 
 import (

@@ -63,6 +63,13 @@ type lru struct {
 	ways  int
 	mask  uint64 // sets-1; the set count is a power of two
 	stats LevelStats
+
+	// used lists the sets installs have filled since the cache was built
+	// or last reset, each once: a set is recorded by the install that
+	// finds it empty. Its capacity is a quarter of the sets plus one, and
+	// a full list stops recording, so reset clears the listed sets or,
+	// once more than a quarter were used, the whole slots slice.
+	used []uint32
 }
 
 // newLRU builds a cache of the given capacity in entries, rounding the
@@ -76,7 +83,27 @@ func newLRU(entries, ways int) lru {
 	for p*2 <= sets {
 		p *= 2
 	}
-	return lru{slots: make([]uint64, p*ways), ways: ways, mask: uint64(p - 1)}
+	return lru{
+		slots: make([]uint64, p*ways),
+		ways:  ways,
+		mask:  uint64(p - 1),
+		used:  make([]uint32, 0, p/4+1),
+	}
+}
+
+// reset empties the cache and zeroes its stats, leaving it as newLRU
+// built it.
+func (c *lru) reset() {
+	if len(c.used) == cap(c.used) {
+		clear(c.slots)
+	} else {
+		for _, si := range c.used {
+			base := int(si) * c.ways
+			clear(c.slots[base : base+c.ways])
+		}
+	}
+	c.used = c.used[:0]
+	c.stats = LevelStats{}
 }
 
 // access looks up key, moving it to MRU on a hit and installing it as MRU
@@ -107,6 +134,9 @@ func (c *lru) access(key uint64, count bool) (hit bool) {
 	}
 	if count {
 		c.stats.Misses++
+	}
+	if set[0] == 0 && len(c.used) < cap(c.used) {
+		c.used = append(c.used, uint32(key&c.mask))
 	}
 	copy(set[1:n+1], set[:n])
 	set[0] = tag
@@ -166,8 +196,31 @@ type Hierarchy struct {
 	stallCycle uint64
 }
 
-// New builds a hierarchy from the config.
+// MaxSpares is the most released hierarchies kept for reuse: as many as
+// the runs a 4-CPU machine's pool budget lets hold one at once. A Xeon
+// W-2195 hierarchy holds about 3 MB of cache and TLB slots, its L3 alone
+// 2.9 MB, so the spares retain at most MaxSpares times that.
+const MaxSpares = 4
+
+// spares keeps hierarchies between runs, so a measurement run that
+// releases its hierarchy hands the next run a cleared one instead of a
+// fresh allocation. It is a bounded channel rather than a sync.Pool
+// because every GC cycle empties a sync.Pool's older half, and a
+// measurement run allocates enough to trigger GCs between runs.
+var spares = make(chan *Hierarchy, MaxSpares)
+
+// New builds a hierarchy from the config. It reuses a released
+// hierarchy when the oldest spare was built from an equal config (reset
+// first, so it cannot be told from a new one) and allocates otherwise.
 func New(cfg Config) *Hierarchy {
+	select {
+	case h := <-spares:
+		if h.cfg == cfg {
+			h.reset()
+			return h
+		}
+	default:
+	}
 	return &Hierarchy{
 		cfg:  cfg,
 		l1:   newLevel(cfg.L1),
@@ -176,6 +229,24 @@ func New(cfg Config) *Hierarchy {
 		tlb:  newLRU(cfg.TLB.Entries, cfg.TLB.Ways),
 		stlb: newLRU(cfg.STLB.Entries, cfg.STLB.Ways),
 	}
+}
+
+// Release hands the hierarchy back for a later New to reuse. The caller
+// must be done with it: once released, its counters and contents belong
+// to whichever run takes it next.
+func (h *Hierarchy) Release() {
+	select {
+	case spares <- h:
+	default:
+	}
+}
+
+// reset empties every level and zeroes every counter.
+func (h *Hierarchy) reset() {
+	for _, c := range []*lru{&h.l1, &h.l2, &h.l3, &h.tlb, &h.stlb} {
+		c.reset()
+	}
+	h.memAccess, h.stallCycle = 0, 0
 }
 
 // newLevel builds a data cache over line numbers.

@@ -107,12 +107,3 @@ func TestLRUMatchesListModel(t *testing.T) {
 		}
 	}
 }
-
-// TestNewAllocations pins the flat layout: a full Xeon W-2195 hierarchy
-// is a handful of allocations, not one per cache set.
-func TestNewAllocations(t *testing.T) {
-	cfg := XeonW2195()
-	if n := testing.AllocsPerRun(5, func() { New(cfg) }); n > 16 {
-		t.Fatalf("cache.New made %.0f allocations, want <= 16", n)
-	}
-}

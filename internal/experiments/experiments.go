@@ -21,8 +21,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -144,8 +146,8 @@ type artefacts struct {
 }
 
 // Engine caches per-workload artefacts and measurement summaries so the
-// experiments share one profiling run and one trial set per benchmark and
-// policy.
+// experiments share one profiling run per benchmark and one trial set per
+// distinct layout.
 // Experiments fan their workloads out over a bounded worker pool; the
 // caches are mutex-guarded and every table row is assembled in workload
 // order after the pool drains, so output is identical at any parallelism.
@@ -155,14 +157,19 @@ type Engine struct {
 
 	mu   sync.Mutex
 	arts map[string]*artefacts
-	sums map[string]measured
+	sums map[string]*measured // by layoutKey
+	rows map[string]string    // "workload/label" → the layoutKey it measured
 }
 
-// measured is one summaryFor entry: the trials' summary and the wall time
-// of the MeasureTrials call that produced it, warm-up run included.
+// measured is one trial set: the trials' summary and the wall time of the
+// MeasureTrials call that produced it, warm-up run included. done closes
+// once the fields are set; until then the entry marks a measurement in
+// flight, which a second caller waits for instead of repeating.
 type measured struct {
+	done chan struct{}
 	measure.Summary
 	trialNs int64
+	err     error
 }
 
 // NewEngine builds an experiment engine.
@@ -171,7 +178,8 @@ func NewEngine(opts Options) *Engine {
 		opts:    opts.withDefaults(),
 		machine: cache.XeonW2195(),
 		arts:    map[string]*artefacts{},
-		sums:    map[string]measured{},
+		sums:    map[string]*measured{},
+		rows:    map[string]string{},
 	}
 }
 
@@ -294,30 +302,76 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 
 // summaryFor measures (with caching) one workload under one policy, the
 // only place the experiments run trials, and records how long the trials
-// took.
+// took. The label names the result row; the cache is keyed by the
+// layout, so rows whose policies give the same layout share one trial
+// set, and a caller that finds that trial set in flight waits for it.
 func (e *Engine) summaryFor(a *artefacts, label string, pol measure.Policy) (measure.Summary, error) {
-	key := a.w.Name + "/" + label
-	e.mu.Lock()
-	m, ok := e.sums[key]
-	e.mu.Unlock()
-	if ok {
-		return m.Summary, nil
-	}
-	e.opts.logf("[%s] measuring %s (%d trials)", a.w.Name, label, e.opts.Trials)
-	start := time.Now()
-	s, err := measure.MeasureTrials(a.refProg, pol, e.opts.Trials, e.opts.Seed, e.machine)
+	key, err := layoutKey(a.w.Name, pol)
 	if err != nil {
 		return measure.Summary{}, fmt.Errorf("%s/%s: %w", a.w.Name, label, err)
 	}
-	m = measured{Summary: s, trialNs: time.Since(start).Nanoseconds()}
 	e.mu.Lock()
-	if prior, ok := e.sums[key]; ok {
-		m = prior
-	} else {
+	e.rows[a.w.Name+"/"+label] = key
+	m, ok := e.sums[key]
+	if !ok {
+		m = &measured{done: make(chan struct{})}
 		e.sums[key] = m
 	}
 	e.mu.Unlock()
-	return m.Summary, nil
+	if ok {
+		<-m.done
+		return m.Summary, m.err
+	}
+	e.opts.logf("[%s] measuring %s (%d trials)", a.w.Name, label, e.opts.Trials)
+	start := time.Now()
+	m.Summary, m.err = measure.MeasureTrials(a.refProg, pol, e.opts.Trials, e.opts.Seed, e.machine)
+	m.trialNs = time.Since(start).Nanoseconds()
+	if m.err != nil {
+		m.err = fmt.Errorf("%s/%s: %w", a.w.Name, label, m.err)
+	}
+	close(m.done)
+	return m.Summary, m.err
+}
+
+// layoutKey fingerprints what a measurement of the workload under pol
+// depends on besides the engine's trials, seed and machine: the workload
+// (it fixes the measured build), the policy kind, the rewritten binary's
+// encoding, the selectors and group-state width, the HDS site map, the
+// pool count and the group allocator's config.
+func layoutKey(workload string, pol measure.Policy) (string, error) {
+	h := sha256.New()
+	fmt.Fprintf(h, "%q %d %d %d %+v %v\n", workload, pol.Kind, pol.NumBits, pol.Pools, pol.Halloc, pol.Selectors)
+	for _, site := range slices.Sorted(maps.Keys(pol.SiteGroups)) {
+		fmt.Fprintf(h, "%d:%d ", site, pol.SiteGroups[site])
+	}
+	if pol.Rewritten != nil {
+		img, err := pol.Rewritten.Encode()
+		if err != nil {
+			return "", err
+		}
+		h.Write(img)
+	}
+	return string(h.Sum(nil)), nil
+}
+
+// sharedWith names the row whose trial set the workload's row label
+// reuses, or returns "" when label is that row itself. Of the rows that
+// measured one layout, the shortest label owns it, ties going to the
+// lesser string, so fig12's "halo@A=8" sorts before "halo@A=16" and the
+// engine's own "halo" before either. Call with e.mu held.
+func (e *Engine) sharedWith(workload, label string) string {
+	key := e.rows[workload+"/"+label]
+	owner := label
+	for row, k := range e.rows {
+		name, other, _ := strings.Cut(row, "/")
+		if k == key && name == workload && (len(other) < len(owner) || len(other) == len(owner) && other < owner) {
+			owner = other
+		}
+	}
+	if owner == label {
+		return ""
+	}
+	return owner
 }
 
 // forEachWorkload fans fn out over the workloads on the shared worker
@@ -334,8 +388,10 @@ func (e *Engine) forEachWorkload(list []workloads.Workload, fn func(i int, w wor
 // sweep. TrialNs is the wall time of the row's own trial set (the
 // discarded warm-up run plus the measured trials) while the rest of the
 // sweep shares the machine, so it is this row's share of the sweep's
-// trial time, not an idle-machine figure. Fig12's affinity-distance
-// points appear as technique "halo@A=<bytes>".
+// trial time, not an idle-machine figure. A row whose layout another row
+// of the workload measured names that row in SharesLayoutWith, carries
+// its figures, and has TrialNs 0: it cost no trials of its own. Fig12's
+// affinity-distance points appear as technique "halo@A=<bytes>".
 type BenchResult struct {
 	Workload         string  `json:"workload"`
 	Technique        string  `json:"technique"`
@@ -344,6 +400,7 @@ type BenchResult struct {
 	BaselineSeconds  float64 `json:"baseline_seconds"`
 	Seconds          float64 `json:"seconds"`
 	TrialNs          int64   `json:"trial_ns"`
+	SharesLayoutWith string  `json:"shares_layout_with,omitempty"`
 	// Regressed flags results where the technique *hurt* (see regressed).
 	// Easy to misread as noise in a wall of numbers, so it is surfaced
 	// explicitly here and in halobench's rendered tables.
@@ -365,23 +422,20 @@ func regressed(missReductionPct, speedupPct float64) bool {
 func (e *Engine) BenchResults() []BenchResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	keys := make([]string, 0, len(e.sums))
-	for k := range e.sums {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var out []BenchResult
-	for _, k := range keys {
-		slash := strings.IndexByte(k, '/')
-		name, label := k[:slash], k[slash+1:]
+	for _, k := range slices.Sorted(maps.Keys(e.rows)) {
+		name, label, _ := strings.Cut(k, "/")
 		if label == "jemalloc" {
 			continue
 		}
-		base, ok := e.sums[name+"/jemalloc"]
+		base, ok := e.finished(name + "/jemalloc")
 		if !ok {
 			continue
 		}
-		s := e.sums[k]
+		s, ok := e.finished(k)
+		if !ok {
+			continue
+		}
 		r := BenchResult{
 			Workload:         name,
 			Technique:        label,
@@ -390,11 +444,32 @@ func (e *Engine) BenchResults() []BenchResult {
 			BaselineSeconds:  base.Seconds.Median,
 			Seconds:          s.Seconds.Median,
 			TrialNs:          s.trialNs,
+			SharesLayoutWith: e.sharedWith(name, label),
+		}
+		if r.SharesLayoutWith != "" {
+			r.TrialNs = 0
 		}
 		r.Regressed = regressed(r.MissReductionPct, r.SpeedupPct)
 		out = append(out, r)
 	}
 	return out
+}
+
+// finished returns the trial set a "workload/label" row measured, if that
+// row exists and its measurement completed without error. Call with e.mu
+// held.
+func (e *Engine) finished(row string) (*measured, bool) {
+	key, ok := e.rows[row]
+	if !ok {
+		return nil, false
+	}
+	m := e.sums[key]
+	select {
+	case <-m.done:
+		return m, m.err == nil
+	default:
+		return nil, false
+	}
 }
 
 // ProfileStat is one workload's profiling throughput: how many VM events

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"halo/internal/measure"
 	"halo/internal/obs"
+	"halo/internal/pool"
+	"halo/internal/workloads"
 )
 
 func quickEngine(workloads ...string) *Engine {
@@ -78,8 +82,11 @@ func TestFig13VMRuns(t *testing.T) {
 
 // TestFig12Quick: the quick affinity-distance sweep covers 8 B to 2 KiB,
 // takes its baseline and its 128 B point (the profiler's default distance)
-// from the measurements fig14 already made, and re-profiles and measures
-// each other distance exactly once.
+// from the measurements fig14 already made, re-profiles each other
+// distance once, and measures only layouts no other row measured. Under
+// -quick every distance yields the 128 B point's layout, so after fig14
+// the sweep makes just the eight training runs, and every other row names
+// 128 as its layout and repeats its figures.
 func TestFig12Quick(t *testing.T) {
 	e := quickEngine("omnetpp")
 	fig14, err := e.Fig14()
@@ -91,7 +98,7 @@ func TestFig12Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := vmRuns()-before, float64(8*(1+e.opts.Trials+1)); got != want {
+	if got, want := vmRuns()-before, float64(8); got != want {
 		t.Errorf("fig12 after fig14 made %v VM runs, want %v", got, want)
 	}
 	if len(tab.Rows) != 9 {
@@ -101,6 +108,16 @@ func TestFig12Quick(t *testing.T) {
 		if want := fmt.Sprint(8 << i); row[0] != want {
 			t.Errorf("row %d distance = %s, want %s", i, row[0], want)
 		}
+		shared := "128"
+		if row[0] == "128" {
+			shared = "-"
+		}
+		if row[5] != shared {
+			t.Errorf("row %d (%s B) same layout as %q, want %q", i, row[0], row[5], shared)
+		}
+		if !slices.Equal(row[1:5], tab.Rows[4][1:5]) {
+			t.Errorf("row %d %v, figures differ from the 128 B row %v it shares", i, row, tab.Rows[4])
+		}
 	}
 	omnetpp := fig14.Rows[0]
 	if want := "jemalloc baseline median: " + omnetpp[3] + "s"; tab.Notes[0] != want {
@@ -108,6 +125,50 @@ func TestFig12Quick(t *testing.T) {
 	}
 	if got, want := tab.Rows[4][4], omnetpp[2]; got != want {
 		t.Errorf("fig12 128 B point %s vs baseline, fig14 omnetpp HALO %s", got, want)
+	}
+	// The JSON rows say the same: each halo@A= row names "halo" and
+	// carries no trial time of its own.
+	for _, r := range e.BenchResults() {
+		if !strings.HasPrefix(r.Technique, "halo@A=") {
+			if r.SharesLayoutWith != "" || r.TrialNs <= 0 {
+				t.Errorf("%s/%s: shares %q, trial_ns %d; want its own trial set", r.Workload, r.Technique, r.SharesLayoutWith, r.TrialNs)
+			}
+			continue
+		}
+		if r.SharesLayoutWith != "halo" || r.TrialNs != 0 {
+			t.Errorf("%s/%s: shares %q, trial_ns %d; want \"halo\" and 0", r.Workload, r.Technique, r.SharesLayoutWith, r.TrialNs)
+		}
+	}
+}
+
+// TestSummaryCoalesces: concurrent summaryFor calls for one layout under
+// different labels run one trial set, and both rows resolve to it.
+func TestSummaryCoalesces(t *testing.T) {
+	e := quickEngine("art")
+	a, err := e.artefactsFor(workloads.MustGet("art"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := vmRuns()
+	sums := make([]measure.Summary, 4)
+	err = pool.Map(len(sums), 0, func(i int) error {
+		var err error
+		sums[i], err = e.summaryFor(a, fmt.Sprintf("halo%d", i), a.polHALO)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := vmRuns()-before, float64(e.opts.Trials+1); got != want {
+		t.Fatalf("four concurrent requests for one layout made %v VM runs, want %v", got, want)
+	}
+	for i, s := range sums[1:] {
+		if s.Median != sums[0].Median {
+			t.Fatalf("request %d got a different summary", i+1)
+		}
+	}
+	if len(e.sums) != 1 || len(e.rows) != 4 {
+		t.Fatalf("%d trial sets for %d rows, want 1 for 4", len(e.sums), len(e.rows))
 	}
 }
 

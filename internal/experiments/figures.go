@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"halo/internal/core"
@@ -44,7 +45,10 @@ func (e *Engine) Fig9() (*Table, error) {
 // median (the paper's dashed line). The baseline and the 128 B point (the
 // profiler's default distance, so artefactsFor's own configuration) are
 // the engine's cached "jemalloc" and "halo" summaries; every other
-// distance re-profiles the test input and is cached as "halo@A=<bytes>".
+// distance re-profiles the test input and is measured as
+// "halo@A=<bytes>" unless its layout was measured already. The "same
+// layout as" column names the distance whose trial set a row shares, so
+// equal medians are not read as separate measurements.
 func (e *Engine) Fig12() (*Table, error) {
 	a, err := e.artefactsFor(workloads.MustGet("omnetpp"))
 	if err != nil {
@@ -53,7 +57,7 @@ func (e *Engine) Fig12() (*Table, error) {
 	t := &Table{
 		ID:      "fig12",
 		Title:   "omnetpp time elapsed vs affinity distance (dashed line = jemalloc baseline)",
-		Columns: []string{"affinity distance (B)", "median time (s)", "p25", "p75", "vs baseline"},
+		Columns: []string{"affinity distance (B)", "median time (s)", "p25", "p75", "vs baseline", "same layout as"},
 	}
 	base, err := e.summaryFor(a, "jemalloc", a.polBase)
 	if err != nil {
@@ -68,6 +72,7 @@ func (e *Engine) Fig12() (*Table, error) {
 	// The sweep points are independent, so they fan out over the worker
 	// pool; rows are assembled in distance order afterwards.
 	rows := make([][]string, hi-lo+1)
+	labels := make([]string, len(rows))
 	err = pool.Map(len(rows), 0, func(i int) error {
 		dist := uint64(1) << (lo + i)
 		label, pol := "halo", a.polHALO
@@ -86,6 +91,7 @@ func (e *Engine) Fig12() (*Table, error) {
 			}
 			label = fmt.Sprintf("halo@A=%d", dist)
 		}
+		labels[i] = label
 		s, err := e.summaryFor(a, label, pol)
 		if err != nil {
 			return fmt.Errorf("fig12 A=%d: %w", dist, err)
@@ -104,7 +110,23 @@ func (e *Engine) Fig12() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	distinct := 0
+	e.mu.Lock()
+	for i, row := range rows {
+		shared := "-"
+		if owner := e.sharedWith(a.w.Name, labels[i]); owner != "" {
+			shared = owner
+			if j := slices.Index(labels, owner); j >= 0 {
+				shared = rows[j][0]
+			}
+		} else {
+			distinct++
+		}
+		rows[i] = append(row, shared)
+	}
+	e.mu.Unlock()
 	t.Rows = rows
+	t.Notes = append(t.Notes, fmt.Sprintf("%d distances, %d distinct layout(s) measured; a row that names a distance under \"same layout as\" has that distance's binary, selectors and allocator config, and its figures are that distance's trial set", len(rows), distinct))
 	return t, nil
 }
 

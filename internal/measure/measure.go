@@ -157,7 +157,9 @@ func Run(p *isa.Program, policy Policy, seed uint64, machine cache.Config) (RunR
 
 	// The hierarchy consumes the VM's event stream batch-at-a-time, on a
 	// borrowed pool helper when one is free, so the cache model overlaps
-	// the VM; hier is read only after Run returns.
+	// the VM; hier is read only after Run returns, and released for the
+	// next run once read. A panic leaves it to the GC: the helper may
+	// have died mid-batch.
 	hier := cache.New(machine)
 	v := vm.New(prog, memory, allocator, hier, vm.Config{
 		Seed:        seed,
@@ -166,6 +168,7 @@ func Run(p *isa.Program, policy Policy, seed uint64, machine cache.Config) (RunR
 	})
 	res, err := v.Run()
 	if err != nil {
+		hier.Release()
 		return RunResult{}, fmt.Errorf("measure: %s under %s: %w", prog.Name, policy.Kind, err)
 	}
 
@@ -179,6 +182,7 @@ func Run(p *isa.Program, policy Policy, seed uint64, machine cache.Config) (RunR
 		Seconds: hier.Seconds(v.Steps()),
 		Alloc:   defStats(),
 	}
+	hier.Release()
 	if galloc != nil {
 		out.GroupStats = galloc.Stats()
 		out.GroupedAllocs = galloc.GroupedAllocs()
@@ -213,9 +217,10 @@ type Summary struct {
 // MeasureTrials runs trials+1 executions (discarding the first, per the
 // paper's steady-state warm-up) with seeds baseSeed, baseSeed+1, ... and
 // summarises them, fanning the trials out over internal/pool. Each trial
-// builds its own memory, allocator, VM and cache hierarchy, so trials are
-// independent; results are gathered by trial index, making the summary
-// bit-identical at any pool width.
+// builds its own memory, allocator and VM and takes a cache hierarchy of
+// its own from cache.New, a released one reset to the state of a new one
+// when a spare is free, so trials are independent; results are gathered
+// by trial index, making the summary bit-identical at any pool width.
 func MeasureTrials(p *isa.Program, policy Policy, trials int, baseSeed uint64, machine cache.Config) (Summary, error) {
 	if trials < 1 {
 		trials = 1
