@@ -5,14 +5,14 @@ import (
 	"testing/quick"
 )
 
-// fakeInter lets tests script co-allocatability conflicts.
-type fakeInter struct {
-	conflicts map[Ctx][]uint64 // context -> allocation serials
-}
+// fakeInter scripts an allocation sequence: entry s is the context that
+// issued serial s. It answers co-allocatability by scanning the serials
+// strictly between the pair.
+type fakeInter []Ctx
 
-func (f fakeInter) AllocatedBetween(c Ctx, lo, hi uint64) bool {
-	for _, s := range f.conflicts[c] {
-		if s > lo && s < hi {
+func (f fakeInter) Interferes(lo, hi uint64) bool {
+	for s := lo + 1; s < hi; s++ {
+		if f[s] == f[lo] || f[s] == f[hi] {
 			return true
 		}
 	}
@@ -20,7 +20,7 @@ func (f fakeInter) AllocatedBetween(c Ctx, lo, hi uint64) bool {
 }
 
 func acc(obj uint64, ctx Ctx, size uint32) Access {
-	return Access{Obj: obj, Ctx: ctx, Size: size, Serial: obj}
+	return Access{Obj: obj, Ctx: ctx, Size: size}
 }
 
 func TestQueueBasicAffinity(t *testing.T) {
@@ -105,20 +105,29 @@ func TestQueueDoubleCountSuppression(t *testing.T) {
 }
 
 func TestQueueCoallocatability(t *testing.T) {
-	// Context 1 allocated serial 5 between objects 2 and 8: accesses to
-	// those objects are not affinitive if either endpoint is context 1.
-	inter := fakeInter{conflicts: map[Ctx][]uint64{1: {5}}}
+	// Serial s was allocated from context inter[s]. Context 1 allocated
+	// serial 5 between objects 2 (context 1) and 8 (context 2), and
+	// context 3 allocated serial 7 between objects 4 (context 4) and 9
+	// (context 3); every other serial comes from an unrelated context 9.
+	inter := fakeInter{9, 9, 1, 9, 4, 1, 9, 3, 2, 3}
 	g := NewGraph()
 	q := NewQueue(64, g, inter)
 	q.Push(acc(2, 1, 8))
 	q.Push(acc(8, 2, 8))
 	if w := g.Weight(1, 2); w != 0 {
-		t.Fatalf("conflicting pair counted: weight = %d", w)
+		t.Fatalf("pair split by the older object's context counted: weight = %d", w)
 	}
 	// A pair with no intervening allocation still counts.
 	q.Push(acc(9, 3, 8))
 	if w := g.Weight(2, 3); w != 1 {
 		t.Fatalf("clean pair weight = %d, want 1", w)
+	}
+	q.Push(acc(4, 4, 8))
+	if w := g.Weight(4, 3); w != 0 {
+		t.Fatalf("pair split by the newer object's context counted: weight = %d", w)
+	}
+	if w := g.Weight(4, 2); w != 1 {
+		t.Fatalf("clean pair (4, 8) weight = %d, want 1", w)
 	}
 }
 

@@ -2,17 +2,18 @@ package affinity
 
 // Access is one macro-level heap access as seen by the profiler.
 type Access struct {
-	Obj    uint64 // object identity (allocation serial)
-	Ctx    Ctx    // reduced allocation context of the object
-	Size   uint32 // access size in bytes (a queue entry's width, Figure 5)
-	Serial uint64 // the object's allocation serial, for co-allocatability
+	Obj  uint64 // object identity: its allocation serial
+	Ctx  Ctx    // reduced allocation context of the object
+	Size uint32 // access size in bytes (a queue entry's width, Figure 5)
 }
 
-// Interference answers the co-allocatability constraint: whether a context
-// made any allocation chronologically strictly between two serials. The
-// profiler implements it over its per-context allocation logs.
+// Interference answers the co-allocatability constraint for two objects,
+// named by their allocation serials lo < hi: whether the context of
+// either one made an allocation chronologically strictly between them.
+// The profiler answers it in O(1) from per-serial links to the previous
+// and next allocation of the same context.
 type Interference interface {
-	AllocatedBetween(c Ctx, lo, hi uint64) bool
+	Interferes(lo, hi uint64) bool
 }
 
 // maxDenseObj bounds the dense per-object dedup array. Profiler object
@@ -40,11 +41,11 @@ type Queue struct {
 	// dense array keeps marking to a single indexed store.
 	//
 	// seenGen grows with the highest serial marked — 4 bytes per
-	// allocation issued, the same order as the profiler's own retained
-	// per-allocation logs — and is deliberately never shrunk: serials
-	// only increase, so a smaller array would be reallocated on the next
-	// traversal, and a window-bounded set would push long-lived hot
-	// objects (old serials, touched every traversal) onto the slow map.
+	// allocation issued, a quarter of the profiler's own per-serial
+	// links — and is deliberately never shrunk: serials only increase, so
+	// a smaller array would be reallocated on the next traversal, and a
+	// window-bounded set would push long-lived hot objects (old serials,
+	// touched every traversal) onto the slow map.
 	gen     uint32
 	seenGen []uint32          // object serial -> generation last seen
 	seenBig map[uint64]uint32 // overflow for ids >= maxDenseObj
@@ -173,19 +174,8 @@ func (q *Queue) affinitive(u, v Access) bool {
 	// Co-allocatability: no allocation made chronologically between u and
 	// v may originate from either context, otherwise the pair could not
 	// actually be co-located by contiguous pool allocation.
-	lo, hi := u.Serial, v.Serial
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if q.inter != nil && hi > lo+1 {
-		if q.inter.AllocatedBetween(u.Ctx, lo, hi) {
-			return false
-		}
-		if v.Ctx != u.Ctx && q.inter.AllocatedBetween(v.Ctx, lo, hi) {
-			return false
-		}
-	}
-	return true
+	lo, hi := min(u.Obj, v.Obj), max(u.Obj, v.Obj)
+	return q.inter == nil || hi == lo+1 || !q.inter.Interferes(lo, hi)
 }
 
 // Len reports the live entry count.

@@ -86,7 +86,9 @@ func TestFig13VMRuns(t *testing.T) {
 // distance once, and measures only layouts no other row measured. Under
 // -quick every distance yields the 128 B point's layout, so after fig14
 // the sweep makes just the eight training runs, and every other row names
-// 128 as its layout and repeats its figures.
+// 128 as its layout and repeats its figures. The graph columns say why:
+// the filtered graph gains edges up to 32 B and none after, and synthesis
+// forms the same four groups at every distance.
 func TestFig12Quick(t *testing.T) {
 	e := quickEngine("omnetpp")
 	fig14, err := e.Fig14()
@@ -108,12 +110,22 @@ func TestFig12Quick(t *testing.T) {
 		if want := fmt.Sprint(8 << i); row[0] != want {
 			t.Errorf("row %d distance = %s, want %s", i, row[0], want)
 		}
+		edges := "10"
+		switch row[0] {
+		case "8":
+			edges = "4"
+		case "16":
+			edges = "7"
+		}
+		if row[5] != edges || row[6] != "4" {
+			t.Errorf("row %d (%s B): %s graph edges, %s groups; want %s and 4", i, row[0], row[5], row[6], edges)
+		}
 		shared := "128"
 		if row[0] == "128" {
 			shared = "-"
 		}
-		if row[5] != shared {
-			t.Errorf("row %d (%s B) same layout as %q, want %q", i, row[0], row[5], shared)
+		if row[7] != shared {
+			t.Errorf("row %d (%s B) same layout as %q, want %q", i, row[0], row[7], shared)
 		}
 		if !slices.Equal(row[1:5], tab.Rows[4][1:5]) {
 			t.Errorf("row %d %v, figures differ from the 128 B row %v it shares", i, row, tab.Rows[4])

@@ -46,9 +46,12 @@ func (e *Engine) Fig9() (*Table, error) {
 // profiler's default distance, so artefactsFor's own configuration) are
 // the engine's cached "jemalloc" and "halo" summaries; every other
 // distance re-profiles the test input and is measured as
-// "halo@A=<bytes>" unless its layout was measured already. The "same
-// layout as" column names the distance whose trial set a row shares, so
-// equal medians are not read as separate measurements.
+// "halo@A=<bytes>" unless its layout was measured already. The "graph
+// edges" and "groups" columns give each distance's filtered affinity
+// graph and the groups synthesis formed from it, so a flat line can be
+// traced to the graph or to grouping. The "same layout as" column names
+// the distance whose trial set a row shares, so equal medians are not
+// read as separate measurements.
 func (e *Engine) Fig12() (*Table, error) {
 	a, err := e.artefactsFor(workloads.MustGet("omnetpp"))
 	if err != nil {
@@ -57,7 +60,7 @@ func (e *Engine) Fig12() (*Table, error) {
 	t := &Table{
 		ID:      "fig12",
 		Title:   "omnetpp time elapsed vs affinity distance (dashed line = jemalloc baseline)",
-		Columns: []string{"affinity distance (B)", "median time (s)", "p25", "p75", "vs baseline", "same layout as"},
+		Columns: []string{"affinity distance (B)", "median time (s)", "p25", "p75", "vs baseline", "graph edges", "groups", "same layout as"},
 	}
 	base, err := e.summaryFor(a, "jemalloc", a.polBase)
 	if err != nil {
@@ -75,14 +78,15 @@ func (e *Engine) Fig12() (*Table, error) {
 	labels := make([]string, len(rows))
 	err = pool.Map(len(rows), 0, func(i int) error {
 		dist := uint64(1) << (lo + i)
-		label, pol := "halo", a.polHALO
+		label, pol, opt := "halo", a.polHALO, a.opt
 		if dist != 128 {
 			// Only the HDS analysis reads the reference trace, and this
 			// profile feeds HALO alone.
 			cfg := pipelineConfig(a.w)
 			cfg.Profile.RecordTrace = false
 			cfg.Profile.AffinityDistance = dist
-			opt, err := core.Optimize(a.w.Build(a.w.TestScale), cfg)
+			var err error
+			opt, err = core.Optimize(a.w.Build(a.w.TestScale), cfg)
 			if err != nil {
 				return fmt.Errorf("fig12 A=%d: %w", dist, err)
 			}
@@ -103,6 +107,8 @@ func (e *Engine) Fig12() (*Table, error) {
 			fmt.Sprintf("%.4f", s.Seconds.P25),
 			fmt.Sprintf("%.4f", s.Seconds.P75),
 			fmt.Sprintf("%+.2f%%", delta),
+			fmt.Sprintf("%d", opt.Profile.Graph.NumEdges()),
+			fmt.Sprintf("%d", len(opt.Groups)),
 		}
 		e.opts.logf("[fig12] A=%-6d median %.4fs (%+.2f%%)", dist, s.Seconds.Median, delta)
 		return nil

@@ -22,7 +22,10 @@ type goldenWorkload struct {
 	name string
 
 	// sha256 of profstore.Encode for core.Profile with RecordTrace=true
-	// and the default training seed.
+	// and the default training seed. Re-pinned for image format version
+	// 2: the seed engine's version-1 image with its per-context serial
+	// logs left out encodes to these bytes. The allocation order those
+	// logs witnessed is pinned by internal/profile's TestAllocationOrder.
 	profileSHA string
 
 	// measure.Run of the test-scale build, seed 1000, XeonW2195, one row
@@ -52,7 +55,7 @@ type goldenRun struct {
 var goldens = []goldenWorkload{
 	{
 		name:       "povray",
-		profileSHA: "1aa6e750d713c99e51c46a33502b639c26ba093d1405669987aeee510ec462a6",
+		profileSHA: "cdd0956725ec82ba2c74ac183977d79f17427b387ceec15ba7fde3d20177d75c",
 		runs: []goldenRun{
 			{policy: "jemalloc", result: 56986, steps: 291272, loads: 83333, stores: 25031, l1dMisses: 22809, l1dAccesses: 108364, cycles: 475284},
 			{policy: "halo", result: 56986, steps: 292522, loads: 83333, stores: 25031, l1dMisses: 18793, l1dAccesses: 108364, cycles: 422130, grouped: 625, forwarded: 872, fragBytes: 3106392},
@@ -63,7 +66,7 @@ var goldens = []goldenWorkload{
 	},
 	{
 		name:       "omnetpp",
-		profileSHA: "9ff41b3104a8cedf2aca84bb0cc2f34618dc38ef8e564515a470bc554ba4e2c0",
+		profileSHA: "30f3fee4783fa8411c5c5ab1291ffeb84bc8bfee40abfc6db6cb3a34a052926c",
 		runs: []goldenRun{
 			{policy: "jemalloc", result: 4511129, steps: 4431092, loads: 1513817, stores: 545375, l1dMisses: 586887, l1dAccesses: 2059192, cycles: 9287376},
 			{policy: "halo", result: 4511129, steps: 4434292, loads: 1513817, stores: 545375, l1dMisses: 265625, l1dAccesses: 2059192, cycles: 5444488, grouped: 1600, forwarded: 4401, fragBytes: 447488},
@@ -75,7 +78,7 @@ var goldens = []goldenWorkload{
 }
 
 // TestGoldenProfileImages asserts the batched engine reproduces the seed
-// engine's profile images byte for byte.
+// engine's profiles byte for byte in the current image format.
 func TestGoldenProfileImages(t *testing.T) {
 	for _, g := range goldens {
 		t.Run(g.name, func(t *testing.T) {

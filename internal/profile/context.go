@@ -28,10 +28,6 @@ type Context struct {
 	ID     affinity.Ctx
 	Chain  []ChainEntry
 	Allocs uint64 // allocations made from this context
-
-	// serials logs every allocation serial issued from this context, in
-	// ascending order, for the co-allocatability constraint.
-	serials []uint64
 }
 
 // Sites returns the distinct call sites in the chain, the candidate
@@ -67,24 +63,6 @@ func (c *Context) SitePos(site isa.Addr) int {
 		}
 	}
 	return -1
-}
-
-// AllocatedBetween reports whether this context allocated strictly between
-// serials lo and hi. It runs once per candidate pair in the affinity
-// queue's traversal, so the binary search is hand-rolled: sort.Search's
-// closure indirection costs more than the search itself at this call rate.
-func (c *Context) AllocatedBetween(lo, hi uint64) bool {
-	s := c.serials
-	i, j := 0, len(s)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h] <= lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i < len(s) && s[i] < hi
 }
 
 // Describe renders the chain with function names for reports (Figure 9).

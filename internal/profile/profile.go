@@ -130,12 +130,13 @@ type Profiler struct {
 	queue    *affinity.Queue
 	graph    *affinity.Graph
 
-	// serialCtx records the context of every allocation serial (index 0
-	// unused): the global allocation log the co-allocatability check
-	// scans when the serial range is short.
-	serialCtx []affinity.Ctx
+	// links holds, for every allocation serial, the previous and next
+	// serial issued from the same context (links[0] absorbs the next
+	// link of each context's first serial), and last the latest serial
+	// of each context: all the co-allocatability check reads.
+	links []link
+	last  []uint64
 
-	serial uint64
 	events uint64
 
 	// trace is the block being filled, blocks the full ones before it,
@@ -149,6 +150,12 @@ type Profiler struct {
 	peakLive      int
 }
 
+// link chains one allocation serial to its neighbours from the same
+// context; 0 means there is none (serials start at 1).
+type link struct {
+	prev, next uint64
+}
+
 type nframe struct {
 	site isa.Addr // call site that created this frame
 	fn   int32    // callee function index
@@ -159,37 +166,39 @@ type nframe struct {
 func New(p *isa.Program, cfg Config) *Profiler {
 	cfg = cfg.withDefaults()
 	pr := &Profiler{
-		prog:      p,
-		cfg:       cfg,
-		contexts:  newContextTable(),
-		objects:   newObjIndex(),
-		graph:     affinity.NewGraph(),
-		serialCtx: make([]affinity.Ctx, 1, 1024),
+		prog:     p,
+		cfg:      cfg,
+		contexts: newContextTable(),
+		objects:  newObjIndex(),
+		graph:    affinity.NewGraph(),
+		links:    make([]link, 1, 1024),
 	}
 	pr.queue = affinity.NewQueue(cfg.AffinityDistance, pr.graph, pr)
 	return pr
 }
 
-// coallocScanWindow is the serial-range length up to which the
-// co-allocatability check scans the global allocation log directly; wider
-// ranges binary-search the context's own serial log instead. Both answer
-// the same membership question, so the cutover is invisible.
-const coallocScanWindow = 64
+// Interferes implements affinity.Interference: it reports whether the
+// context of serial lo or of serial hi allocated strictly between them.
+// Every serial up to the newest is linked to its context's next and
+// previous allocation, so each context needs one comparison.
+func (p *Profiler) Interferes(lo, hi uint64) bool {
+	next := p.links[lo].next
+	return next != 0 && next < hi || p.links[hi].prev > lo
+}
 
-// AllocatedBetween implements affinity.Interference. Queue traversals ask
-// it about chronologically close pairs most of the time, so short ranges
-// scan the dense serial-to-context log; wide ranges fall back to binary
-// search over the per-context allocation log.
-func (p *Profiler) AllocatedBetween(c affinity.Ctx, lo, hi uint64) bool {
-	if hi-lo <= coallocScanWindow {
-		for s := lo + 1; s < hi; s++ {
-			if p.serialCtx[s] == c {
-				return true
-			}
-		}
-		return false
+// issue assigns the next allocation serial to context c, which is either
+// a context that allocated before or the next new one, links it to the
+// context's previous serial, and returns it.
+func (p *Profiler) issue(c affinity.Ctx) uint64 {
+	s := uint64(len(p.links))
+	if int(c) == len(p.last) {
+		p.last = append(p.last, 0)
 	}
-	return p.contexts.list[c].AllocatedBetween(lo, hi)
+	prev := p.last[c]
+	p.links[prev].next = s
+	p.links = append(p.links, link{prev: prev})
+	p.last[c] = s
+	return s
 }
 
 // ConsumeEvents implements vm.EventSink. Batch order is execution order,
@@ -284,10 +293,8 @@ func (p *Profiler) alloc(ev *vm.Event) {
 		return
 	}
 	ctx := p.currentContext(ev.Site)
-	p.serial++
 	ctx.Allocs++
-	ctx.serials = append(ctx.serials, p.serial)
-	p.serialCtx = append(p.serialCtx, ctx.ID)
+	serial := p.issue(ctx.ID)
 	if ev.Bytes > p.cfg.MaxObjectSize {
 		return // not a grouping candidate; leave untracked
 	}
@@ -299,7 +306,7 @@ func (p *Profiler) alloc(ev *vm.Event) {
 	p.objects.insert(object{
 		base:    ev.Addr,
 		size:    size,
-		serial:  p.serial,
+		serial:  serial,
 		ctx:     ctx.ID,
 		rawSite: uint32(ev.Site),
 	})
@@ -317,12 +324,7 @@ func (p *Profiler) access(addr uint64, size uint8) {
 	if o == nil {
 		return
 	}
-	p.queue.Push(affinity.Access{
-		Obj:    o.serial,
-		Ctx:    o.ctx,
-		Size:   uint32(size),
-		Serial: o.serial,
-	})
+	p.queue.Push(affinity.Access{Obj: o.serial, Ctx: o.ctx, Size: uint32(size)})
 	if p.cfg.RecordTrace && p.traceLen < p.cfg.MaxTrace {
 		// The reference trace is macro-deduplicated the same way the
 		// affinity queue is: consecutive references to one object are a

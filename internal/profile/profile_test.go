@@ -350,23 +350,3 @@ func TestObjIndexSharedGranulePanics(t *testing.T) {
 		}
 	}
 }
-
-func TestAllocatedBetween(t *testing.T) {
-	c := &Context{serials: []uint64{5, 10, 20}}
-	cases := []struct {
-		lo, hi uint64
-		want   bool
-	}{
-		{1, 4, false},
-		{1, 6, true},
-		{5, 10, false}, // exclusive bounds
-		{9, 21, true},
-		{20, 30, false},
-		{4, 6, true},
-	}
-	for _, tc := range cases {
-		if got := c.AllocatedBetween(tc.lo, tc.hi); got != tc.want {
-			t.Errorf("AllocatedBetween(%d,%d) = %v", tc.lo, tc.hi, got)
-		}
-	}
-}

@@ -1,6 +1,6 @@
 package profile
 
-// This file is the persistence surface of the package: the accessors and
+// This file is the persistence surface of the package: the chain key and
 // the standalone interning table that internal/profstore builds its
 // serialisation format and profile merging on. Nothing here is used by a
 // live profiling run.
@@ -9,14 +9,6 @@ package profile
 // allocation context if and only if their keys are equal, which is how
 // contexts from independent profiling runs are matched during merging.
 func ChainKey(chain []ChainEntry) string { return chainKey(chain) }
-
-// Serials returns the context's allocation-serial log in ascending order.
-func (c *Context) Serials() []uint64 { return c.serials }
-
-// RestoreSerials replaces the serial log; decoders use it to rebuild a
-// context exactly as the profiler recorded it, and a store that keeps a
-// profile only for synthesis passes nil to drop the log.
-func (c *Context) RestoreSerials(s []uint64) { c.serials = s }
 
 // ContextSet interns reduced chains outside a live profiling run. Interning
 // order assigns IDs, so callers that need deterministic IDs (profile

@@ -10,8 +10,8 @@ import (
 )
 
 // fuzzSeedProfiles builds a spread of small valid profiles covering the
-// format's features: empty, multi-context with serial logs, graphs with
-// loop edges, and a recorded reference trace.
+// format's features: empty, multi-context, graphs with loop edges, and a
+// recorded reference trace.
 func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 	tb.Helper()
 	mk := func(build func(set *profile.ContextSet, p *profile.Profile)) *profile.Profile {
@@ -36,12 +36,10 @@ func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 			{Fn: 0, Site: 4}, {Fn: profile.AllocFn, Site: 12},
 		})
 		a.Allocs = 3
-		a.RestoreSerials([]uint64{1, 4, 9})
 		b := set.Intern([]profile.ChainEntry{
 			{Fn: 1, Site: 20}, {Fn: profile.AllocFn, Site: 28},
 		})
 		b.Allocs = 2
-		b.RestoreSerials([]uint64{2, 7})
 
 		raw := affinity.NewGraph()
 		raw.SetNodeAccesses(a.ID, 90)
@@ -86,6 +84,7 @@ func FuzzDecode(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x40
 		f.Add(flipped)
 	}
+	f.Add(version1Image())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)

@@ -18,17 +18,17 @@ const DefaultCoverage = profile.DefaultCoverage
 // profiles. The inputs are only read.
 //
 // One profile is not merged: the result is a shallow copy with only the
-// filtered graph replaced, so it keeps its context numbering, serial logs
-// and trace, and a profile recorded at the default coverage re-encodes
+// filtered graph replaced, so it keeps its context numbering and trace,
+// and a profile recorded at the default coverage re-encodes
 // byte-identically.
 //
 // Several profiles of one program (matched by ProgName) are merged by
 // identifying contexts across runs through their reduced chains and
 // summing node access counts and edge weights. Context IDs are assigned in
 // canonical (chain-key) order and all combination is additive, so the
-// result does not depend on argument order. Serial logs (serial spaces of
-// distinct runs are incomparable) and reference traces (hot-data-streams
-// is defined over one run's reference order) do not survive merging.
+// result does not depend on argument order. Reference traces
+// (hot-data-streams is defined over one run's reference order) do not
+// survive merging.
 func MergeWithCoverage(coverage float64, profs ...*profile.Profile) (*profile.Profile, error) {
 	if len(profs) == 0 {
 		return nil, fmt.Errorf("profstore: merge: no profiles")

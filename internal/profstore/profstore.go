@@ -27,14 +27,12 @@ import (
 // Image format. A profile is serialised as:
 //
 //	magic    "HPRO"
-//	version  uvarint (currently 1)
+//	version  uvarint (currently 2; Decode rejects any other)
 //	name     string (uvarint length + bytes): program name
 //	stats    uvarint TotalAllocs, TrackedAllocs, PeakLive
 //	contexts uvarint count, then per context:
 //	           uvarint chain length; per entry varint Fn, uvarint Site
 //	           uvarint Allocs
-//	           uvarint serial count; serials delta-encoded (first value
-//	           absolute, then successive differences)
 //	graph    the coverage-filtered affinity graph (see below)
 //	rawgraph the unfiltered affinity graph
 //	trace    uvarint count; per ref uvarint Obj, uvarint Site, uvarint Size
@@ -47,7 +45,7 @@ import (
 //	edges    uvarint count; (uvarint u, uvarint v, uvarint weight) sorted
 const (
 	magic   = "HPRO"
-	version = 1
+	version = 2
 )
 
 // Plausibility caps mirroring internal/isa's decoder. Beyond these static
@@ -57,7 +55,6 @@ const (
 const (
 	maxContexts = 1 << 22
 	maxChainLen = 1 << 16
-	maxSerials  = 1 << 28
 	maxNodes    = 1 << 22
 	maxEdges    = 1 << 26
 	maxTraceLen = 1 << 28
@@ -91,13 +88,6 @@ func Encode(p *profile.Profile) ([]byte, error) {
 			writeUvarint(&buf, uint64(e.Site))
 		}
 		writeUvarint(&buf, c.Allocs)
-		serials := c.Serials()
-		writeUvarint(&buf, uint64(len(serials)))
-		var prev uint64
-		for _, s := range serials {
-			writeUvarint(&buf, s-prev)
-			prev = s
-		}
 	}
 	encodeGraph(&buf, p.Graph)
 	encodeGraph(&buf, p.RawGraph)
@@ -137,7 +127,7 @@ func Decode(image []byte) (*profile.Profile, error) {
 	p.TrackedAllocs = r.uvarint()
 	p.PeakLive = int(r.uvarint())
 	nc := r.uvarint()
-	if nc > maxContexts || !r.canHold(nc, 3) {
+	if nc > maxContexts || !r.canHold(nc, 2) {
 		return nil, fmt.Errorf("profstore: implausible context count %d", nc)
 	}
 	set := profile.NewContextSet()
@@ -158,19 +148,6 @@ func Decode(image []byte) (*profile.Profile, error) {
 			return nil, fmt.Errorf("profstore: duplicate context chain at index %d", i)
 		}
 		c.Allocs = r.uvarint()
-		ns := r.uvarint()
-		if ns > maxSerials || !r.canHold(ns, 1) {
-			return nil, fmt.Errorf("profstore: implausible serial count %d", ns)
-		}
-		if ns > 0 {
-			serials := make([]uint64, ns)
-			var prev uint64
-			for j := range serials {
-				prev += r.uvarint()
-				serials[j] = prev
-			}
-			c.RestoreSerials(serials)
-		}
 	}
 	p.Contexts = set.List()
 	var err error

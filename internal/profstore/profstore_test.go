@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"halo/internal/alloc"
@@ -70,10 +71,6 @@ func TestRoundTrip(t *testing.T) {
 				c := got.Contexts[i]
 				if c.ID != want.ID || c.Allocs != want.Allocs || !reflect.DeepEqual(c.Chain, want.Chain) {
 					t.Fatalf("context %d differs: %+v vs %+v", i, c, want)
-				}
-				if !reflect.DeepEqual(c.Serials(), want.Serials()) {
-					t.Fatalf("context %d serials differ (%d vs %d entries)",
-						i, len(c.Serials()), len(want.Serials()))
 				}
 			}
 
@@ -218,12 +215,6 @@ func TestDecodeForgedCounts(t *testing.T) {
 		"contexts": forge(func(buf *bytes.Buffer) {
 			writeUvarint(buf, maxContexts) // claims 4M contexts in ~30 bytes
 		}),
-		"serials": forge(func(buf *bytes.Buffer) {
-			writeUvarint(buf, 1) // one context
-			writeUvarint(buf, 0) // empty chain
-			writeUvarint(buf, 0) // allocs
-			writeUvarint(buf, maxSerials)
-		}),
 		"trace": forge(func(buf *bytes.Buffer) {
 			writeUvarint(buf, 0) // contexts
 			emptyGraph(buf)
@@ -241,6 +232,45 @@ func TestDecodeForgedCounts(t *testing.T) {
 				t.Fatalf("forged %s count accepted", name)
 			}
 		})
+	}
+}
+
+// version1Image encodes a small profile in the retired version-1 format,
+// which carried each context's allocation-serial log.
+func version1Image() []byte {
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	writeUvarint(&buf, 1)
+	writeString(&buf, "v1")
+	writeUvarint(&buf, 2) // TotalAllocs
+	writeUvarint(&buf, 2) // TrackedAllocs
+	writeUvarint(&buf, 1) // PeakLive
+	writeUvarint(&buf, 1) // one context
+	writeUvarint(&buf, 1) // chain length
+	writeVarint(&buf, int64(profile.AllocFn))
+	writeUvarint(&buf, 12) // site
+	writeUvarint(&buf, 2)  // allocs
+	writeUvarint(&buf, 2)  // serial count
+	writeUvarint(&buf, 1)  // serials 1, 3 delta-coded
+	writeUvarint(&buf, 2)
+	for range 2 { // empty filtered and raw graphs
+		writeUvarint(&buf, 0)
+		writeUvarint(&buf, 0)
+		writeUvarint(&buf, 0)
+	}
+	writeUvarint(&buf, 0) // trace
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
+	buf.Write(crc[:])
+	return buf.Bytes()
+}
+
+// TestDecodeRejectsVersion1 checks that a version-1 image is refused by
+// its version number rather than misread.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	_, err := Decode(version1Image())
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 image: err = %v, want unsupported version 1", err)
 	}
 }
 
@@ -331,12 +361,7 @@ func TestMergeSums(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no contexts checked")
 	}
-	// Serial logs and traces deliberately do not survive merging.
-	for _, c := range m.Contexts {
-		if len(c.Serials()) != 0 {
-			t.Fatal("merged context carries serials")
-		}
-	}
+	// Traces deliberately do not survive merging.
 	if len(m.Trace) != 0 {
 		t.Fatal("merged profile carries a trace")
 	}
@@ -372,7 +397,7 @@ func TestMergeValidation(t *testing.T) {
 
 // TestMergeSingleKeepsProfile: one profile has nothing to merge, so
 // filtering it at the coverage it was recorded at gives back its own
-// image, context numbering, serial logs and trace included.
+// image, context numbering and trace included.
 func TestMergeSingleKeepsProfile(t *testing.T) {
 	for _, trace := range []bool{false, true} {
 		p := profileWorkload(t, "art", 3, trace)

@@ -117,8 +117,8 @@ type programEntry struct {
 type profileEntry struct {
 	ID   string
 	Blob []byte
-	// Prof is Blob decoded once, at upload, without the serial logs and
-	// reference trace no job reads. Jobs share it read-only.
+	// Prof is Blob decoded once, at upload, without the reference trace
+	// no job reads. Jobs share it read-only.
 	Prof *profile.Profile
 }
 
@@ -336,14 +336,10 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 
 // storeProfile stores an already-validated profile blob and its decoded
 // form, deduplicating by hash. prof is shared read-only from then on.
-// Serial logs and the reference trace are most of a decoded profile, and
-// no job reads them: merging several drops both and synthesis reads
-// neither. They are dropped from prof here; the blob keeps them for
-// download.
+// A recorded reference trace is most of a decoded profile, and no job
+// reads it: merging several drops it and synthesis does not read it. It
+// is dropped from prof here; the blob keeps it for download.
 func (s *Server) storeProfile(blob []byte, prof *profile.Profile) *profileEntry {
-	for _, c := range prof.Contexts {
-		c.RestoreSerials(nil)
-	}
 	prof.Trace = nil
 	id := hashID(blob)
 	entry := &profileEntry{ID: id, Blob: blob, Prof: prof}
@@ -416,10 +412,9 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 		blob = e.Blob
 	}
 	s.mu.Unlock()
-	// A single input is re-filtered, not renumbered, and keeps the serial
-	// logs and trace the stored form dropped, so decode its image afresh:
-	// the result is then byte-identical to `halo profile-merge` of the
-	// same file.
+	// A single input is re-filtered, not renumbered, and keeps the trace
+	// the stored form dropped, so decode its image afresh: the result is
+	// then byte-identical to `halo profile-merge` of the same file.
 	if len(profs) == 1 {
 		full, err := profstore.Decode(blob)
 		if err != nil {
