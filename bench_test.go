@@ -373,9 +373,9 @@ func BenchmarkSynthesis(b *testing.B) {
 }
 
 // BenchmarkMeasureTrials measures the parallel trial harness end to end:
-// warm-up plus four measured trials of the baseline policy, fanned out
-// over the worker pool (ns/op here is the number the halobench -json
-// trajectory tracks per workload×technique).
+// four trials of the baseline policy, fanned out over the worker pool
+// (ns/op here is the number the halobench -json trajectory tracks per
+// workload×technique).
 func BenchmarkMeasureTrials(b *testing.B) {
 	w := workloads.MustGet("povray")
 	p := w.Build(w.TestScale)

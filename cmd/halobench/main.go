@@ -24,19 +24,24 @@
 // The -json document carries the rendered tables plus one flat result
 // record per measured workload×technique pair (miss reduction, speedup,
 // simulated seconds, trial_ns — the wall-clock of that pair's own trial
-// set, warm-up run included, while the sweep runs — and a regressed flag
-// set when the technique added misses or slowed the run against its
-// baseline; fig12's distances appear as technique "halo@A=<bytes>"),
-// per-workload profiling throughput (events consumed by the training
-// run's profiler and events/sec over its "profile" span), a per-workload
-// "synthesis" section (the summed stage spans of turning the training
-// profile into groups, selectors and the HDS policy), a "metrics" section
-// (a snapshot of the process metrics registry plus per-workload pipeline
-// stage spans), and the sweep's wall-clock — the format the repository's
-// BENCH_*.json trajectory records. Every distinct layout is measured
-// once: a row that shares its layout with another row of its workload
-// names that row in shares_layout_with and has trial_ns 0, so the
-// trial_ns figures add up to the sweep's trial time.
+// set while the sweep runs — and a regressed flag set when the technique
+// added misses or slowed the run against its baseline; fig12's distances
+// appear as technique "halo@A=<bytes>"), profiling throughput per
+// training run (events consumed by the run's profiler and events/sec over
+// its "profile" span, with the run's affinity_distance: fig12 re-profiles
+// at each distance), a per-workload "synthesis" section (the summed stage
+// spans of turning the training profile into groups, selectors and the
+// HDS policy), a "metrics" section (a snapshot of the process metrics
+// registry plus per-workload pipeline stage spans), and the sweep's
+// wall-clock — the format the repository's BENCH_*.json trajectory
+// records. Every distinct layout is measured once: a row that shares its
+// layout with another row of its workload names that row in
+// shares_layout_with and has trial_ns 0, so the trial_ns figures add up
+// to the sweep's trial time. "trials" is the count the engine ran per
+// trial set (at most 2 under -quick), and every trial it ran is reported,
+// so after "-run all" halo_vm_runs_total is the profiling rows plus
+// trials times the trial sets: the rows without shares_layout_with and
+// each workload's jemalloc baseline.
 package main
 
 import (
@@ -130,7 +135,7 @@ func run() (err error) {
 	}
 	if *jsonOut != "" {
 		doc := jsonDoc{
-			Trials:    opts.Trials,
+			Trials:    engine.Trials(),
 			Quick:     *quick,
 			Seed:      *seed,
 			Workloads: opts.Workloads,

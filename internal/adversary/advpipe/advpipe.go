@@ -30,8 +30,8 @@ type Eval struct {
 }
 
 // EvalPipeline compiles the sequence at the given scale and runs it through
-// the full pipeline once. Profiling uses the training seed (core's default
-// 7); measurement uses seed 1000 like the golden harness, so RNG-gated
+// the full pipeline once. Profiling uses core.DefaultProfileSeed;
+// measurement uses seed 1000 like the golden harness, so RNG-gated
 // sequences genuinely diverge between what the profile saw and what the
 // measurement exercises.
 func EvalPipeline(s *adversary.Sequence, scale int) (Eval, error) {

@@ -19,13 +19,19 @@ func (f fakeInter) Interferes(lo, hi uint64) bool {
 	return false
 }
 
+// noInter answers every pair co-allocatable: no allocation ever
+// interferes.
+type noInter struct{}
+
+func (noInter) Interferes(lo, hi uint64) bool { return false }
+
 func acc(obj uint64, ctx Ctx, size uint32) Access {
 	return Access{Obj: obj, Ctx: ctx, Size: size}
 }
 
 func TestQueueBasicAffinity(t *testing.T) {
 	g := NewGraph()
-	q := NewQueue(32, g, nil)
+	q := NewQueue(32, g, noInter{})
 	// Two 8-byte accesses to different objects, adjacent: affinitive.
 	q.Push(acc(1, 0, 8))
 	q.Push(acc(2, 1, 8))
@@ -42,7 +48,7 @@ func TestQueueAffinityDistanceWindow(t *testing.T) {
 	// previous two entries (0 and 8 bytes between) but not the third
 	// (16 bytes between).
 	g := NewGraph()
-	q := NewQueue(16, g, nil)
+	q := NewQueue(16, g, noInter{})
 	q.Push(acc(1, 1, 8))
 	q.Push(acc(2, 2, 8))
 	q.Push(acc(3, 3, 8))
@@ -62,7 +68,7 @@ func TestQueueMacroAccessDedup(t *testing.T) {
 	// Consecutive accesses to one object are a single macro access: no
 	// re-traversal, no access recount.
 	g := NewGraph()
-	q := NewQueue(64, g, nil)
+	q := NewQueue(64, g, noInter{})
 	q.Push(acc(1, 0, 8))
 	q.Push(acc(2, 1, 8))
 	q.Push(acc(2, 1, 8))
@@ -77,7 +83,7 @@ func TestQueueMacroAccessDedup(t *testing.T) {
 
 func TestQueueNoSelfAffinity(t *testing.T) {
 	g := NewGraph()
-	q := NewQueue(64, g, nil)
+	q := NewQueue(64, g, noInter{})
 	q.Push(acc(1, 0, 8))
 	q.Push(acc(2, 0, 8))
 	q.Push(acc(1, 0, 8)) // non-consecutive revisit of object 1
@@ -94,7 +100,7 @@ func TestQueueDoubleCountSuppression(t *testing.T) {
 	// Object 2 appears twice in the window; a new access to object 3 may
 	// count it only once.
 	g := NewGraph()
-	q := NewQueue(128, g, nil)
+	q := NewQueue(128, g, noInter{})
 	q.Push(acc(2, 1, 8))
 	q.Push(acc(9, 5, 8))
 	q.Push(acc(2, 1, 8)) // second occurrence (non-consecutive)
@@ -133,7 +139,7 @@ func TestQueueCoallocatability(t *testing.T) {
 
 func TestQueueEviction(t *testing.T) {
 	g := NewGraph()
-	q := NewQueue(32, g, nil)
+	q := NewQueue(32, g, noInter{})
 	for i := uint64(1); i <= 100; i++ {
 		q.Push(acc(i, Ctx(i%7), 8))
 	}
@@ -150,7 +156,7 @@ func TestQueueEviction(t *testing.T) {
 func TestQueueWindowInvariantProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		g := NewGraph()
-		q := NewQueue(64, g, nil)
+		q := NewQueue(64, g, noInter{})
 		for i, s := range sizes {
 			size := uint32(s%16) + 1
 			q.Push(acc(uint64(i+1), Ctx(i%5), size))
@@ -169,7 +175,7 @@ func TestQueueWindowInvariantProperty(t *testing.T) {
 
 func TestQueueCompactionReleasesBurstMemory(t *testing.T) {
 	g := NewGraph()
-	q := NewQueue(4096, g, nil)
+	q := NewQueue(4096, g, noInter{})
 	// Bursty phase: thousands of 1-byte entries keep a ~4096-entry window
 	// live, growing the backing array.
 	for i := uint64(1); i <= 6000; i++ {
@@ -198,7 +204,7 @@ func TestQueueCompactionReleasesBurstMemory(t *testing.T) {
 // the front of its backing array must not allocate.
 func TestQueuePushSteadyStateAllocs(t *testing.T) {
 	g := NewGraph()
-	q := NewQueue(128, g, nil)
+	q := NewQueue(128, g, noInter{})
 	next := uint64(0)
 	compactions := 0
 	push := func(n int) {

@@ -16,12 +16,6 @@ type Interference interface {
 	Interferes(lo, hi uint64) bool
 }
 
-// maxDenseObj bounds the dense per-object dedup array. Profiler object
-// identities are allocation serials, issued contiguously from 1, so real
-// runs stay far below it; synthetic ids beyond the bound fall back to a
-// per-traversal map rather than forcing a giant allocation.
-const maxDenseObj = 1 << 26
-
 // Queue is the affinity queue of §4.1 (Figure 5): a window over the most
 // recent heap accesses, implicitly sized by the affinity distance A. Two
 // entries are affinitive when the sizes of the entries strictly between
@@ -40,22 +34,18 @@ type Queue struct {
 	// replaces a per-access map clear with one integer increment, and the
 	// dense array keeps marking to a single indexed store.
 	//
-	// seenGen grows with the highest serial marked — 4 bytes per
-	// allocation issued, a quarter of the profiler's own per-serial
-	// links — and is deliberately never shrunk: serials only increase, so
-	// a smaller array would be reallocated on the next traversal, and a
-	// window-bounded set would push long-lived hot objects (old serials,
-	// touched every traversal) onto the slow map.
+	// seenGen grows with the highest serial marked, 4 bytes per
+	// allocation issued (at most twice that after a doubling), against the
+	// profiler's own 16 bytes of links per serial, and is deliberately
+	// never shrunk: serials only increase, so a smaller array would be
+	// reallocated on the next traversal.
 	gen     uint32
-	seenGen []uint32          // object serial -> generation last seen
-	seenBig map[uint64]uint32 // overflow for ids >= maxDenseObj
-
-	// Pairs counts affinitive pairs recorded, for diagnostics.
-	Pairs uint64
+	seenGen []uint32 // object serial -> generation last seen
 }
 
 // NewQueue builds a queue feeding the given graph. dist is the affinity
-// distance A in bytes (the paper evaluates 2^3..2^17 and selects 128).
+// distance A in bytes (the paper evaluates 2^3..2^17 and selects 128);
+// inter answers co-allocatability for every candidate pair.
 func NewQueue(dist uint64, graph *Graph, inter Interference) *Queue {
 	return &Queue{
 		dist:  dist,
@@ -72,38 +62,23 @@ func (q *Queue) beginTraversal() {
 	q.gen++
 	if q.gen == 0 {
 		clear(q.seenGen)
-		clear(q.seenBig)
 		q.gen = 1
 	}
 }
 
 // markSeen stamps an object as counted in the current traversal.
 func (q *Queue) markSeen(obj uint64) {
-	if obj < maxDenseObj {
-		if int(obj) >= len(q.seenGen) {
-			n := len(q.seenGen) * 2
-			if n <= int(obj) {
-				n = int(obj) + 1
-			}
-			grown := make([]uint32, n)
-			copy(grown, q.seenGen)
-			q.seenGen = grown
-		}
-		q.seenGen[obj] = q.gen
-		return
+	if obj >= uint64(len(q.seenGen)) {
+		grown := make([]uint32, max(2*len(q.seenGen), int(obj)+1))
+		copy(grown, q.seenGen)
+		q.seenGen = grown
 	}
-	if q.seenBig == nil {
-		q.seenBig = make(map[uint64]uint32)
-	}
-	q.seenBig[obj] = q.gen
+	q.seenGen[obj] = q.gen
 }
 
 // seen reports whether the object was already counted in this traversal.
 func (q *Queue) seen(obj uint64) bool {
-	if obj < maxDenseObj {
-		return int(obj) < len(q.seenGen) && q.seenGen[obj] == q.gen
-	}
-	return q.seenBig[obj] == q.gen
+	return obj < uint64(len(q.seenGen)) && q.seenGen[obj] == q.gen
 }
 
 // Push observes one machine-level access. Consecutive accesses to a single
@@ -125,7 +100,6 @@ func (q *Queue) Push(a Access) {
 		cand := q.entries[i]
 		if q.affinitive(a, cand) {
 			q.graph.AddEdge(a.Ctx, cand.Ctx, 1)
-			q.Pairs++
 		}
 		q.markSeen(cand.Obj)
 		between += uint64(cand.Size)
@@ -175,7 +149,7 @@ func (q *Queue) affinitive(u, v Access) bool {
 	// v may originate from either context, otherwise the pair could not
 	// actually be co-located by contiguous pool allocation.
 	lo, hi := min(u.Obj, v.Obj), max(u.Obj, v.Obj)
-	return q.inter == nil || hi == lo+1 || !q.inter.Interferes(lo, hi)
+	return hi == lo+1 || !q.inter.Interferes(lo, hi)
 }
 
 // Len reports the live entry count.

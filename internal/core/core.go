@@ -3,8 +3,6 @@
 // grouping, selector identification, post-link rewriting, and the lowering
 // of selectors onto the rewritten binary's group-state bits. It also runs
 // the hot-data-streams comparison pipeline over the same profile.
-//
-// The root package halo re-exports this as the library's public API.
 package core
 
 import (
@@ -33,7 +31,8 @@ type Config struct {
 	Group   group.Params
 	HDS     hds.Config
 
-	// ProfileSeed drives the training run (the "test workload").
+	// ProfileSeed drives the training run (the "test workload");
+	// 0 = DefaultProfileSeed.
 	ProfileSeed uint64
 	// ProfileMaxSteps bounds the training run.
 	ProfileMaxSteps uint64
@@ -51,6 +50,17 @@ type Config struct {
 	// group, identify, rewrite, lower, hds/*). Timing only — it never
 	// affects results. A nil trace records nothing at zero cost.
 	Trace *obs.Trace
+}
+
+// DefaultProfileSeed drives the training run when Config.ProfileSeed is 0.
+const DefaultProfileSeed = 7
+
+// profileSeed is the training run's seed, or ProfileN's first one.
+func (c Config) profileSeed() uint64 {
+	if c.ProfileSeed == 0 {
+		return DefaultProfileSeed
+	}
+	return c.ProfileSeed
 }
 
 // Optimized carries every artefact of the HALO pipeline for one binary.
@@ -75,14 +85,10 @@ func Profile(p *isa.Program, cfg Config) (*profile.Profile, error) {
 	prof := profile.New(p, cfg.Profile)
 	memory := mem.NewMemory()
 	osm := mem.NewOS(memory)
-	seed := cfg.ProfileSeed
-	if seed == 0 {
-		seed = 7
-	}
 	// The profiler drains batches on a borrowed pool helper when one is
 	// free; it is read only after Run returns.
 	v := vm.New(p, memory, alloc.NewSizeSeg(osm), prof, vm.Config{
-		Seed:        seed,
+		Seed:        cfg.profileSeed(),
 		MaxSteps:    cfg.ProfileMaxSteps,
 		BatchSize:   cfg.ProfileBatchSize,
 		OverlapSink: true,
@@ -106,10 +112,7 @@ func ProfileN(p *isa.Program, cfg Config, runs int) (*profile.Profile, error) {
 	// One span covers the whole fan-out and merge; the concurrent inner
 	// runs are untraced so the span list stays one-entry-per-stage.
 	defer cfg.Trace.Span("profile")()
-	baseSeed := cfg.ProfileSeed
-	if baseSeed == 0 {
-		baseSeed = 7
-	}
+	baseSeed := cfg.profileSeed()
 	profs := make([]*profile.Profile, runs)
 	err := pool.Map(runs, 0, func(i int) error {
 		c := cfg

@@ -56,17 +56,17 @@ func TestAdversarialDifferential(t *testing.T) {
 				name string
 				pol  measure.Policy
 			}{
-				{"jemalloc", a.polBase},
-				{"halo", a.polHALO},
+				{"jemalloc", a.pols["jemalloc"]},
+				{"halo", a.pols["halo"]},
 			}
 			// Per-seed differential: policy on vs off, same result, same
 			// final heap.
 			for seed := uint64(1000); seed < 1003; seed++ {
-				base, err := measure.Run(a.refProg, a.polBase, seed, e.machine)
+				base, err := measure.Run(a.refProg, a.pols["jemalloc"], seed, e.machine)
 				if err != nil {
 					t.Fatal(err)
 				}
-				halo, err := measure.Run(a.refProg, a.polHALO, seed, e.machine)
+				halo, err := measure.Run(a.refProg, a.pols["halo"], seed, e.machine)
 				if err != nil {
 					t.Fatal(err)
 				}

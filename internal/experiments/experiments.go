@@ -21,6 +21,7 @@
 package experiments
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -38,14 +39,14 @@ import (
 	"halo/internal/measure"
 	"halo/internal/obs"
 	"halo/internal/pool"
+	"halo/internal/profile"
 	"halo/internal/workloads"
 )
 
 // Options configures a harness run.
 type Options struct {
-	// Trials per configuration (one extra warm-up run is discarded, per
-	// §5.1). The paper records 10; the default here is 5 to keep a full
-	// suite run fast.
+	// Trials per configuration, every one of them reported. The paper
+	// records 10; the default here is 5 to keep a full suite run fast.
 	Trials int
 	// Quick reduces trials to 2 and measures at test scale.
 	Quick bool
@@ -128,21 +129,16 @@ func (t *Table) Render() string {
 }
 
 // artefacts holds everything derived for one benchmark: the test-input
-// profile and pipelines, the ref binary, and the measurement policies.
+// profile and pipelines, the ref binary, and the measurement policies by
+// row label.
 type artefacts struct {
-	w   workloads.Workload
-	opt *core.Optimized
-	hds *hds.Result
-
-	profEvents uint64     // VM events the training run's profiler consumed
-	stages     []obs.Span // per-stage spans of the pipeline run
+	w      workloads.Workload
+	opt    *core.Optimized
+	hds    *hds.Result
+	stages []obs.Span // per-stage spans of the pipeline run
 
 	refProg *isa.Program
-	polBase measure.Policy
-	polPt   measure.Policy
-	polHALO measure.Policy
-	polHDS  measure.Policy
-	polRand measure.Policy
+	pols    map[string]measure.Policy
 }
 
 // Engine caches per-workload artefacts and measurement summaries so the
@@ -155,16 +151,17 @@ type Engine struct {
 	opts    Options
 	machine cache.Config
 
-	mu   sync.Mutex
-	arts map[string]*artefacts
-	sums map[string]*measured // by layoutKey
-	rows map[string]string    // "workload/label" → the layoutKey it measured
+	mu       sync.Mutex
+	arts     map[string]*artefacts
+	sums     map[string]*measured // by layoutKey
+	rows     map[string]string    // "workload/label" → the layoutKey it measured
+	training []ProfileStat        // one per training run made
 }
 
 // measured is one trial set: the trials' summary and the wall time of the
-// MeasureTrials call that produced it, warm-up run included. done closes
-// once the fields are set; until then the entry marks a measurement in
-// flight, which a second caller waits for instead of repeating.
+// MeasureTrials call that produced it. done closes once the fields are
+// set; until then the entry marks a measurement in flight, which a second
+// caller waits for instead of repeating.
 type measured struct {
 	done chan struct{}
 	measure.Summary
@@ -182,6 +179,10 @@ func NewEngine(opts Options) *Engine {
 		rows:    map[string]string{},
 	}
 }
+
+// Trials is the number of trials the engine measures per trial set:
+// Options.Trials after defaults, so at most 2 under Quick.
+func (e *Engine) Trials() int { return e.opts.Trials }
 
 func (e *Engine) workloadList() []workloads.Workload {
 	if len(e.opts.Workloads) == 0 {
@@ -274,23 +275,21 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 	}
 
 	a = &artefacts{
-		w:          w,
-		opt:        opt,
-		hds:        hr,
-		profEvents: prof.Events,
-		stages:     tr.Spans(),
-		refProg:    refProg,
-		polBase:    measure.Policy{Kind: measure.Jemalloc},
-		polPt:      measure.Policy{Kind: measure.Ptmalloc},
-		polHALO:    polHALO,
-		polHDS: measure.Policy{
-			Kind:       measure.HDS,
-			SiteGroups: hr.SiteGroups,
-			Halloc:     hc,
+		w:       w,
+		opt:     opt,
+		hds:     hr,
+		stages:  tr.Spans(),
+		refProg: refProg,
+		pols: map[string]measure.Policy{
+			"jemalloc": {Kind: measure.Jemalloc},
+			"ptmalloc": {Kind: measure.Ptmalloc},
+			"halo":     polHALO,
+			"hds":      {Kind: measure.HDS, SiteGroups: hr.SiteGroups, Halloc: hc},
+			"random":   {Kind: measure.RandomPools, Pools: 4, Halloc: hc},
 		},
-		polRand: measure.Policy{Kind: measure.RandomPools, Pools: 4, Halloc: hc},
 	}
 	e.mu.Lock()
+	e.training = append(e.training, profileStat(w.Name, profile.DefaultAffinityDistance, prof, a.stages))
 	if prior, ok := e.arts[w.Name]; ok {
 		a = prior // another worker built it first; keep one canonical copy
 	} else {
@@ -331,6 +330,19 @@ func (e *Engine) summaryFor(a *artefacts, label string, pol measure.Policy) (mea
 	}
 	close(m.done)
 	return m.Summary, m.err
+}
+
+// summaries measures the workload under each labelled policy of a, in
+// order.
+func (e *Engine) summaries(a *artefacts, labels ...string) ([]measure.Summary, error) {
+	out := make([]measure.Summary, len(labels))
+	for i, label := range labels {
+		var err error
+		if out[i], err = e.summaryFor(a, label, a.pols[label]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // layoutKey fingerprints what a measurement of the workload under pol
@@ -374,24 +386,40 @@ func (e *Engine) sharedWith(workload, label string) string {
 	return owner
 }
 
-// forEachWorkload fans fn out over the workloads on the shared worker
-// pool; the trials each workload measures then run inline or on whatever
-// helpers the pool has left. fn receives the workload's index so rows
-// land in stable slots; callers assemble tables in index order after the
-// pool drains.
-func (e *Engine) forEachWorkload(list []workloads.Workload, fn func(i int, w workloads.Workload) error) error {
-	return pool.Map(len(list), 0, func(i int) error { return fn(i, list[i]) })
+// perWorkload builds one table row per workload, the workload's name
+// followed by the cells row returns for its artefacts. The workloads fan
+// out over the shared worker pool, and the trials each one measures run
+// inline or on whatever helpers the pool has left; every row lands in its
+// workload's slot, so the rows come back in list order at any timing.
+func (e *Engine) perWorkload(list []workloads.Workload, row func(a *artefacts) ([]string, error)) ([][]string, error) {
+	rows := make([][]string, len(list))
+	err := pool.Map(len(list), 0, func(i int) error {
+		a, err := e.artefactsFor(list[i])
+		if err != nil {
+			return err
+		}
+		cells, err := row(a)
+		if err != nil {
+			return err
+		}
+		rows[i] = append([]string{a.w.Name}, cells...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // BenchResult is one machine-readable measurement: a workload under a
 // technique, compared against the jemalloc baseline measured in the same
-// sweep. TrialNs is the wall time of the row's own trial set (the
-// discarded warm-up run plus the measured trials) while the rest of the
-// sweep shares the machine, so it is this row's share of the sweep's
-// trial time, not an idle-machine figure. A row whose layout another row
-// of the workload measured names that row in SharesLayoutWith, carries
-// its figures, and has TrialNs 0: it cost no trials of its own. Fig12's
-// affinity-distance points appear as technique "halo@A=<bytes>".
+// sweep. TrialNs is the wall time of the row's own trial set while the
+// rest of the sweep shares the machine, so it is this row's share of the
+// sweep's trial time, not an idle-machine figure. A row whose layout
+// another row of the workload measured names that row in
+// SharesLayoutWith, carries its figures, and has TrialNs 0: it cost no
+// trials of its own. Fig12's affinity-distance points appear as technique
+// "halo@A=<bytes>".
 type BenchResult struct {
 	Workload         string  `json:"workload"`
 	Technique        string  `json:"technique"`
@@ -472,36 +500,42 @@ func (e *Engine) finished(row string) (*measured, bool) {
 	}
 }
 
-// ProfileStat is one workload's profiling throughput: how many VM events
-// the training run's profiler consumed and the wall-clock of its "profile"
-// span, the events/sec trajectory the data-plane work is tracked by.
+// ProfileStat is one training run's profiling throughput: how many VM
+// events its profiler consumed and the wall-clock of its "profile" span,
+// the events/sec trajectory the data-plane work is tracked by.
+// AffinityDistance is the run's A in bytes: the default for the run
+// behind a workload's artefacts, another for each of fig12's re-profiles.
 type ProfileStat struct {
-	Workload     string  `json:"workload"`
-	Events       uint64  `json:"events"`
-	WallNs       int64   `json:"wall_ns"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Workload         string  `json:"workload"`
+	AffinityDistance uint64  `json:"affinity_distance"`
+	Events           uint64  `json:"events"`
+	WallNs           int64   `json:"wall_ns"`
+	EventsPerSec     float64 `json:"events_per_sec"`
 }
 
-// ProfileStats reports profiling throughput for every workload the
-// executed experiments profiled, sorted by workload. Call after Run.
+// profileStat is the row of one training run: its profile and the spans
+// of the pipeline run that made it.
+func profileStat(workload string, dist uint64, prof *profile.Profile, spans []obs.Span) ProfileStat {
+	s := ProfileStat{Workload: workload, AffinityDistance: dist, Events: prof.Events}
+	for _, sp := range spans {
+		if sp.Name == "profile" {
+			s.WallNs += sp.DurNs
+		}
+	}
+	if s.WallNs > 0 {
+		s.EventsPerSec = float64(s.Events) / (float64(s.WallNs) / 1e9)
+	}
+	return s
+}
+
+// ProfileStats reports every training run the executed experiments made,
+// sorted by workload, then affinity distance. Call after Run.
 func (e *Engine) ProfileStats() []ProfileStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]ProfileStat, 0, len(e.arts))
-	for _, a := range e.arts {
-		profNs, _, _ := a.stageNs()
-		s := ProfileStat{
-			Workload: a.w.Name,
-			Events:   a.profEvents,
-			WallNs:   profNs,
-		}
-		if profNs > 0 {
-			s.EventsPerSec = float64(a.profEvents) / (float64(profNs) / 1e9)
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })
-	return out
+	return slices.SortedStableFunc(slices.Values(e.training), func(x, y ProfileStat) int {
+		return cmp.Or(strings.Compare(x.Workload, y.Workload), cmp.Compare(x.AffinityDistance, y.AffinityDistance))
+	})
 }
 
 // SynthStat is one workload's layout-synthesis cost: the summed stage
@@ -528,7 +562,7 @@ func (e *Engine) SynthesisStats() []SynthStat {
 	defer e.mu.Unlock()
 	out := make([]SynthStat, 0, len(e.arts))
 	for _, a := range e.arts {
-		_, optNs, hdsNs := a.stageNs()
+		optNs, hdsNs := a.synthNs()
 		out = append(out, SynthStat{
 			Workload:   a.w.Name,
 			Groups:     len(a.opt.Groups),
@@ -544,21 +578,20 @@ func (e *Engine) SynthesisStats() []SynthStat {
 	return out
 }
 
-// stageNs adds a's pipeline spans up into the training run ("profile"),
-// HALO's synthesis stages (group, identify, rewrite, lower) and the HDS
-// analysis stages ("hds/...").
-func (a *artefacts) stageNs() (profNs, optNs, hdsNs int64) {
+// synthNs adds a's synthesis spans up into HALO's stages (group,
+// identify, rewrite, lower) and the HDS analysis stages ("hds/..."),
+// leaving out the training run ("profile").
+func (a *artefacts) synthNs() (optNs, hdsNs int64) {
 	for _, s := range a.stages {
 		switch {
 		case s.Name == "profile":
-			profNs += s.DurNs
 		case strings.HasPrefix(s.Name, "hds/"):
 			hdsNs += s.DurNs
 		default:
 			optNs += s.DurNs
 		}
 	}
-	return profNs, optNs, hdsNs
+	return optNs, hdsNs
 }
 
 // WorkloadStages is one workload's per-stage span list: the same spans a

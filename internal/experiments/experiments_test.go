@@ -16,6 +16,17 @@ func quickEngine(workloads ...string) *Engine {
 	return NewEngine(Options{Quick: true, Trials: 2, Workloads: workloads})
 }
 
+// TestQuickTrials: -quick caps the default five trials at two, and the
+// engine reports the count it runs.
+func TestQuickTrials(t *testing.T) {
+	if got := NewEngine(Options{Quick: true}).Trials(); got != 2 {
+		t.Fatalf("quick engine runs %d trials, want 2", got)
+	}
+	if got := NewEngine(Options{}).Trials(); got != 5 {
+		t.Fatalf("default engine runs %d trials, want 5", got)
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	tab := &Table{
 		ID:      "x",
@@ -67,7 +78,7 @@ func TestFig13And14ShareMeasurements(t *testing.T) {
 func vmRuns() float64 { return obs.Default.Snapshot()["halo_vm_runs_total"] }
 
 // TestFig13VMRuns: fig13 on one workload performs one training run and one
-// trial set (the warm-up run plus the trials) per policy, and nothing more.
+// trial set of exactly the reported trials per policy, and nothing more.
 func TestFig13VMRuns(t *testing.T) {
 	e := quickEngine("art")
 	before := vmRuns()
@@ -75,7 +86,7 @@ func TestFig13VMRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// jemalloc, HALO and HDS.
-	if got, want := vmRuns()-before, float64(1+3*(e.opts.Trials+1)); got != want {
+	if got, want := vmRuns()-before, float64(1+3*e.Trials()); got != want {
 		t.Fatalf("fig13 on art made %v VM runs, want %v", got, want)
 	}
 }
@@ -138,6 +149,17 @@ func TestFig12Quick(t *testing.T) {
 	if got, want := tab.Rows[4][4], omnetpp[2]; got != want {
 		t.Errorf("fig12 128 B point %s vs baseline, fig14 omnetpp HALO %s", got, want)
 	}
+	// Every training run has a profiling row: the engine's own at the
+	// default distance and fig12's eight re-profiles, in distance order.
+	stats := e.ProfileStats()
+	if len(stats) != 9 {
+		t.Fatalf("%d profiling rows, want 9", len(stats))
+	}
+	for i, s := range stats {
+		if s.Workload != "omnetpp" || s.AffinityDistance != 8<<i || s.Events == 0 || s.WallNs <= 0 {
+			t.Errorf("profiling row %d = %+v, want omnetpp at %d B with events and wall time", i, s, 8<<i)
+		}
+	}
 	// The JSON rows say the same: each halo@A= row names "halo" and
 	// carries no trial time of its own.
 	for _, r := range e.BenchResults() {
@@ -165,13 +187,13 @@ func TestSummaryCoalesces(t *testing.T) {
 	sums := make([]measure.Summary, 4)
 	err = pool.Map(len(sums), 0, func(i int) error {
 		var err error
-		sums[i], err = e.summaryFor(a, fmt.Sprintf("halo%d", i), a.polHALO)
+		sums[i], err = e.summaryFor(a, fmt.Sprintf("halo%d", i), a.pols["halo"])
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := vmRuns()-before, float64(e.opts.Trials+1); got != want {
+	if got, want := vmRuns()-before, float64(e.Trials()); got != want {
 		t.Fatalf("four concurrent requests for one layout made %v VM runs, want %v", got, want)
 	}
 	for i, s := range sums[1:] {

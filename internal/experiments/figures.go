@@ -7,7 +7,9 @@ import (
 
 	"halo/internal/core"
 	"halo/internal/measure"
+	"halo/internal/obs"
 	"halo/internal/pool"
+	"halo/internal/profile"
 	"halo/internal/workloads"
 )
 
@@ -45,13 +47,14 @@ func (e *Engine) Fig9() (*Table, error) {
 // median (the paper's dashed line). The baseline and the 128 B point (the
 // profiler's default distance, so artefactsFor's own configuration) are
 // the engine's cached "jemalloc" and "halo" summaries; every other
-// distance re-profiles the test input and is measured as
-// "halo@A=<bytes>" unless its layout was measured already. The "graph
-// edges" and "groups" columns give each distance's filtered affinity
-// graph and the groups synthesis formed from it, so a flat line can be
-// traced to the graph or to grouping. The "same layout as" column names
-// the distance whose trial set a row shares, so equal medians are not
-// read as separate measurements.
+// distance re-profiles the test input, which ProfileStats reports as a
+// training run at that distance, and is measured as "halo@A=<bytes>"
+// unless its layout was measured already. The "graph edges" and "groups"
+// columns give each distance's filtered affinity graph and the groups
+// synthesis formed from it, so a flat line can be traced to the graph or
+// to grouping. The "same layout as" column names the distance whose trial
+// set a row shares, so equal medians are not read as separate
+// measurements.
 func (e *Engine) Fig12() (*Table, error) {
 	a, err := e.artefactsFor(workloads.MustGet("omnetpp"))
 	if err != nil {
@@ -62,7 +65,7 @@ func (e *Engine) Fig12() (*Table, error) {
 		Title:   "omnetpp time elapsed vs affinity distance (dashed line = jemalloc baseline)",
 		Columns: []string{"affinity distance (B)", "median time (s)", "p25", "p75", "vs baseline", "graph edges", "groups", "same layout as"},
 	}
-	base, err := e.summaryFor(a, "jemalloc", a.polBase)
+	base, err := e.summaryFor(a, "jemalloc", a.pols["jemalloc"])
 	if err != nil {
 		return nil, err
 	}
@@ -78,18 +81,22 @@ func (e *Engine) Fig12() (*Table, error) {
 	labels := make([]string, len(rows))
 	err = pool.Map(len(rows), 0, func(i int) error {
 		dist := uint64(1) << (lo + i)
-		label, pol, opt := "halo", a.polHALO, a.opt
-		if dist != 128 {
+		label, pol, opt := "halo", a.pols["halo"], a.opt
+		if dist != profile.DefaultAffinityDistance {
 			// Only the HDS analysis reads the reference trace, and this
 			// profile feeds HALO alone.
 			cfg := pipelineConfig(a.w)
 			cfg.Profile.RecordTrace = false
 			cfg.Profile.AffinityDistance = dist
+			cfg.Trace = obs.NewTrace()
 			var err error
 			opt, err = core.Optimize(a.w.Build(a.w.TestScale), cfg)
 			if err != nil {
 				return fmt.Errorf("fig12 A=%d: %w", dist, err)
 			}
+			e.mu.Lock()
+			e.training = append(e.training, profileStat(a.w.Name, dist, opt.Profile, cfg.Trace.Spans()))
+			e.mu.Unlock()
 			if pol, err = opt.HALOPolicy(a.refProg, a.w.HallocConfig()); err != nil {
 				return fmt.Errorf("fig12 A=%d: %w", dist, err)
 			}
@@ -136,84 +143,63 @@ func (e *Engine) Fig12() (*Table, error) {
 	return t, nil
 }
 
-// mainResults measures baseline, HALO and HDS for every workload, fanning
-// the workloads out over the engine's worker pool. The result map is
-// written under the index-addressed slice discipline (one slot per
-// workload) before being assembled, so contents never depend on timing.
-func (e *Engine) mainResults() (map[string][3]measure.Summary, []workloads.Workload, error) {
-	list := e.workloadList()
-	slots := make([][3]measure.Summary, len(list))
-	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {
-		a, err := e.artefactsFor(w)
+// versusBaseline builds Figure 13 or 14 into t: per workload, how much
+// HDS and HALO improve on the jemalloc baseline in the quartiles q picks,
+// the baseline's median in baseFmt, and the regressed verdict.
+func (e *Engine) versusBaseline(t *Table, q func(measure.Summary) measure.Quartiles, baseFmt string) (*Table, error) {
+	rows, err := e.perWorkload(e.workloadList(), func(a *artefacts) ([]string, error) {
+		s, err := e.summaries(a, "jemalloc", "halo", "hds")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		base, err := e.summaryFor(a, "jemalloc", a.polBase)
-		if err != nil {
-			return err
-		}
-		hal, err := e.summaryFor(a, "halo", a.polHALO)
-		if err != nil {
-			return err
-		}
-		hd, err := e.summaryFor(a, "hds", a.polHDS)
-		if err != nil {
-			return err
-		}
-		slots[i] = [3]measure.Summary{base, hal, hd}
-		return nil
+		base, hal, hd := q(s[0]).Median, q(s[1]).Median, q(s[2]).Median
+		return []string{
+			fmt.Sprintf("%+.2f%%", measure.Improvement(base, hd)),
+			fmt.Sprintf("%+.2f%%", measure.Improvement(base, hal)),
+			fmt.Sprintf(baseFmt, base),
+			regressedFlag(s[0], s[1], s[2]),
+		}, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out := make(map[string][3]measure.Summary, len(list))
-	for i, w := range list {
-		out[w.Name] = slots[i]
-	}
-	return out, list, nil
+	t.Rows = rows
+	t.Notes = append(t.Notes, regressedNote)
+	return t, nil
 }
 
 // Fig13 reproduces Figure 13: the percentage by which HALO and
 // hot-data-stream co-allocation reduce L1 data-cache misses.
 func (e *Engine) Fig13() (*Table, error) {
-	res, list, err := e.mainResults()
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
+	return e.versusBaseline(&Table{
 		ID:      "fig13",
 		Title:   "L1D cache miss reduction vs jemalloc baseline",
 		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline L1D misses", "regressed"},
-	}
-	for _, w := range list {
-		r := res[w.Name]
-		haloRed := measure.Improvement(r[0].L1DMiss.Median, r[1].L1DMiss.Median)
-		t.Rows = append(t.Rows, []string{
-			w.Name,
-			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].L1DMiss.Median, r[2].L1DMiss.Median)),
-			fmt.Sprintf("%+.2f%%", haloRed),
-			fmt.Sprintf("%.0f", r[0].L1DMiss.Median),
-			regressedFlag(r),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"positive = fewer misses than the jemalloc-like baseline (paper Figure 13)",
-		regressedNote)
-	return t, nil
+		Notes:   []string{"positive = fewer misses than the jemalloc-like baseline (paper Figure 13)"},
+	}, func(s measure.Summary) measure.Quartiles { return s.L1DMiss }, "%.0f")
+}
+
+// Fig14 reproduces Figure 14: execution-time speedup.
+func (e *Engine) Fig14() (*Table, error) {
+	return e.versusBaseline(&Table{
+		ID:      "fig14",
+		Title:   "Speedup vs jemalloc baseline (cycle model)",
+		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline time (s)", "regressed"},
+		Notes:   []string{"positive = faster than baseline; time from the simulator's cycle model (paper Figure 14)"},
+	}, func(s measure.Summary) measure.Quartiles { return s.Seconds }, "%.4f")
 }
 
 // regressedFlag names, in column order, every technique the regressed
-// predicate flags against the baseline in the Figure 13 and 14 tables,
-// given mainResults' {baseline, HALO, HDS} summaries: "HDS", "HALO",
-// "HDS,HALO", or "-" when neither hurt.
-func regressedFlag(r [3]measure.Summary) string {
+// predicate flags against the baseline in the Figure 13 and 14 tables:
+// "HDS", "HALO", "HDS,HALO", or "-" when neither hurt.
+func regressedFlag(base, hal, hd measure.Summary) string {
 	var names []string
 	for _, tech := range []struct {
 		name string
 		s    measure.Summary
-	}{{"HDS", r[2]}, {"HALO", r[1]}} {
-		if regressed(measure.Improvement(r[0].L1DMiss.Median, tech.s.L1DMiss.Median),
-			measure.Improvement(r[0].Seconds.Median, tech.s.Seconds.Median)) {
+	}{{"HDS", hd}, {"HALO", hal}} {
+		if regressed(measure.Improvement(base.L1DMiss.Median, tech.s.L1DMiss.Median),
+			measure.Improvement(base.Seconds.Median, tech.s.Seconds.Median)) {
 			names = append(names, tech.name)
 		}
 	}
@@ -225,182 +211,111 @@ func regressedFlag(r [3]measure.Summary) string {
 
 const regressedNote = "regressed = the techniques that added L1D misses or slowed the run (cycle model) on this workload; not noise — see the adversarial experiment"
 
-// Fig14 reproduces Figure 14: execution-time speedup.
-func (e *Engine) Fig14() (*Table, error) {
-	res, list, err := e.mainResults()
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      "fig14",
-		Title:   "Speedup vs jemalloc baseline (cycle model)",
-		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline time (s)", "regressed"},
-	}
-	for _, w := range list {
-		r := res[w.Name]
-		t.Rows = append(t.Rows, []string{
-			w.Name,
-			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].Seconds.Median, r[2].Seconds.Median)),
-			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].Seconds.Median, r[1].Seconds.Median)),
-			fmt.Sprintf("%.4f", r[0].Seconds.Median),
-			regressedFlag(r),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"positive = faster than baseline; time from the simulator's cycle model (paper Figure 14)",
-		regressedNote)
-	return t, nil
-}
-
 // Fig15 reproduces Figure 15: the effect of an allocator that randomly
 // assigns small objects to one of four pools, exposing each benchmark's
 // sensitivity to small-object placement.
 func (e *Engine) Fig15() (*Table, error) {
-	t := &Table{
-		ID:      "fig15",
-		Title:   "Speedup under a random 4-pool allocator (placement sensitivity)",
-		Columns: []string{"benchmark", "speedup", "p25", "p75"},
-	}
-	list := e.workloadList()
-	rows := make([][]string, len(list))
-	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {
-		a, err := e.artefactsFor(w)
+	rows, err := e.perWorkload(e.workloadList(), func(a *artefacts) ([]string, error) {
+		s, err := e.summaries(a, "jemalloc", "random")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		base, err := e.summaryFor(a, "jemalloc", a.polBase)
-		if err != nil {
-			return err
-		}
-		rnd, err := e.summaryFor(a, "random", a.polRand)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{
-			w.Name,
-			fmt.Sprintf("%+.2f%%", measure.Improvement(base.Seconds.Median, rnd.Seconds.Median)),
-			fmt.Sprintf("%+.2f%%", measure.Improvement(base.Seconds.Median, rnd.Seconds.P75)),
-			fmt.Sprintf("%+.2f%%", measure.Improvement(base.Seconds.Median, rnd.Seconds.P25)),
-		}
-		return nil
+		base, rnd := s[0].Seconds.Median, s[1].Seconds
+		return []string{
+			fmt.Sprintf("%+.2f%%", measure.Improvement(base, rnd.Median)),
+			fmt.Sprintf("%+.2f%%", measure.Improvement(base, rnd.P75)),
+			fmt.Sprintf("%+.2f%%", measure.Improvement(base, rnd.P25)),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
-	t.Notes = append(t.Notes,
-		"mostly-negative values mark benchmarks sensitive to small-object placement (paper Figure 15)")
-	return t, nil
+	return &Table{
+		ID:      "fig15",
+		Title:   "Speedup under a random 4-pool allocator (placement sensitivity)",
+		Columns: []string{"benchmark", "speedup", "p25", "p75"},
+		Rows:    rows,
+		Notes:   []string{"mostly-negative values mark benchmarks sensitive to small-object placement (paper Figure 15)"},
+	}, nil
 }
 
 // Table1 reproduces Table 1: fragmentation of grouped data at peak usage
 // under HALO's specialised allocator.
 func (e *Engine) Table1() (*Table, error) {
-	t := &Table{
-		ID:      "tab1",
-		Title:   "Fragmentation of grouped objects at peak memory usage",
-		Columns: []string{"benchmark", "frag (%)", "frag (bytes)", "grouped allocs"},
-	}
-	list := e.workloadList()
-	rows := make([][]string, len(list))
-	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {
-		a, err := e.artefactsFor(w)
+	rows, err := e.perWorkload(e.workloadList(), func(a *artefacts) ([]string, error) {
+		s, err := e.summaries(a, "halo")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s, err := e.summaryFor(a, "halo", a.polHALO)
-		if err != nil {
-			return err
-		}
-		m := s.Median
-		rows[i] = []string{
-			w.Name,
+		m := s[0].Median
+		return []string{
 			fmt.Sprintf("%.2f%%", m.FragPct),
 			formatBytes(m.FragBytes),
 			fmt.Sprintf("%d", m.GroupedAllocs),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
-	t.Notes = append(t.Notes, "measured at the grouped-data resident high-water mark (paper Table 1)")
-	return t, nil
+	return &Table{
+		ID:      "tab1",
+		Title:   "Fragmentation of grouped objects at peak memory usage",
+		Columns: []string{"benchmark", "frag (%)", "frag (bytes)", "grouped allocs"},
+		Rows:    rows,
+		Notes:   []string{"measured at the grouped-data resident high-water mark (paper Table 1)"},
+	}, nil
 }
 
 // Baseline reproduces the §5.1 observation that the jemalloc-like
 // allocator universally outperforms the ptmalloc-like one on L1D misses
 // ("reducing L1 data-cache misses by as much as 32%").
 func (e *Engine) Baseline() (*Table, error) {
-	t := &Table{
-		ID:      "baseline",
-		Title:   "jemalloc-like vs ptmalloc-like: L1D miss reduction",
-		Columns: []string{"benchmark", "ptmalloc L1D misses", "jemalloc L1D misses", "reduction"},
-	}
-	list := e.workloadList()
-	rows := make([][]string, len(list))
-	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {
-		a, err := e.artefactsFor(w)
+	rows, err := e.perWorkload(e.workloadList(), func(a *artefacts) ([]string, error) {
+		s, err := e.summaries(a, "jemalloc", "ptmalloc")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		je, err := e.summaryFor(a, "jemalloc", a.polBase)
-		if err != nil {
-			return err
-		}
-		pt, err := e.summaryFor(a, "ptmalloc", a.polPt)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{
-			w.Name,
-			fmt.Sprintf("%.0f", pt.L1DMiss.Median),
-			fmt.Sprintf("%.0f", je.L1DMiss.Median),
-			fmt.Sprintf("%+.2f%%", measure.Improvement(pt.L1DMiss.Median, je.L1DMiss.Median)),
-		}
-		return nil
+		je, pt := s[0].L1DMiss.Median, s[1].L1DMiss.Median
+		return []string{
+			fmt.Sprintf("%.0f", pt),
+			fmt.Sprintf("%.0f", je),
+			fmt.Sprintf("%+.2f%%", measure.Improvement(pt, je)),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
-	return t, nil
+	return &Table{
+		ID:      "baseline",
+		Title:   "jemalloc-like vs ptmalloc-like: L1D miss reduction",
+		Columns: []string{"benchmark", "ptmalloc L1D misses", "jemalloc L1D misses", "reduction"},
+		Rows:    rows,
+	}, nil
 }
 
 // RomsStreams reproduces the §5.2 roms observation: HALO's affinity graph
 // needs tens of nodes where hot data streams need orders of magnitude more
 // streams to represent the same regular behaviour.
 func (e *Engine) RomsStreams() (*Table, error) {
-	t := &Table{
-		ID:      "roms",
-		Title:   "Representation size: affinity graph vs hot data streams",
-		Columns: []string{"benchmark", "graph nodes", "grammar rules", "candidate streams", "hot streams", "trace refs"},
-	}
-	list := e.workloadList()
-	rows := make([][]string, len(list))
-	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {
-		a, err := e.artefactsFor(w)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{
-			w.Name,
+	rows, err := e.perWorkload(e.workloadList(), func(a *artefacts) ([]string, error) {
+		return []string{
 			fmt.Sprintf("%d", a.opt.Profile.Graph.NumNodes()),
 			fmt.Sprintf("%d", a.hds.Rules),
 			fmt.Sprintf("%d", a.hds.Candidates),
 			fmt.Sprintf("%d", a.hds.Streams),
 			fmt.Sprintf("%d", a.hds.TraceLen),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
-	t.Notes = append(t.Notes,
-		"the paper reports 31 affinity nodes vs >150,000 streams for roms; the ratio, not the absolute count, is the reproduction target")
-	return t, nil
+	return &Table{
+		ID:      "roms",
+		Title:   "Representation size: affinity graph vs hot data streams",
+		Columns: []string{"benchmark", "graph nodes", "grammar rules", "candidate streams", "hot streams", "trace refs"},
+		Rows:    rows,
+		Notes:   []string{"the paper reports 31 affinity nodes vs >150,000 streams for roms; the ratio, not the absolute count, is the reproduction target"},
+	}, nil
 }
 
 func formatBytes(b uint64) string {

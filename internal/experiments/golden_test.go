@@ -114,15 +114,9 @@ func TestGoldenRunResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pols := map[string]measure.Policy{
-				"jemalloc": a.polBase,
-				"halo":     a.polHALO,
-				"hds":      a.polHDS,
-				"random":   a.polRand,
-			}
 			for _, want := range g.runs {
 				t.Run(want.policy, func(t *testing.T) {
-					r, err := measure.Run(a.refProg, pols[want.policy], 1000, cache.XeonW2195())
+					r, err := measure.Run(a.refProg, a.pols[want.policy], 1000, cache.XeonW2195())
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,15 +1,17 @@
 // Package measure runs programs under the evaluation's allocator policies
 // and collects the metrics the paper reports: L1 data-cache misses, a
 // cycle-model execution time, allocator statistics and fragmentation. It
-// follows §5.1's methodology: several trials per configuration, the first
-// discarded, medians reported with 25th/75th percentile error bars.
+// follows §5.1's methodology: several trials per configuration, medians
+// reported with 25th/75th percentile error bars.
 //
 // Hardware noise does not exist in a simulator, so trials vary the
 // workload's RNG seed instead (input variation), which is what makes the
-// quartile spread meaningful here. Trials are seed-independent of each
-// other, so the harness runs them on a bounded worker pool; summaries are
-// assembled from results in trial order and are therefore identical at
-// any worker count.
+// quartile spread meaningful here. The paper also discards each
+// configuration's first run; a simulated run starts from fresh memory, a
+// fresh allocator and a reset cache hierarchy, so every run here is kept.
+// Trials are seed-independent of each other, so the harness runs them on
+// a bounded worker pool; summaries are assembled from results in trial
+// order and are therefore identical at any worker count.
 package measure
 
 import (
@@ -214,13 +216,13 @@ type Summary struct {
 	Cycles  Quartiles
 }
 
-// MeasureTrials runs trials+1 executions (discarding the first, per the
-// paper's steady-state warm-up) with seeds baseSeed, baseSeed+1, ... and
-// summarises them, fanning the trials out over internal/pool. Each trial
-// builds its own memory, allocator and VM and takes a cache hierarchy of
-// its own from cache.New, a released one reset to the state of a new one
-// when a spare is free, so trials are independent; results are gathered
-// by trial index, making the summary bit-identical at any pool width.
+// MeasureTrials runs exactly trials executions, trial t (1..trials) on
+// seed baseSeed+t, and summarises them, fanning the trials out over
+// internal/pool. Each trial builds its own memory, allocator and VM and
+// takes a cache hierarchy of its own from cache.New, a released one reset
+// to the state of a new one when a spare is free, so trials are
+// independent; results are gathered by trial index, making the summary
+// bit-identical at any pool width.
 func MeasureTrials(p *isa.Program, policy Policy, trials int, baseSeed uint64, machine cache.Config) (Summary, error) {
 	if trials < 1 {
 		trials = 1
@@ -232,19 +234,18 @@ func MeasureTrials(p *isa.Program, policy Policy, trials int, baseSeed uint64, m
 	if policy.Kind == HALO && policy.Rewritten != nil {
 		vm.Predecode(policy.Rewritten)
 	}
-	all := make([]RunResult, trials+1)
-	err := pool.Map(trials+1, 0, func(t int) error {
-		r, err := Run(p, policy, baseSeed+uint64(t), machine)
+	results := make([]RunResult, trials)
+	err := pool.Map(trials, 0, func(i int) error {
+		r, err := Run(p, policy, baseSeed+uint64(i+1), machine)
 		if err != nil {
 			return err
 		}
-		all[t] = r
+		results[i] = r
 		return nil
 	})
 	if err != nil {
 		return Summary{}, err
 	}
-	results := all[1:] // discard the warm-up trial
 	var secs, misses, cycles []float64
 	for _, r := range results {
 		secs = append(secs, r.Seconds)

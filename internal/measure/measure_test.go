@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"halo/internal/cache"
+	"halo/internal/obs"
 	"halo/internal/workloads"
 )
 
@@ -109,12 +110,17 @@ func TestRunSeedVariation(t *testing.T) {
 func TestMeasureTrials(t *testing.T) {
 	w := workloads.MustGet("art")
 	p := w.Build(w.TestScale)
+	runs := func() float64 { return obs.Default.Snapshot()["halo_vm_runs_total"] }
+	before := runs()
 	s, err := MeasureTrials(p, Policy{Kind: Jemalloc}, 3, 100, cache.XeonW2195())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Trials != 3 {
 		t.Fatalf("trials = %d", s.Trials)
+	}
+	if got := runs() - before; got != 3 {
+		t.Fatalf("3 trials made %v VM runs", got)
 	}
 	if s.Seconds.P25 > s.Seconds.Median || s.Seconds.Median > s.Seconds.P75 {
 		t.Fatalf("quartiles disordered: %+v", s.Seconds)

@@ -40,9 +40,13 @@ var (
 // all observed accesses the filtered affinity graph keeps.
 const DefaultCoverage = 0.90
 
+// DefaultAffinityDistance is the paper's affinity distance A in bytes
+// (§5.1, Figure 12).
+const DefaultAffinityDistance = 128
+
 // Config parameterises profiling.
 type Config struct {
-	// AffinityDistance is A in bytes; default 128 (§5.1, Figure 12).
+	// AffinityDistance is A in bytes; 0 = DefaultAffinityDistance.
 	AffinityDistance uint64
 	// MaxObjectSize bounds tracked objects; larger allocations are not
 	// candidates for grouping. Default 4096 (§5.1).
@@ -57,7 +61,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.AffinityDistance == 0 {
-		c.AffinityDistance = 128
+		c.AffinityDistance = DefaultAffinityDistance
 	}
 	if c.MaxObjectSize == 0 {
 		c.MaxObjectSize = 4096
