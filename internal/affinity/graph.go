@@ -112,17 +112,14 @@ func (g *Graph) AddEdge(a, b Ctx, w uint64) {
 	g.edges.add(MakeEdge(a, b).pack(), w)
 }
 
-// SetNodeAccesses sets a node's access count without touching the total.
-// Decoders use it to rebuild filtered graphs, whose totals deliberately
-// exceed the sum of their surviving nodes.
-func (g *Graph) SetNodeAccesses(c Ctx, n uint64) {
+// AddAccesses records n macro accesses to objects of the given context,
+// as n calls of AddAccess would. Decoders use it to rebuild a stored graph,
+// whose total is then the sum of its nodes' accesses.
+func (g *Graph) AddAccesses(c Ctx, n uint64) {
 	i := g.slot(c)
-	g.acc[i] = n
+	g.acc[i] += n
+	g.total += n
 }
-
-// SetTotalAccesses overrides the total macro-access count. Decoders call
-// it after SetNodeAccesses/AddEdge to restore a serialised graph exactly.
-func (g *Graph) SetTotalAccesses(n uint64) { g.total = n }
 
 // Merge folds other into g, translating every context through remap. Node
 // access counts, edge weights and the observed-access total all add; the

@@ -147,8 +147,13 @@ func Optimize(p *isa.Program, cfg Config) (*Optimized, error) {
 
 // OptimizeFromProfile runs grouping, identification and rewriting over an
 // existing profile (so one profiling run can feed several configurations).
-// It only reads prof, so concurrent calls may share one profile.
+// It only reads prof, so concurrent calls may share one profile. prof must
+// carry its filtered graph: a decoded profile has none until
+// profstore.MergeWithCoverage derives it.
 func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Optimized, error) {
+	if prof.Graph == nil {
+		return nil, fmt.Errorf("core: profile has no filtered graph (derive it with profstore.MergeWithCoverage)")
+	}
 	endGroup := cfg.Trace.Span("group")
 	groups := group.Form(prof.Graph, cfg.Group)
 	endGroup()

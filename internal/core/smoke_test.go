@@ -3,11 +3,13 @@ package core
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"halo/internal/cache"
 	"halo/internal/measure"
 	"halo/internal/profile"
+	"halo/internal/profstore"
 	"halo/internal/workloads"
 )
 
@@ -112,5 +114,37 @@ func TestOptimizeFromProfileLeavesProfileUnchanged(t *testing.T) {
 	}
 	if prof.Graph.String() != graph || prof.RawGraph.String() != raw {
 		t.Fatal("affinity graph changed")
+	}
+}
+
+// TestOptimizeFromDecodedProfileFails: a decoded profile stores no
+// filtered graph, so handing one to OptimizeFromProfile without
+// profstore.MergeWithCoverage is an error that names the missing step,
+// not a panic in grouping.
+func TestOptimizeFromDecodedProfileFails(t *testing.T) {
+	w := workloads.MustGet("art")
+	p := w.Build(w.TestScale)
+	prof, err := Profile(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := profstore.Encode(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := profstore.Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = OptimizeFromProfile(p, decoded, Config{})
+	if err == nil || !strings.Contains(err.Error(), "profstore.MergeWithCoverage") {
+		t.Fatalf("err = %v, want one naming profstore.MergeWithCoverage", err)
+	}
+	merged, err := profstore.MergeWithCoverage(0, decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OptimizeFromProfile(p, merged, Config{}); err != nil {
+		t.Fatal(err)
 	}
 }

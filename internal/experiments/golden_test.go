@@ -23,9 +23,11 @@ type goldenWorkload struct {
 
 	// sha256 of profstore.Encode for core.Profile with RecordTrace=true
 	// and the default training seed. Re-pinned for image format version
-	// 2: the seed engine's version-1 image with its per-context serial
-	// logs left out encodes to these bytes. The allocation order those
-	// logs witnessed is pinned by internal/profile's TestAllocationOrder.
+	// 3: the version-2 image with its filtered-graph section and the raw
+	// graph's total left out, under version number 3, encodes to these
+	// bytes (version 2 was the seed engine's version-1 image without its
+	// per-context serial logs). The allocation order those logs witnessed
+	// is pinned by internal/profile's TestAllocationOrder.
 	profileSHA string
 
 	// measure.Run of the test-scale build, seed 1000, XeonW2195, one row
@@ -55,7 +57,7 @@ type goldenRun struct {
 var goldens = []goldenWorkload{
 	{
 		name:       "povray",
-		profileSHA: "cdd0956725ec82ba2c74ac183977d79f17427b387ceec15ba7fde3d20177d75c",
+		profileSHA: "9ce3e794528d9ff515bdd59a0b5ffc4dafd696e29a75786f067a292d99761d63",
 		runs: []goldenRun{
 			{policy: "jemalloc", result: 56986, steps: 291272, loads: 83333, stores: 25031, l1dMisses: 22809, l1dAccesses: 108364, cycles: 475284},
 			{policy: "halo", result: 56986, steps: 292522, loads: 83333, stores: 25031, l1dMisses: 18793, l1dAccesses: 108364, cycles: 422130, grouped: 625, forwarded: 872, fragBytes: 3106392},
@@ -66,7 +68,7 @@ var goldens = []goldenWorkload{
 	},
 	{
 		name:       "omnetpp",
-		profileSHA: "30f3fee4783fa8411c5c5ab1291ffeb84bc8bfee40abfc6db6cb3a34a052926c",
+		profileSHA: "846f9f54582986159dcb9461d89d855b17fa2d2a957eee86ffbff21d1fffed14",
 		runs: []goldenRun{
 			{policy: "jemalloc", result: 4511129, steps: 4431092, loads: 1513817, stores: 545375, l1dMisses: 586887, l1dAccesses: 2059192, cycles: 9287376},
 			{policy: "halo", result: 4511129, steps: 4434292, loads: 1513817, stores: 545375, l1dMisses: 265625, l1dAccesses: 2059192, cycles: 5444488, grouped: 1600, forwarded: 4401, fragBytes: 447488},

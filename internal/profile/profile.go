@@ -53,11 +53,13 @@ type Config struct {
 	MaxObjectSize uint64
 	// Coverage is the node-filter fraction; default 0.90 (§4.1).
 	Coverage float64
-	// RecordTrace enables the data reference trace for hot-data-streams.
+	// RecordTrace enables the data reference trace for hot-data-streams,
+	// up to maxTrace references.
 	RecordTrace bool
-	// MaxTrace caps the recorded trace length (0 = 8M references).
-	MaxTrace int
 }
+
+// maxTrace caps the recorded reference trace (8 Mi refs, 128 MiB).
+const maxTrace = 8 << 20
 
 func (c Config) withDefaults() Config {
 	if c.AffinityDistance == 0 {
@@ -68,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Coverage == 0 {
 		c.Coverage = DefaultCoverage
-	}
-	if c.MaxTrace == 0 {
-		c.MaxTrace = 8 << 20
 	}
 	return c
 }
@@ -88,15 +87,14 @@ type Ref struct {
 type Profile struct {
 	Prog     *isa.Program
 	ProgName string          // survives serialisation, where Prog does not
-	Graph    *affinity.Graph // filtered per Config.Coverage
+	Graph    *affinity.Graph // filtered per Config.Coverage; nil once decoded
 	RawGraph *affinity.Graph // unfiltered
 	Contexts []*Context      // indexed by affinity.Ctx
 	Trace    []Ref           // empty unless Config.RecordTrace
 
 	TotalAllocs   uint64
 	TrackedAllocs uint64
-	TotalAccesses uint64 // macro accesses to tracked objects
-	PeakLive      int    // peak live tracked objects
+	PeakLive      int // peak live tracked objects
 
 	// Events counts VM event records the profiler consumed; with the
 	// run's wall-clock it yields profiling throughput (events/sec). It is
@@ -329,7 +327,7 @@ func (p *Profiler) access(addr uint64, size uint8) {
 		return
 	}
 	p.queue.Push(affinity.Access{Obj: o.serial, Ctx: o.ctx, Size: uint32(size)})
-	if p.cfg.RecordTrace && p.traceLen < p.cfg.MaxTrace {
+	if p.cfg.RecordTrace && p.traceLen < maxTrace {
 		// The reference trace is macro-deduplicated the same way the
 		// affinity queue is: consecutive references to one object are a
 		// single trace element. A new block starts only when a ref is
@@ -377,7 +375,6 @@ func (p *Profiler) Finish() *Profile {
 		Trace:         p.joinTrace(),
 		TotalAllocs:   p.totalAllocs,
 		TrackedAllocs: p.trackedAllocs,
-		TotalAccesses: p.graph.TotalAccesses(),
 		PeakLive:      p.peakLive,
 		Events:        p.events,
 	}

@@ -189,8 +189,8 @@ func TestFreedObjectsUntracked(t *testing.T) {
 		m.LoadWord(v, p, 0)
 		m.RetConst(0)
 	})
-	if prof.TotalAccesses != 1 {
-		t.Fatalf("accesses = %d, want 1 (freed object untracked)", prof.TotalAccesses)
+	if n := prof.RawGraph.TotalAccesses(); n != 1 {
+		t.Fatalf("accesses = %d, want 1 (freed object untracked)", n)
 	}
 }
 

@@ -19,13 +19,9 @@ func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 		set := profile.NewContextSet()
 		build(set, p)
 		p.Contexts = set.List()
-		if p.Graph == nil {
-			p.Graph = affinity.NewGraph()
-		}
 		if p.RawGraph == nil {
 			p.RawGraph = affinity.NewGraph()
 		}
-		p.TotalAccesses = p.RawGraph.TotalAccesses()
 		return p
 	}
 
@@ -42,13 +38,11 @@ func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 		b.Allocs = 2
 
 		raw := affinity.NewGraph()
-		raw.SetNodeAccesses(a.ID, 90)
-		raw.SetNodeAccesses(b.ID, 10)
-		raw.SetTotalAccesses(100)
+		raw.AddAccesses(a.ID, 90)
+		raw.AddAccesses(b.ID, 10)
 		raw.AddEdge(a.ID, b.ID, 5)
 		raw.AddEdge(a.ID, a.ID, 2) // loop edge
 		p.RawGraph = raw
-		p.Graph = raw.Filter(0.9)
 		p.TotalAllocs = 5
 		p.TrackedAllocs = 5
 		p.PeakLive = 2
@@ -69,7 +63,9 @@ func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 // FuzzDecode throws arbitrary bytes at the profile-image decoder. Decode
 // must never panic or over-allocate (the plausibility caps), and any image
 // it accepts must re-encode canonically: Encode(Decode(img)) is a fixed
-// point of another decode/encode round.
+// point of another decode/encode round. An accepted image yields only what
+// it stores: a raw graph whose total is the sum of its nodes' accesses,
+// and no filtered graph.
 func FuzzDecode(f *testing.F) {
 	for _, p := range fuzzSeedProfiles(f) {
 		img, err := Encode(p)
@@ -77,6 +73,7 @@ func FuzzDecode(f *testing.F) {
 			f.Fatalf("encoding seed profile: %v", err)
 		}
 		f.Add(img)
+		f.Add(withVersion(img, 2))
 		// Truncated and bit-flipped variants seed the corpus with
 		// near-valid images so the mutator starts at the caps.
 		f.Add(img[:len(img)/2])
@@ -90,6 +87,16 @@ func FuzzDecode(f *testing.F) {
 		p, err := Decode(data)
 		if err != nil {
 			return // rejected: that is a fine outcome for arbitrary bytes
+		}
+		if p.Graph != nil {
+			t.Fatal("decoded profile carries a filtered graph")
+		}
+		var sum uint64
+		for _, c := range p.RawGraph.Nodes() {
+			sum += p.RawGraph.Accesses(c)
+		}
+		if total := p.RawGraph.TotalAccesses(); total != sum {
+			t.Fatalf("decoded total %d, node accesses sum to %d", total, sum)
 		}
 		enc, err := Encode(p)
 		if err != nil {

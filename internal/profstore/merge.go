@@ -18,9 +18,8 @@ const DefaultCoverage = profile.DefaultCoverage
 // profiles. The inputs are only read.
 //
 // One profile is not merged: the result is a shallow copy with only the
-// filtered graph replaced, so it keeps its context numbering and trace,
-// and a profile recorded at the default coverage re-encodes
-// byte-identically.
+// filtered graph set, so it keeps its context numbering and trace and
+// re-encodes byte-identically, whatever coverage it was recorded at.
 //
 // Several profiles of one program (matched by ProgName) are merged by
 // identifying contexts across runs through their reduced chains and
@@ -97,7 +96,6 @@ func MergeWithCoverage(coverage float64, profs ...*profile.Profile) (*profile.Pr
 	}
 	out.RawGraph = raw
 	out.Graph = raw.Filter(coverage)
-	out.TotalAccesses = raw.TotalAccesses()
 	return out, nil
 }
 

@@ -27,25 +27,28 @@ import (
 // Image format. A profile is serialised as:
 //
 //	magic    "HPRO"
-//	version  uvarint (currently 2; Decode rejects any other)
+//	version  uvarint (currently 3; Decode rejects any other)
 //	name     string (uvarint length + bytes): program name
 //	stats    uvarint TotalAllocs, TrackedAllocs, PeakLive
 //	contexts uvarint count, then per context:
 //	           uvarint chain length; per entry varint Fn, uvarint Site
 //	           uvarint Allocs
-//	graph    the coverage-filtered affinity graph (see below)
-//	rawgraph the unfiltered affinity graph
+//	graph    the unfiltered affinity graph (see below)
 //	trace    uvarint count; per ref uvarint Obj, uvarint Site, uvarint Size
 //	crc      4-byte little-endian IEEE CRC-32 of every preceding byte
 //
-// and each graph as:
+// and the graph as:
 //
-//	total    uvarint (observed macro accesses, including filtered ones)
 //	nodes    uvarint count; (uvarint ctx, uvarint accesses) ascending by ctx
 //	edges    uvarint count; (uvarint u, uvarint v, uvarint weight) sorted
+//
+// An image holds only what the run observed. The graph's total access
+// count is the sum of its nodes' accesses, so it is derived on decode, not
+// stored; the coverage-filtered graph grouping reads is derived from the
+// raw one by MergeWithCoverage.
 const (
 	magic   = "HPRO"
-	version = 2
+	version = 3
 )
 
 // Plausibility caps mirroring internal/isa's decoder. Beyond these static
@@ -66,8 +69,8 @@ func Encode(p *profile.Profile) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("profstore: encode: nil profile")
 	}
-	if p.Graph == nil || p.RawGraph == nil {
-		return nil, fmt.Errorf("profstore: encode: profile has no affinity graphs")
+	if p.RawGraph == nil {
+		return nil, fmt.Errorf("profstore: encode: profile has no raw affinity graph")
 	}
 	name := p.ProgName
 	if name == "" && p.Prog != nil {
@@ -89,7 +92,6 @@ func Encode(p *profile.Profile) ([]byte, error) {
 		}
 		writeUvarint(&buf, c.Allocs)
 	}
-	encodeGraph(&buf, p.Graph)
 	encodeGraph(&buf, p.RawGraph)
 	writeUvarint(&buf, uint64(len(p.Trace)))
 	for _, r := range p.Trace {
@@ -105,7 +107,8 @@ func Encode(p *profile.Profile) ([]byte, error) {
 
 // Decode parses a profile image, verifying its checksum and structure. The
 // returned profile has Prog == nil and ProgName set. The pipeline takes the
-// program as its own argument; only DescribeTop reads Prog.
+// program as its own argument; only DescribeTop reads Prog. Graph is nil:
+// MergeWithCoverage derives it from RawGraph.
 func Decode(image []byte) (*profile.Profile, error) {
 	if len(image) < len(magic)+4 {
 		return nil, fmt.Errorf("profstore: image too short (%d bytes)", len(image))
@@ -151,9 +154,6 @@ func Decode(image []byte) (*profile.Profile, error) {
 	}
 	p.Contexts = set.List()
 	var err error
-	if p.Graph, err = decodeGraph(r, nc); err != nil {
-		return nil, err
-	}
 	if p.RawGraph, err = decodeGraph(r, nc); err != nil {
 		return nil, err
 	}
@@ -177,7 +177,6 @@ func Decode(image []byte) (*profile.Profile, error) {
 	if r.pos != len(body) {
 		return nil, fmt.Errorf("profstore: %d trailing bytes", len(body)-r.pos)
 	}
-	p.TotalAccesses = p.RawGraph.TotalAccesses()
 	return p, nil
 }
 
@@ -200,7 +199,6 @@ func Load(path string) (*profile.Profile, error) {
 }
 
 func encodeGraph(buf *bytes.Buffer, g *affinity.Graph) {
-	writeUvarint(buf, g.TotalAccesses())
 	nodes := g.Nodes()
 	writeUvarint(buf, uint64(len(nodes)))
 	for _, c := range nodes {
@@ -218,7 +216,6 @@ func encodeGraph(buf *bytes.Buffer, g *affinity.Graph) {
 
 func decodeGraph(r *reader, ncontexts uint64) (*affinity.Graph, error) {
 	g := affinity.NewGraph()
-	total := r.uvarint()
 	nn := r.uvarint()
 	if nn > maxNodes || !r.canHold(nn, 2) {
 		return nil, fmt.Errorf("profstore: implausible graph node count %d", nn)
@@ -228,7 +225,7 @@ func decodeGraph(r *reader, ncontexts uint64) (*affinity.Graph, error) {
 		if c >= ncontexts {
 			return nil, fmt.Errorf("profstore: graph node ctx%d out of range (%d contexts)", c, ncontexts)
 		}
-		g.SetNodeAccesses(affinity.Ctx(c), r.uvarint())
+		g.AddAccesses(affinity.Ctx(c), r.uvarint())
 	}
 	ne := r.uvarint()
 	if ne > maxEdges || !r.canHold(ne, 3) {
@@ -241,7 +238,6 @@ func decodeGraph(r *reader, ncontexts uint64) (*affinity.Graph, error) {
 		}
 		g.AddEdge(affinity.Ctx(u), affinity.Ctx(v), r.uvarint())
 	}
-	g.SetTotalAccesses(total)
 	if r.err != nil {
 		return nil, fmt.Errorf("profstore: truncated image: %w", r.err)
 	}

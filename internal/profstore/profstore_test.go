@@ -3,6 +3,7 @@ package profstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -58,10 +59,10 @@ func TestRoundTrip(t *testing.T) {
 				t.Errorf("decoded profile should not carry a program")
 			}
 			if got.TotalAllocs != prof.TotalAllocs || got.TrackedAllocs != prof.TrackedAllocs ||
-				got.TotalAccesses != prof.TotalAccesses || got.PeakLive != prof.PeakLive {
-				t.Errorf("stats mismatch: got %d/%d/%d/%d want %d/%d/%d/%d",
-					got.TotalAllocs, got.TrackedAllocs, got.TotalAccesses, got.PeakLive,
-					prof.TotalAllocs, prof.TrackedAllocs, prof.TotalAccesses, prof.PeakLive)
+				got.PeakLive != prof.PeakLive {
+				t.Errorf("stats mismatch: got %d/%d/%d want %d/%d/%d",
+					got.TotalAllocs, got.TrackedAllocs, got.PeakLive,
+					prof.TotalAllocs, prof.TrackedAllocs, prof.PeakLive)
 			}
 
 			if len(got.Contexts) != len(prof.Contexts) {
@@ -74,8 +75,11 @@ func TestRoundTrip(t *testing.T) {
 				}
 			}
 
-			checkGraphsEqual(t, "filtered", prof, got, true)
-			checkGraphsEqual(t, "raw", prof, got, false)
+			// Only the raw graph is stored; the filtered one is derived.
+			checkRawGraphsEqual(t, prof, got)
+			if got.Graph != nil {
+				t.Errorf("decoded profile carries a filtered graph")
+			}
 
 			if !reflect.DeepEqual(got.Trace, prof.Trace) &&
 				!(len(got.Trace) == 0 && len(prof.Trace) == 0) {
@@ -95,31 +99,28 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func checkGraphsEqual(t *testing.T, label string, want, got *profile.Profile, filtered bool) {
+func checkRawGraphsEqual(t *testing.T, want, got *profile.Profile) {
 	t.Helper()
 	wg, gg := want.RawGraph, got.RawGraph
-	if filtered {
-		wg, gg = want.Graph, got.Graph
-	}
 	if wg.TotalAccesses() != gg.TotalAccesses() {
-		t.Errorf("%s graph total = %d, want %d", label, gg.TotalAccesses(), wg.TotalAccesses())
+		t.Errorf("raw graph total = %d, want %d", gg.TotalAccesses(), wg.TotalAccesses())
 	}
 	wantNodes, gotNodes := wg.Nodes(), gg.Nodes()
 	if !reflect.DeepEqual(wantNodes, gotNodes) {
-		t.Fatalf("%s graph nodes differ: %v vs %v", label, gotNodes, wantNodes)
+		t.Fatalf("raw graph nodes differ: %v vs %v", gotNodes, wantNodes)
 	}
 	for _, c := range wantNodes {
 		if wg.Accesses(c) != gg.Accesses(c) {
-			t.Errorf("%s graph accesses(ctx%d) = %d, want %d", label, c, gg.Accesses(c), wg.Accesses(c))
+			t.Errorf("raw graph accesses(ctx%d) = %d, want %d", c, gg.Accesses(c), wg.Accesses(c))
 		}
 	}
 	wantEdges, gotEdges := wg.Edges(), gg.Edges()
 	if !reflect.DeepEqual(wantEdges, gotEdges) {
-		t.Fatalf("%s graph edges differ: %v vs %v", label, gotEdges, wantEdges)
+		t.Fatalf("raw graph edges differ: %v vs %v", gotEdges, wantEdges)
 	}
 	for _, e := range wantEdges {
 		if w, g := wg.Weight(e.U, e.V), gg.Weight(e.U, e.V); w != g {
-			t.Errorf("%s graph weight(%d,%d) = %d, want %d", label, e.U, e.V, g, w)
+			t.Errorf("raw graph weight(%d,%d) = %d, want %d", e.U, e.V, g, w)
 		}
 	}
 }
@@ -207,7 +208,6 @@ func TestDecodeForgedCounts(t *testing.T) {
 		return buf.Bytes()
 	}
 	emptyGraph := func(buf *bytes.Buffer) {
-		writeUvarint(buf, 0) // total
 		writeUvarint(buf, 0) // nodes
 		writeUvarint(buf, 0) // edges
 	}
@@ -218,12 +218,10 @@ func TestDecodeForgedCounts(t *testing.T) {
 		"trace": forge(func(buf *bytes.Buffer) {
 			writeUvarint(buf, 0) // contexts
 			emptyGraph(buf)
-			emptyGraph(buf)
 			writeUvarint(buf, maxTraceLen)
 		}),
 		"graph-nodes": forge(func(buf *bytes.Buffer) {
 			writeUvarint(buf, 0) // contexts
-			writeUvarint(buf, 0) // graph total
 			writeUvarint(buf, maxNodes)
 		}),
 	} {
@@ -265,12 +263,29 @@ func version1Image() []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeRejectsVersion1 checks that a version-1 image is refused by
-// its version number rather than misread.
+// withVersion returns img, a current-version image, relabelled as version
+// v (a one-byte uvarint, as the current version is) under a recomputed
+// checksum: a well-formed image only its version number can reject.
+func withVersion(img []byte, v byte) []byte {
+	out := bytes.Clone(img)
+	out[len(magic)] = v
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// TestDecodeRejectsVersion1 checks that images of the retired formats are
+// refused by their version number rather than misread: version 1 (serial
+// logs) and version 2 (a stored filtered graph and per-graph totals).
 func TestDecodeRejectsVersion1(t *testing.T) {
-	_, err := Decode(version1Image())
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("version-1 image: err = %v, want unsupported version 1", err)
+	img, err := Encode(profileWorkload(t, "art", 3, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, old := range map[int][]byte{1: version1Image(), 2: withVersion(img, 2)} {
+		_, err := Decode(old)
+		if want := fmt.Sprintf("unsupported version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d image: err = %v, want %s", v, err, want)
+		}
 	}
 }
 
@@ -395,9 +410,9 @@ func TestMergeValidation(t *testing.T) {
 	}
 }
 
-// TestMergeSingleKeepsProfile: one profile has nothing to merge, so
-// filtering it at the coverage it was recorded at gives back its own
-// image, context numbering and trace included.
+// TestMergeSingleKeepsProfile: one profile has nothing to merge, and an
+// image stores no filtered graph, so filtering it at any coverage gives
+// back its own image, context numbering and trace included.
 func TestMergeSingleKeepsProfile(t *testing.T) {
 	for _, trace := range []bool{false, true} {
 		p := profileWorkload(t, "art", 3, trace)
@@ -405,7 +420,7 @@ func TestMergeSingleKeepsProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := MergeWithCoverage(DefaultCoverage, p)
+		one, err := MergeWithCoverage(0.5, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,6 +440,7 @@ func TestMergeSingleKeepsProfile(t *testing.T) {
 
 // TestMergeZeroCoverageIsDefault checks that coverage 0 asks for the
 // paper's default, as it does everywhere else a coverage is configured.
+// Images store no filtered graph, so the filtered graphs are compared.
 func TestMergeZeroCoverageIsDefault(t *testing.T) {
 	a := profileWorkload(t, "art", 3, false)
 	b := profileWorkload(t, "art", 5, false)
@@ -436,15 +452,7 @@ func TestMergeZeroCoverageIsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeroImg, err := Encode(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defImg, err := Encode(def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(zeroImg, defImg) {
+	if zero.Graph.String() != def.Graph.String() {
 		t.Fatal("coverage 0 merged differently from DefaultCoverage")
 	}
 }

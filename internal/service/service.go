@@ -31,6 +31,11 @@
 //	GET    /metrics              Prometheus text exposition
 //	DELETE /v1/cache             drop cached artifacts
 //	GET    /healthz              liveness + build info
+//
+// The merge endpoint takes {"profiles": [id, ...]}. A profile image holds
+// only what its run observed, so merging one profile is the identity: the
+// answer is that profile's own entry. Several are merged by
+// profstore.MergeWithCoverage, the rule every optimize job applies too.
 package service
 
 import (
@@ -338,9 +343,12 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 // form, deduplicating by hash. prof is shared read-only from then on.
 // A recorded reference trace is most of a decoded profile, and no job
 // reads it: merging several drops it and synthesis does not read it. It
-// is dropped from prof here; the blob keeps it for download.
+// is dropped from prof here; the blob keeps it for download. A merged
+// profile's filtered graph goes too, as a decoded one has none: every
+// job derives its own through profstore.MergeWithCoverage.
 func (s *Server) storeProfile(blob []byte, prof *profile.Profile) *profileEntry {
 	prof.Trace = nil
+	prof.Graph = nil
 	id := hashID(blob)
 	entry := &profileEntry{ID: id, Blob: blob, Prof: prof}
 	s.mu.Lock()
@@ -359,7 +367,7 @@ func writeProfileEntry(w http.ResponseWriter, e *profileEntry) {
 		"prog":     e.Prof.ProgName,
 		"bytes":    len(e.Blob),
 		"contexts": len(e.Prof.Contexts),
-		"accesses": e.Prof.TotalAccesses,
+		"accesses": e.Prof.RawGraph.TotalAccesses(),
 	})
 }
 
@@ -388,7 +396,6 @@ func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Profiles []string `json:"profiles"`
-		Coverage float64  `json:"coverage"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad merge request: %v", err)
@@ -399,33 +406,28 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	profs := make([]*profile.Profile, 0, len(req.Profiles))
-	var blob []byte
+	var last *profileEntry
 	s.mu.Lock()
 	for _, id := range req.Profiles {
-		e := s.profiles[id]
-		if e == nil {
+		last = s.profiles[id]
+		if last == nil {
 			s.mu.Unlock()
 			httpError(w, http.StatusNotFound, "unknown profile %q", id)
 			return
 		}
-		profs = append(profs, e.Prof)
-		blob = e.Blob
+		profs = append(profs, last.Prof)
 	}
 	s.mu.Unlock()
-	// A single input is re-filtered, not renumbered, and keeps the trace
-	// the stored form dropped, so decode its image afresh: the result is
-	// then byte-identical to `halo profile-merge` of the same file.
+	// An image holds only the raw graph, which merging one profile leaves
+	// as it is, so one input merges to its own stored entry, as `halo
+	// profile-merge` of one file writes that file.
 	if len(profs) == 1 {
-		full, err := profstore.Decode(blob)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "merge: stored profile: %v", err)
-			return
-		}
-		profs[0] = full
+		writeProfileEntry(w, last)
+		return
 	}
 	// Optimize jobs take stored profiles through the same call, so a
 	// merged profile optimises exactly as its inputs would together.
-	merged, err := profstore.MergeWithCoverage(req.Coverage, profs...)
+	merged, err := profstore.MergeWithCoverage(0, profs...)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "merge: %v", err)
 		return
