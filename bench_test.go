@@ -17,6 +17,7 @@ import (
 	"halo/internal/alloc"
 	"halo/internal/cache"
 	"halo/internal/core"
+	"halo/internal/group"
 	"halo/internal/halloc"
 	"halo/internal/hds"
 	"halo/internal/isa"
@@ -243,7 +244,7 @@ func BenchmarkRomsStreamExplosion(b *testing.B) {
 		res = hds.Analyze(prof, hds.Config{}, nil)
 	}
 	b.ReportMetric(float64(res.Candidates), "candidate_streams")
-	b.ReportMetric(float64(prof.Graph.NumNodes()), "graph_nodes")
+	b.ReportMetric(float64(group.Filter(prof.RawGraph, group.Params{}).NumNodes()), "graph_nodes")
 }
 
 // --- pipeline-stage microbenchmarks ------------------------------------
@@ -454,7 +455,7 @@ func BenchmarkProfileStore(b *testing.B) {
 	})
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := profstore.MergeWithCoverage(0, profA, profB); err != nil {
+			if _, err := profstore.Merge(profA, profB); err != nil {
 				b.Fatal(err)
 			}
 		}

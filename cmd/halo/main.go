@@ -29,6 +29,7 @@ import (
 
 	"halo/internal/cache"
 	"halo/internal/core"
+	"halo/internal/group"
 	"halo/internal/isa"
 	"halo/internal/measure"
 	"halo/internal/obs"
@@ -183,9 +184,10 @@ func cmdProfile(args []string) error {
 	}
 	fmt.Printf("%s: %d allocations (%d tracked), %d contexts, %d macro accesses\n",
 		p.Name, prof.TotalAllocs, prof.TrackedAllocs, len(prof.Contexts), prof.RawGraph.TotalAccesses())
+	graph := group.Filter(prof.RawGraph, group.Params{})
 	fmt.Printf("affinity graph: %d nodes, %d edges after 90%% coverage filter (%d raw nodes)\n",
-		prof.Graph.NumNodes(), prof.Graph.NumEdges(), prof.RawGraph.NumNodes())
-	fmt.Printf("\nhottest contexts:\n%s", prof.DescribeTop(*top))
+		graph.NumNodes(), graph.NumEdges(), prof.RawGraph.NumNodes())
+	fmt.Printf("\nhottest contexts:\n%s", prof.DescribeTop(graph, *top))
 	if *out != "" {
 		if err := profstore.Save(*out, prof); err != nil {
 			return err
@@ -212,13 +214,14 @@ func cmdProfileMerge(args []string) error {
 			path, prof.ProgName, len(prof.Contexts), prof.RawGraph.TotalAccesses())
 		profs = append(profs, prof)
 	}
-	merged, err := profstore.MergeWithCoverage(0, profs...)
+	merged, err := profstore.Merge(profs...)
 	if err != nil {
 		return err
 	}
+	graph := group.Filter(merged.RawGraph, group.Params{})
 	fmt.Printf("merged: program %s, %d contexts, %d accesses, graph %d nodes / %d edges (%d raw nodes)\n",
 		merged.ProgName, len(merged.Contexts), merged.RawGraph.TotalAccesses(),
-		merged.Graph.NumNodes(), merged.Graph.NumEdges(), merged.RawGraph.NumNodes())
+		graph.NumNodes(), graph.NumEdges(), merged.RawGraph.NumNodes())
 	if *out != "" {
 		if err := profstore.Save(*out, merged); err != nil {
 			return err
@@ -282,11 +285,6 @@ func cmdOpt(args []string) error {
 		}
 		if prof.ProgName != p.Name {
 			return fmt.Errorf("profile %s is for program %q, not %q", *profPath, prof.ProgName, p.Name)
-		}
-		// The graph is filtered by the same rule halod applies to a job
-		// naming this profile, so both write the same binary and policy.
-		if prof, err = profstore.MergeWithCoverage(0, prof); err != nil {
-			return err
 		}
 		opt, err = core.OptimizeFromProfile(p, prof, cfg)
 		if err != nil {

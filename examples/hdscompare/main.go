@@ -37,10 +37,10 @@ func main() {
 
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("HALO:  %d affinity-graph nodes -> %d groups, identified by %d call sites\n",
-			opt.Profile.Graph.NumNodes(), len(opt.Groups), len(opt.Selectors.Sites))
+			opt.Graph.NumNodes(), len(opt.Groups), len(opt.Selectors.Sites))
 		fmt.Printf("HDS:   %d grammar rules -> %d candidate streams -> %d hot streams -> %d co-allocation sets\n",
 			hr.Rules, hr.Candidates, hr.Streams, len(hr.Sets))
-		ratio := float64(hr.Streams) / float64(max(1, opt.Profile.Graph.NumNodes()))
+		ratio := float64(hr.Streams) / float64(max(1, opt.Graph.NumNodes()))
 		fmt.Printf("representation ratio (hot streams per graph node): %.0fx\n", ratio)
 		fmt.Printf("runtime policy: HALO monitors %d sites with selectors; HDS keys %d sites directly\n\n",
 			len(opt.Selectors.Sites), len(hr.SiteGroups))

@@ -194,32 +194,35 @@ func (g *Graph) Edges() []EdgeKey {
 // their incident edges. The returned graph keeps the original total access
 // count, as the grouping threshold is relative to all observed accesses.
 func (g *Graph) Filter(coverage float64) *Graph {
-	type na struct {
-		c Ctx
-		a uint64
-	}
-	nodes := make([]na, 0, g.nnodes)
-	for i, ok := range g.present {
-		if ok {
-			nodes = append(nodes, na{Ctx(i - 1), g.acc[i]})
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].a != nodes[j].a {
-			return nodes[i].a > nodes[j].a
-		}
-		return nodes[i].c < nodes[j].c
-	})
 	keep := make([]bool, len(g.present))
 	var accd uint64
 	limit := uint64(coverage * float64(g.total))
-	for _, n := range nodes {
+	for _, c := range g.Hottest() {
 		if accd >= limit {
 			break
 		}
-		keep[int(n.c)+1] = true
-		accd += n.a
+		keep[int(c)+1] = true
+		accd += g.Accesses(c)
 	}
+	return g.subgraph(keep, 0)
+}
+
+// Hottest returns the contexts from most to least accessed, ties in
+// ascending context order.
+func (g *Graph) Hottest() []Ctx {
+	nodes := g.Nodes()
+	sort.SliceStable(nodes, func(i, j int) bool { return g.Accesses(nodes[i]) > g.Accesses(nodes[j]) })
+	return nodes
+}
+
+// Prune removes edges lighter than minWeight (Figure 6's first step).
+func (g *Graph) Prune(minWeight uint64) *Graph {
+	return g.subgraph(g.present, minWeight)
+}
+
+// subgraph keeps the nodes keep marks (indexed like present), the edges
+// among them of weight at least minWeight, and g's total access count.
+func (g *Graph) subgraph(keep []bool, minWeight uint64) *Graph {
 	out := NewGraph()
 	out.total = g.total
 	for i, ok := range g.present {
@@ -230,25 +233,7 @@ func (g *Graph) Filter(coverage float64) *Graph {
 	}
 	g.edges.forEach(func(k, w uint64) {
 		e := unpackEdge(k)
-		if keep[int(e.U)+1] && keep[int(e.V)+1] {
-			out.edges.add(k, w)
-		}
-	})
-	return out
-}
-
-// Prune removes edges lighter than minWeight (Figure 6's first step).
-func (g *Graph) Prune(minWeight uint64) *Graph {
-	out := NewGraph()
-	out.total = g.total
-	for i, ok := range g.present {
-		if ok {
-			j := out.slot(Ctx(i - 1))
-			out.acc[j] = g.acc[i]
-		}
-	}
-	g.edges.forEach(func(k, w uint64) {
-		if w >= minWeight {
+		if w >= minWeight && keep[int(e.U)+1] && keep[int(e.V)+1] {
 			out.edges.add(k, w)
 		}
 	})

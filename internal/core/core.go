@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 
+	"halo/internal/affinity"
 	"halo/internal/alloc"
 	"halo/internal/group"
 	"halo/internal/halloc"
@@ -65,8 +66,11 @@ func (c Config) profileSeed() uint64 {
 
 // Optimized carries every artefact of the HALO pipeline for one binary.
 type Optimized struct {
-	Input     *isa.Program
-	Profile   *profile.Profile
+	Input   *isa.Program
+	Profile *profile.Profile
+	// Graph is the affinity graph grouping ran on: the profile's raw
+	// graph filtered at Config.Group.Coverage (group.Filter).
+	Graph     *affinity.Graph
 	Groups    []group.Group
 	Selectors *identify.Result
 	Rewrite   *rewrite.Result
@@ -128,7 +132,7 @@ func ProfileN(p *isa.Program, cfg Config, runs int) (*profile.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	merged, err := profstore.MergeWithCoverage(cfg.Profile.Coverage, profs...)
+	merged, err := profstore.Merge(profs...)
 	if err != nil {
 		return nil, fmt.Errorf("core: merging training profiles: %w", err)
 	}
@@ -146,16 +150,14 @@ func Optimize(p *isa.Program, cfg Config) (*Optimized, error) {
 }
 
 // OptimizeFromProfile runs grouping, identification and rewriting over an
-// existing profile (so one profiling run can feed several configurations).
-// It only reads prof, so concurrent calls may share one profile. prof must
-// carry its filtered graph: a decoded profile has none until
-// profstore.MergeWithCoverage derives it.
+// existing profile (so one profiling run can feed several configurations),
+// whether fresh, merged or decoded. It filters the profile's raw graph at
+// cfg.Group.Coverage first. It only reads prof, so concurrent calls may
+// share one profile.
 func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Optimized, error) {
-	if prof.Graph == nil {
-		return nil, fmt.Errorf("core: profile has no filtered graph (derive it with profstore.MergeWithCoverage)")
-	}
 	endGroup := cfg.Trace.Span("group")
-	groups := group.Form(prof.Graph, cfg.Group)
+	graph := group.Filter(prof.RawGraph, cfg.Group)
+	groups := group.Form(graph, cfg.Group)
 	endGroup()
 
 	endIdentify := cfg.Trace.Span("identify")
@@ -169,6 +171,7 @@ func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Op
 	return &Optimized{
 		Input:        p,
 		Profile:      prof,
+		Graph:        graph,
 		Groups:       groups,
 		Selectors:    sel,
 		Rewrite:      rw,
@@ -232,7 +235,7 @@ func AnalyzeHDS(prof *profile.Profile, cfg Config) (*hds.Result, error) {
 // the content of the paper's Figure 9 for any workload.
 func (o *Optimized) GroupReport() string {
 	out := fmt.Sprintf("%s: %d contexts, %d graph nodes (filtered), %d groups\n",
-		o.Input.Name, len(o.Profile.Contexts), o.Profile.Graph.NumNodes(), len(o.Groups))
+		o.Input.Name, len(o.Profile.Contexts), o.Graph.NumNodes(), len(o.Groups))
 	for _, g := range o.Groups {
 		out += fmt.Sprintf("  group %d (weight %d, accesses %d):\n", g.ID, g.Weight, g.Accesses)
 		for _, m := range g.Members {
@@ -254,7 +257,7 @@ func (o *Optimized) UngroupedHot() int {
 	}
 	n := 0
 	for _, c := range o.Profile.Contexts {
-		if !grouped[c.ID] && o.Profile.Graph.Accesses(c.ID) > 0 {
+		if !grouped[c.ID] && o.Graph.Accesses(c.ID) > 0 {
 			n++
 		}
 	}

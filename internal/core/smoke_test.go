@@ -3,13 +3,11 @@ package core
 import (
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"halo/internal/cache"
 	"halo/internal/measure"
 	"halo/internal/profile"
-	"halo/internal/profstore"
 	"halo/internal/workloads"
 )
 
@@ -30,7 +28,7 @@ func TestPipelineSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%s: %d contexts, %d graph nodes, %d groups, %d sites, %d selectors",
-				w.Name, len(opt.Profile.Contexts), opt.Profile.Graph.NumNodes(),
+				w.Name, len(opt.Profile.Contexts), opt.Graph.NumNodes(),
 				len(opt.Groups), len(opt.Selectors.Sites), len(opt.BitSelectors))
 			if _, err := AnalyzeHDS(opt.Profile, cfg); err != nil {
 				t.Fatalf("hot data streams: %v", err)
@@ -91,7 +89,7 @@ func TestOptimizeFromProfileLeavesProfileUnchanged(t *testing.T) {
 		want[i] = *c
 		want[i].Chain = slices.Clone(c.Chain)
 	}
-	graph, raw := prof.Graph.String(), prof.RawGraph.String()
+	raw := prof.RawGraph.String()
 
 	capped := Config{}
 	capped.Group.MaxGroups = 1
@@ -112,39 +110,7 @@ func TestOptimizeFromProfileLeavesProfileUnchanged(t *testing.T) {
 			t.Fatalf("context %d changed: %s", i, c.Describe(p))
 		}
 	}
-	if prof.Graph.String() != graph || prof.RawGraph.String() != raw {
+	if prof.RawGraph.String() != raw {
 		t.Fatal("affinity graph changed")
-	}
-}
-
-// TestOptimizeFromDecodedProfileFails: a decoded profile stores no
-// filtered graph, so handing one to OptimizeFromProfile without
-// profstore.MergeWithCoverage is an error that names the missing step,
-// not a panic in grouping.
-func TestOptimizeFromDecodedProfileFails(t *testing.T) {
-	w := workloads.MustGet("art")
-	p := w.Build(w.TestScale)
-	prof, err := Profile(p, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := profstore.Encode(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := profstore.Decode(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = OptimizeFromProfile(p, decoded, Config{})
-	if err == nil || !strings.Contains(err.Error(), "profstore.MergeWithCoverage") {
-		t.Fatalf("err = %v, want one naming profstore.MergeWithCoverage", err)
-	}
-	merged, err := profstore.MergeWithCoverage(0, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OptimizeFromProfile(p, merged, Config{}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -261,7 +261,7 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 		return nil, fmt.Errorf("%s hds: %w", w.Name, err)
 	}
 	e.opts.logf("[%s] %d graph nodes, %d groups, %d sites; hds: %d rules, %d hot streams, %d sets",
-		w.Name, opt.Profile.Graph.NumNodes(), len(opt.Groups), len(opt.Selectors.Sites),
+		w.Name, opt.Graph.NumNodes(), len(opt.Groups), len(opt.Selectors.Sites),
 		hr.Rules, hr.Streams, len(hr.Sets))
 
 	// The ref binary is rewritten at the sites chosen on the test profile;
@@ -446,7 +446,9 @@ func regressed(missReductionPct, speedupPct float64) bool {
 // BenchResults renders every measured workload×technique pair from the
 // engine's summary cache against its jemalloc baseline, sorted by workload
 // then technique. Call after Run; only combinations the executed
-// experiments actually measured appear.
+// experiments actually measured appear. A row whose baseline the sweep did
+// not measure (tab1 alone, say) keeps its trial set and leaves the
+// baseline-relative fields zero.
 func (e *Engine) BenchResults() []BenchResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -456,10 +458,6 @@ func (e *Engine) BenchResults() []BenchResult {
 		if label == "jemalloc" {
 			continue
 		}
-		base, ok := e.finished(name + "/jemalloc")
-		if !ok {
-			continue
-		}
 		s, ok := e.finished(k)
 		if !ok {
 			continue
@@ -467,9 +465,6 @@ func (e *Engine) BenchResults() []BenchResult {
 		r := BenchResult{
 			Workload:         name,
 			Technique:        label,
-			MissReductionPct: measure.Improvement(base.L1DMiss.Median, s.L1DMiss.Median),
-			SpeedupPct:       measure.Improvement(base.Seconds.Median, s.Seconds.Median),
-			BaselineSeconds:  base.Seconds.Median,
 			Seconds:          s.Seconds.Median,
 			TrialNs:          s.trialNs,
 			SharesLayoutWith: e.sharedWith(name, label),
@@ -477,7 +472,12 @@ func (e *Engine) BenchResults() []BenchResult {
 		if r.SharesLayoutWith != "" {
 			r.TrialNs = 0
 		}
-		r.Regressed = regressed(r.MissReductionPct, r.SpeedupPct)
+		if base, ok := e.finished(name + "/jemalloc"); ok {
+			r.MissReductionPct = measure.Improvement(base.L1DMiss.Median, s.L1DMiss.Median)
+			r.SpeedupPct = measure.Improvement(base.Seconds.Median, s.Seconds.Median)
+			r.BaselineSeconds = base.Seconds.Median
+			r.Regressed = regressed(r.MissReductionPct, r.SpeedupPct)
+		}
 		out = append(out, r)
 	}
 	return out

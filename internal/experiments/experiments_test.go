@@ -235,6 +235,28 @@ func TestTable1Quick(t *testing.T) {
 	}
 }
 
+// TestPartialSweepReportsTrials: a sweep that measures no jemalloc
+// baseline (tab1 alone) still reports the trial sets it ran, with the
+// baseline-relative figures left empty.
+func TestPartialSweepReportsTrials(t *testing.T) {
+	e := quickEngine("art")
+	if _, err := e.Run([]string{"tab1"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range e.BenchResults() {
+		if r.Workload == "art" && r.Technique == "halo" {
+			if r.TrialNs <= 0 || r.Seconds <= 0 {
+				t.Fatalf("art/halo: trial_ns %d, seconds %v; want its trial set", r.TrialNs, r.Seconds)
+			}
+			if r.BaselineSeconds != 0 || r.MissReductionPct != 0 || r.SpeedupPct != 0 || r.Regressed {
+				t.Fatalf("art/halo without a baseline carries baseline figures: %+v", r)
+			}
+			return
+		}
+	}
+	t.Fatalf("no art/halo row in %+v", e.BenchResults())
+}
+
 func TestRomsStreamsQuick(t *testing.T) {
 	tab, err := quickEngine("roms").RomsStreams()
 	if err != nil {

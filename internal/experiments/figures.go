@@ -114,7 +114,7 @@ func (e *Engine) Fig12() (*Table, error) {
 			fmt.Sprintf("%.4f", s.Seconds.P25),
 			fmt.Sprintf("%.4f", s.Seconds.P75),
 			fmt.Sprintf("%+.2f%%", delta),
-			fmt.Sprintf("%d", opt.Profile.Graph.NumEdges()),
+			fmt.Sprintf("%d", opt.Graph.NumEdges()),
 			fmt.Sprintf("%d", len(opt.Groups)),
 		}
 		e.opts.logf("[fig12] A=%-6d median %.4fs (%+.2f%%)", dist, s.Seconds.Median, delta)
@@ -299,7 +299,7 @@ func (e *Engine) Baseline() (*Table, error) {
 func (e *Engine) RomsStreams() (*Table, error) {
 	rows, err := e.perWorkload(e.workloadList(), func(a *artefacts) ([]string, error) {
 		return []string{
-			fmt.Sprintf("%d", a.opt.Profile.Graph.NumNodes()),
+			fmt.Sprintf("%d", a.opt.Graph.NumNodes()),
 			fmt.Sprintf("%d", a.hds.Rules),
 			fmt.Sprintf("%d", a.hds.Candidates),
 			fmt.Sprintf("%d", a.hds.Streams),

@@ -10,8 +10,14 @@ import (
 	"halo/internal/affinity"
 )
 
+// DefaultCoverage is the paper's node-filter fraction (§4.1): the share of
+// all observed accesses the filtered affinity graph keeps.
+const DefaultCoverage = 0.90
+
 // Params configures grouping. Zero values take the paper's settings.
 type Params struct {
+	// Coverage is the share of accesses Filter keeps. Default 0.90.
+	Coverage float64
 	// MinWeight drops edges lighter than this before grouping.
 	MinWeight uint64
 	// MaxGroupMembers bounds group growth (Figure 6). Default 16.
@@ -98,6 +104,16 @@ func mergeBenefit(g *affinity.Graph, group []affinity.Ctx, groupScore float64, s
 		max = sb
 	}
 	return sc - (1-tol)*max
+}
+
+// Filter is §4.1's noise reduction, the one place a raw affinity graph is
+// cut down for grouping: the hottest contexts covering p.Coverage of all
+// observed accesses, and the edges among them, stay. raw is only read.
+func Filter(raw *affinity.Graph, p Params) *affinity.Graph {
+	if p.Coverage == 0 {
+		p.Coverage = DefaultCoverage
+	}
+	return raw.Filter(p.Coverage)
 }
 
 // Form partitions the graph's contexts into groups per Figure 6. The

@@ -252,3 +252,27 @@ func TestAssign(t *testing.T) {
 		t.Fatal("phantom assignment")
 	}
 }
+
+// TestFilterZeroCoverageIsDefault: coverage 0 asks for the paper's 90%,
+// as every other zero parameter asks for its default, and the filter
+// leaves the raw graph as it was.
+func TestFilterZeroCoverageIsDefault(t *testing.T) {
+	// 100 accesses over contexts 0..3: 60, 25, 10, 5.
+	raw := buildGraph(map[affinity.Ctx]uint64{0: 60, 1: 25, 2: 10, 3: 5},
+		map[[2]affinity.Ctx]uint64{{0, 1}: 9, {1, 2}: 4, {2, 3}: 2})
+	before := raw.String()
+	zero, def := Filter(raw, Params{}), Filter(raw, Params{Coverage: DefaultCoverage})
+	if zero.String() != def.String() {
+		t.Fatalf("coverage 0 kept %s, DefaultCoverage %s", zero, def)
+	}
+	// 0.90 of 100 accesses is covered by the three hottest contexts.
+	if zero.NumNodes() != 3 || zero.NumEdges() != 2 {
+		t.Fatalf("default filter kept %d nodes, %d edges; want 3, 2", zero.NumNodes(), zero.NumEdges())
+	}
+	if full := Filter(raw, Params{Coverage: 1}); full.NumNodes() != 4 {
+		t.Fatalf("coverage 1 kept %d nodes, want all 4", full.NumNodes())
+	}
+	if raw.String() != before {
+		t.Fatal("filtering wrote to the raw graph")
+	}
+}

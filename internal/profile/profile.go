@@ -19,7 +19,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"halo/internal/affinity"
 	"halo/internal/isa"
@@ -36,10 +35,6 @@ var (
 		"event batches consumed by profiler sinks")
 )
 
-// DefaultCoverage is the paper's node-filter fraction (§4.1): the share of
-// all observed accesses the filtered affinity graph keeps.
-const DefaultCoverage = 0.90
-
 // DefaultAffinityDistance is the paper's affinity distance A in bytes
 // (§5.1, Figure 12).
 const DefaultAffinityDistance = 128
@@ -51,8 +46,6 @@ type Config struct {
 	// MaxObjectSize bounds tracked objects; larger allocations are not
 	// candidates for grouping. Default 4096 (§5.1).
 	MaxObjectSize uint64
-	// Coverage is the node-filter fraction; default 0.90 (§4.1).
-	Coverage float64
 	// RecordTrace enables the data reference trace for hot-data-streams,
 	// up to maxTrace references.
 	RecordTrace bool
@@ -68,9 +61,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxObjectSize == 0 {
 		c.MaxObjectSize = 4096
 	}
-	if c.Coverage == 0 {
-		c.Coverage = DefaultCoverage
-	}
 	return c
 }
 
@@ -81,13 +71,13 @@ type Ref struct {
 	ObjSize uint32   // object size, for co-allocation benefit analysis
 }
 
-// Profile is the result of a profiling run. It is read-only once Finish,
-// profstore.Decode or a profstore merge returns it: the pipeline stages
-// only read it, so one profile may feed several syntheses at once.
+// Profile is the result of a profiling run: only what the run observed.
+// It is read-only once Finish, profstore.Decode or profstore.Merge returns
+// it: the pipeline stages only read it, so one profile may feed several
+// syntheses at once. Synthesis filters RawGraph itself (group.Filter).
 type Profile struct {
 	Prog     *isa.Program
 	ProgName string          // survives serialisation, where Prog does not
-	Graph    *affinity.Graph // filtered per Config.Coverage; nil once decoded
 	RawGraph *affinity.Graph // unfiltered
 	Contexts []*Context      // indexed by affinity.Ctx
 	Trace    []Ref           // empty unless Config.RecordTrace
@@ -363,13 +353,11 @@ func (p *Profiler) joinTrace() []Ref {
 	return append(out, p.trace...)
 }
 
-// Finish produces the profile. The affinity graph is filtered to the
-// configured coverage (§4.1's 90% rule).
+// Finish produces the profile.
 func (p *Profiler) Finish() *Profile {
 	return &Profile{
 		Prog:          p.prog,
 		ProgName:      p.prog.Name,
-		Graph:         p.graph.Filter(p.cfg.Coverage),
 		RawGraph:      p.graph,
 		Contexts:      p.contexts.list,
 		Trace:         p.joinTrace(),
@@ -380,30 +368,14 @@ func (p *Profiler) Finish() *Profile {
 	}
 }
 
-// DescribeTop renders the heaviest contexts, a debugging aid mirroring the
+// DescribeTop renders the n heaviest contexts of g, a graph over p's
+// contexts (its raw graph or a filtered one): a debugging aid mirroring the
 // paper's Figure 9 node listing.
-func (p *Profile) DescribeTop(n int) string {
-	nodes := p.Graph.Nodes()
-	type na struct {
-		c affinity.Ctx
-		a uint64
-	}
-	list := make([]na, 0, len(nodes))
-	for _, c := range nodes {
-		list = append(list, na{c, p.Graph.Accesses(c)})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].a != list[j].a {
-			return list[i].a > list[j].a
-		}
-		return list[i].c < list[j].c
-	})
-	if n > len(list) {
-		n = len(list)
-	}
+func (p *Profile) DescribeTop(g *affinity.Graph, n int) string {
+	hot := g.Hottest()
 	out := ""
-	for _, e := range list[:n] {
-		out += fmt.Sprintf("%8d  %s\n", e.a, p.Contexts[e.c].Describe(p.Prog))
+	for _, c := range hot[:min(n, len(hot))] {
+		out += fmt.Sprintf("%8d  %s\n", g.Accesses(c), p.Contexts[c].Describe(p.Prog))
 	}
 	return out
 }

@@ -161,7 +161,7 @@ func TestObjectTrackingAndAffinity(t *testing.T) {
 	if prof.TrackedAllocs != 2 {
 		t.Fatalf("tracked = %d", prof.TrackedAllocs)
 	}
-	g := prof.Graph
+	g := prof.RawGraph
 	var ctxA, ctxB affinity.Ctx = -1, -1
 	for _, c := range prof.Contexts {
 		names := chainNames(prof, c)

@@ -5,38 +5,35 @@ import (
 	"sort"
 
 	"halo/internal/affinity"
+	"halo/internal/group"
 	"halo/internal/profile"
 )
 
-// DefaultCoverage is the paper's node-filter fraction (§4.1), applied to
-// the merged raw graph when no explicit coverage is given.
-const DefaultCoverage = profile.DefaultCoverage
+// Deprecated: coverage is a grouping parameter; use group.DefaultCoverage.
+const DefaultCoverage = group.DefaultCoverage
 
-// MergeWithCoverage is the one rule that turns stored profiles into the
-// profile grouping reads: it filters the raw affinity graph at the given
-// coverage (0 means DefaultCoverage), merging first if there are several
-// profiles. The inputs are only read.
+// Deprecated: merging no longer filters, so coverage is ignored; use Merge.
+func MergeWithCoverage(_ float64, profs ...*profile.Profile) (*profile.Profile, error) {
+	return Merge(profs...)
+}
+
+// Merge combines profiles of one program (matched by ProgName) into one.
+// The inputs are only read. Like an image, the result holds only what the
+// runs observed: the raw affinity graph, which synthesis filters itself.
 //
-// One profile is not merged: the result is a shallow copy with only the
-// filtered graph set, so it keeps its context numbering and trace and
-// re-encodes byte-identically, whatever coverage it was recorded at.
+// One profile has nothing to merge: the result is a shallow copy, so it
+// keeps its context numbering and trace and re-encodes byte-identically,
+// and setting a field on it never writes to the input.
 //
-// Several profiles of one program (matched by ProgName) are merged by
-// identifying contexts across runs through their reduced chains and
-// summing node access counts and edge weights. Context IDs are assigned in
-// canonical (chain-key) order and all combination is additive, so the
-// result does not depend on argument order. Reference traces
-// (hot-data-streams is defined over one run's reference order) do not
-// survive merging.
-func MergeWithCoverage(coverage float64, profs ...*profile.Profile) (*profile.Profile, error) {
+// Several profiles are merged by identifying contexts across runs through
+// their reduced chains and summing node access counts and edge weights.
+// Context IDs are assigned in canonical (chain-key) order and all
+// combination is additive, so the result does not depend on argument
+// order. Reference traces (hot-data-streams is defined over one run's
+// reference order) do not survive merging.
+func Merge(profs ...*profile.Profile) (*profile.Profile, error) {
 	if len(profs) == 0 {
 		return nil, fmt.Errorf("profstore: merge: no profiles")
-	}
-	if coverage < 0 || coverage > 1 {
-		return nil, fmt.Errorf("profstore: merge: coverage %v out of [0,1]", coverage)
-	}
-	if coverage == 0 {
-		coverage = DefaultCoverage
 	}
 	name := progName(profs[0])
 	for _, p := range profs {
@@ -52,7 +49,6 @@ func MergeWithCoverage(coverage float64, profs ...*profile.Profile) (*profile.Pr
 	}
 	if len(profs) == 1 {
 		p := *profs[0]
-		p.Graph = p.RawGraph.Filter(coverage)
 		return &p, nil
 	}
 
@@ -95,7 +91,6 @@ func MergeWithCoverage(coverage float64, profs ...*profile.Profile) (*profile.Pr
 		}
 	}
 	out.RawGraph = raw
-	out.Graph = raw.Filter(coverage)
 	return out, nil
 }
 

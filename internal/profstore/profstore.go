@@ -39,13 +39,16 @@ import (
 //
 // and the graph as:
 //
-//	nodes    uvarint count; (uvarint ctx, uvarint accesses) ascending by ctx
-//	edges    uvarint count; (uvarint u, uvarint v, uvarint weight) sorted
+//	nodes    uvarint count; (uvarint ctx, uvarint accesses) strictly
+//	         ascending by ctx, every edge endpoint listed
+//	edges    uvarint count; (uvarint u, uvarint v, uvarint weight) with
+//	         u <= v, strictly ascending by (u, v)
 //
-// An image holds only what the run observed. The graph's total access
-// count is the sum of its nodes' accesses, so it is derived on decode, not
-// stored; the coverage-filtered graph grouping reads is derived from the
-// raw one by MergeWithCoverage.
+// Decode accepts only that canonical order, so one graph has exactly one
+// image. An image holds only what the run observed. The graph's total
+// access count is the sum of its nodes' accesses, so it is derived on
+// decode, not stored; the coverage-filtered graph grouping reads is
+// derived from the raw one in synthesis (group.Filter).
 const (
 	magic   = "HPRO"
 	version = 3
@@ -72,10 +75,7 @@ func Encode(p *profile.Profile) ([]byte, error) {
 	if p.RawGraph == nil {
 		return nil, fmt.Errorf("profstore: encode: profile has no raw affinity graph")
 	}
-	name := p.ProgName
-	if name == "" && p.Prog != nil {
-		name = p.Prog.Name
-	}
+	name := progName(p)
 	var buf bytes.Buffer
 	buf.WriteString(magic)
 	writeUvarint(&buf, version)
@@ -107,8 +107,7 @@ func Encode(p *profile.Profile) ([]byte, error) {
 
 // Decode parses a profile image, verifying its checksum and structure. The
 // returned profile has Prog == nil and ProgName set. The pipeline takes the
-// program as its own argument; only DescribeTop reads Prog. Graph is nil:
-// MergeWithCoverage derives it from RawGraph.
+// program as its own argument; only DescribeTop reads Prog.
 func Decode(image []byte) (*profile.Profile, error) {
 	if len(image) < len(magic)+4 {
 		return nil, fmt.Errorf("profstore: image too short (%d bytes)", len(image))
@@ -216,6 +215,7 @@ func encodeGraph(buf *bytes.Buffer, g *affinity.Graph) {
 
 func decodeGraph(r *reader, ncontexts uint64) (*affinity.Graph, error) {
 	g := affinity.NewGraph()
+	start := r.pos
 	nn := r.uvarint()
 	if nn > maxNodes || !r.canHold(nn, 2) {
 		return nil, fmt.Errorf("profstore: implausible graph node count %d", nn)
@@ -240,6 +240,13 @@ func decodeGraph(r *reader, ncontexts uint64) (*affinity.Graph, error) {
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("profstore: truncated image: %w", r.err)
+	}
+	// A graph has one image: repeated, unsorted or unlisted entries would
+	// decode to the graph of another.
+	var canon bytes.Buffer
+	encodeGraph(&canon, g)
+	if !bytes.Equal(canon.Bytes(), r.buf[start:r.pos]) {
+		return nil, fmt.Errorf("profstore: graph section is not in canonical order")
 	}
 	return g, nil
 }

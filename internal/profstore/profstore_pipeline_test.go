@@ -5,10 +5,12 @@ package profstore_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"testing"
 
 	"halo/internal/core"
+	"halo/internal/policy"
 	"halo/internal/profile"
 	"halo/internal/profstore"
 	"halo/internal/workloads"
@@ -35,7 +37,7 @@ func TestMergedProfileOptimizes(t *testing.T) {
 
 	var reports []string
 	for i := 0; i < 2; i++ {
-		m, err := profstore.MergeWithCoverage(0, a, b)
+		m, err := profstore.Merge(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,6 +56,51 @@ func TestMergedProfileOptimizes(t *testing.T) {
 	}
 }
 
+// TestEveryProfileShapeOptimizesAlike: a profile holds only what its run
+// observed, however it arrived, and synthesis does its own filtering. So a
+// fresh profile, its decoded image and a one-input merge of that image
+// must all give byte-identical rewritten binaries and policies.
+func TestEveryProfileShapeOptimizesAlike(t *testing.T) {
+	w := workloads.MustGet("art")
+	p := w.Build(w.TestScale)
+	fresh := pipelineProfile(t, "art", 7)
+	img, err := profstore.Encode(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := profstore.Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := profstore.Merge(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBin, wantPol []byte
+	for i, prof := range []*profile.Profile{fresh, decoded, merged} {
+		opt, err := core.OptimizeFromProfile(p, prof, core.Config{})
+		if err != nil {
+			t.Fatalf("shape %d: %v", i, err)
+		}
+		bin, err := opt.Rewrite.Prog.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := json.Marshal(policy.New(opt, policy.Halloc{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if len(opt.BitSelectors) == 0 {
+				t.Fatal("fresh profile gave no selectors; the comparison would be vacuous")
+			}
+			wantBin, wantPol = bin, pol
+		} else if !bytes.Equal(bin, wantBin) || !bytes.Equal(pol, wantPol) {
+			t.Errorf("shape %d (1 decoded, 2 merged) optimises differently from the fresh profile", i)
+		}
+	}
+}
+
 // TestProfileNWorkerInvariance checks the concurrent multi-seed training
 // path end to end: ProfileN must produce byte-identical profile images at
 // any worker-pool width (set through GOMAXPROCS), and must match the
@@ -63,7 +110,7 @@ func TestProfileNWorkerInvariance(t *testing.T) {
 	p := w.Build(w.TestScale)
 	cfg := core.Config{ProfileSeed: 3}
 
-	manual, err := profstore.MergeWithCoverage(0,
+	manual, err := profstore.Merge(
 		pipelineProfile(t, "art", 3),
 		pipelineProfile(t, "art", 4),
 		pipelineProfile(t, "art", 5),

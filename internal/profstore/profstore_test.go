@@ -75,11 +75,7 @@ func TestRoundTrip(t *testing.T) {
 				}
 			}
 
-			// Only the raw graph is stored; the filtered one is derived.
 			checkRawGraphsEqual(t, prof, got)
-			if got.Graph != nil {
-				t.Errorf("decoded profile carries a filtered graph")
-			}
 
 			if !reflect.DeepEqual(got.Trace, prof.Trace) &&
 				!(len(got.Trace) == 0 && len(prof.Trace) == 0) {
@@ -193,20 +189,6 @@ func TestDecodeCorrupt(t *testing.T) {
 // claim enormous element counts; Decode must reject them from the count
 // alone instead of allocating.
 func TestDecodeForgedCounts(t *testing.T) {
-	forge := func(build func(buf *bytes.Buffer)) []byte {
-		var buf bytes.Buffer
-		buf.WriteString(magic)
-		writeUvarint(&buf, version)
-		writeString(&buf, "forged")
-		writeUvarint(&buf, 0) // TotalAllocs
-		writeUvarint(&buf, 0) // TrackedAllocs
-		writeUvarint(&buf, 0) // PeakLive
-		build(&buf)
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-		buf.Write(crc[:])
-		return buf.Bytes()
-	}
 	emptyGraph := func(buf *bytes.Buffer) {
 		writeUvarint(buf, 0) // nodes
 		writeUvarint(buf, 0) // edges
@@ -230,6 +212,86 @@ func TestDecodeForgedCounts(t *testing.T) {
 				t.Fatalf("forged %s count accepted", name)
 			}
 		})
+	}
+}
+
+// forge builds a current-version image of a program named "forged", with
+// zero run statistics and a valid checksum, whose sections after the
+// statistics are whatever build writes.
+func forge(build func(buf *bytes.Buffer)) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	writeUvarint(&buf, version)
+	writeString(&buf, "forged")
+	writeUvarint(&buf, 0) // TotalAllocs
+	writeUvarint(&buf, 0) // TrackedAllocs
+	writeUvarint(&buf, 0) // PeakLive
+	build(&buf)
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
+	buf.Write(crc[:])
+	return buf.Bytes()
+}
+
+// forgeGraph forges an image of two contexts, no trace, and a graph
+// section listing nodes as (ctx, accesses) and edges as (u, v, weight)
+// pairs in the order given.
+func forgeGraph(nodes [][2]uint64, edges [][3]uint64) []byte {
+	return forge(func(buf *bytes.Buffer) {
+		writeUvarint(buf, 2) // contexts
+		for fn := range 2 {
+			writeUvarint(buf, 1) // chain length
+			writeVarint(buf, int64(fn))
+			writeUvarint(buf, uint64(4+8*fn)) // site
+			writeUvarint(buf, 1)              // allocs
+		}
+		writeUvarint(buf, uint64(len(nodes)))
+		for _, n := range nodes {
+			writeUvarint(buf, n[0])
+			writeUvarint(buf, n[1])
+		}
+		writeUvarint(buf, uint64(len(edges)))
+		for _, e := range edges {
+			writeUvarint(buf, e[0])
+			writeUvarint(buf, e[1])
+			writeUvarint(buf, e[2])
+		}
+		writeUvarint(buf, 0) // trace
+	})
+}
+
+// nonCanonicalGraphs are images of valid graphs whose graph section is not
+// in the order Encode writes: each would decode to a profile that
+// re-encodes to other bytes, so one profile would have several images.
+var nonCanonicalGraphs = []struct {
+	name string
+	img  []byte
+}{
+	{"node-repeated", forgeGraph([][2]uint64{{0, 5}, {0, 7}}, nil)},
+	{"nodes-descending", forgeGraph([][2]uint64{{1, 3}, {0, 5}}, nil)},
+	{"edges-unsorted", forgeGraph([][2]uint64{{0, 5}, {1, 3}}, [][3]uint64{{1, 1, 2}, {0, 1, 4}})},
+	{"edge-repeated", forgeGraph([][2]uint64{{0, 5}, {1, 3}}, [][3]uint64{{0, 1, 2}, {0, 1, 2}})},
+	{"edge-reversed", forgeGraph([][2]uint64{{0, 5}, {1, 3}}, [][3]uint64{{1, 0, 4}})},
+	{"endpoint-unlisted", forgeGraph([][2]uint64{{0, 5}}, [][3]uint64{{0, 1, 4}})},
+}
+
+// TestDecodeRejectsNonCanonicalGraph: Decode accepts a graph section only
+// in the order Encode writes it, so a profile has one image and halod one
+// content address for it. The same graph in canonical order is accepted
+// and re-encodes to its own bytes.
+func TestDecodeRejectsNonCanonicalGraph(t *testing.T) {
+	canonical := forgeGraph([][2]uint64{{0, 5}, {1, 3}}, [][3]uint64{{0, 1, 4}, {1, 1, 2}})
+	p, err := Decode(canonical)
+	if err != nil {
+		t.Fatalf("canonical image rejected: %v", err)
+	}
+	if img, err := Encode(p); err != nil || !bytes.Equal(img, canonical) {
+		t.Fatalf("canonical image re-encodes to other bytes (%v)", err)
+	}
+	for _, tc := range nonCanonicalGraphs {
+		if _, err := Decode(tc.img); err == nil {
+			t.Errorf("%s: non-canonical graph section accepted", tc.name)
+		}
 	}
 }
 
@@ -294,11 +356,11 @@ func TestMergeDeterministic(t *testing.T) {
 	b := profileWorkload(t, "art", 5, false)
 	c := profileWorkload(t, "art", 11, false)
 
-	ab, err := MergeWithCoverage(0, a, b)
+	ab, err := Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := MergeWithCoverage(0, b, a)
+	ba, err := Merge(b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +376,11 @@ func TestMergeDeterministic(t *testing.T) {
 		t.Fatal("merge(A,B) and merge(B,A) encode differently")
 	}
 
-	abc, err := MergeWithCoverage(0, a, b, c)
+	abc, err := Merge(a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cba, err := MergeWithCoverage(0, c, b, a)
+	cba, err := Merge(c, b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +400,7 @@ func TestMergeDeterministic(t *testing.T) {
 func TestMergeSums(t *testing.T) {
 	a := profileWorkload(t, "art", 3, false)
 	b := profileWorkload(t, "art", 5, false)
-	m, err := MergeWithCoverage(0, a, b)
+	m, err := Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,36 +445,32 @@ func TestMergeSums(t *testing.T) {
 }
 
 func TestMergeValidation(t *testing.T) {
-	if _, err := MergeWithCoverage(0); err == nil {
+	if _, err := Merge(); err == nil {
 		t.Fatal("empty merge did not fail")
 	}
 	a := profileWorkload(t, "art", 3, false)
 	p := profileWorkload(t, "povray", 3, false)
-	if _, err := MergeWithCoverage(0, a, p); err == nil {
+	if _, err := Merge(a, p); err == nil {
 		t.Fatal("cross-program merge did not fail")
 	}
-	if _, err := MergeWithCoverage(0, a, nil); err == nil {
+	if _, err := Merge(a, nil); err == nil {
 		t.Fatal("nil profile merge did not fail")
 	}
-	for _, bad := range []float64{-0.5, 1.5} {
-		if _, err := MergeWithCoverage(bad, a); err == nil {
-			t.Fatalf("coverage %v did not fail", bad)
-		}
-	}
 	// A single input is validated as each of several would be.
-	if _, err := MergeWithCoverage(0, nil); err == nil {
+	if _, err := Merge(nil); err == nil {
 		t.Fatal("single nil profile did not fail")
 	}
 	noRaw := *a
 	noRaw.RawGraph = nil
-	if _, err := MergeWithCoverage(0, &noRaw); err == nil {
+	if _, err := Merge(&noRaw); err == nil {
 		t.Fatal("single profile without a raw graph did not fail")
 	}
 }
 
-// TestMergeSingleKeepsProfile: one profile has nothing to merge, and an
-// image stores no filtered graph, so filtering it at any coverage gives
-// back its own image, context numbering and trace included.
+// TestMergeSingleKeepsProfile: one profile has nothing to merge, so the
+// result re-encodes to the profile's own image, context numbering and
+// trace included. It is a copy: setting its fields leaves the input as it
+// was.
 func TestMergeSingleKeepsProfile(t *testing.T) {
 	for _, trace := range []bool{false, true} {
 		p := profileWorkload(t, "art", 3, trace)
@@ -420,7 +478,7 @@ func TestMergeSingleKeepsProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := MergeWithCoverage(0.5, p)
+		one, err := Merge(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,27 +490,9 @@ func TestMergeSingleKeepsProfile(t *testing.T) {
 			t.Fatalf("trace=%v: single-profile merge encodes to %d bytes, the profile to %d",
 				trace, len(got), len(want))
 		}
-		if one.Graph == p.Graph {
-			t.Fatal("single-profile merge shares the input's filtered graph")
+		one.Trace, one.Prog, one.RawGraph = nil, nil, nil
+		if after, err := Encode(p); err != nil || !bytes.Equal(after, want) {
+			t.Fatalf("trace=%v: setting fields of the merge result wrote to its input (%v)", trace, err)
 		}
-	}
-}
-
-// TestMergeZeroCoverageIsDefault checks that coverage 0 asks for the
-// paper's default, as it does everywhere else a coverage is configured.
-// Images store no filtered graph, so the filtered graphs are compared.
-func TestMergeZeroCoverageIsDefault(t *testing.T) {
-	a := profileWorkload(t, "art", 3, false)
-	b := profileWorkload(t, "art", 5, false)
-	zero, err := MergeWithCoverage(0, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := MergeWithCoverage(DefaultCoverage, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero.Graph.String() != def.Graph.String() {
-		t.Fatal("coverage 0 merged differently from DefaultCoverage")
 	}
 }

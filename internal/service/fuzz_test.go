@@ -37,8 +37,9 @@ var fuzzInput = sync.OnceValues(func() (fuzzFixture, error) {
 })
 
 // FuzzOptimizeConfig feeds arbitrary /v1/optimize bodies through request
-// validation. Whatever validate accepts must synthesise a layout without
-// panicking, and the artifact-cache key must not depend on the order the
+// validation. Whatever validate accepts must synthesise a layout from the
+// shared decoded profile without panicking, the request's coverage
+// included, and the artifact-cache key must not depend on the order the
 // request lists its profiles in.
 func FuzzOptimizeConfig(f *testing.F) {
 	f.Add([]byte(`{"config":{"max_group_members":9223372036854775807}}`))
@@ -66,11 +67,7 @@ func FuzzOptimizeConfig(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := profstore.MergeWithCoverage(req.Config.Coverage, fx.prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := core.OptimizeFromProfile(fx.prog, prof, req.Config.coreConfig()); err != nil {
+		if _, err := core.OptimizeFromProfile(fx.prog, fx.prof, req.Config.coreConfig()); err != nil {
 			t.Fatalf("config %+v passed validation but failed synthesis: %v", req.Config, err)
 		}
 	})

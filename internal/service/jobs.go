@@ -69,7 +69,7 @@ func (c OptimizeConfig) coreConfig() core.Config {
 	cfg.ProfileSeed = c.ProfileSeed
 	cfg.Profile.AffinityDistance = c.AffinityDistance
 	cfg.Profile.MaxObjectSize = c.MaxObjectSize
-	cfg.Profile.Coverage = c.Coverage
+	cfg.Group.Coverage = c.Coverage
 	cfg.Group.MinWeight = c.MinWeight
 	cfg.Group.MaxGroupMembers = c.MaxGroupMembers
 	cfg.Group.MergeTol = c.MergeTol
@@ -177,7 +177,7 @@ type ResultSummary struct {
 // in-flight table, and otherwise queues a job on the worker pool.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(&req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad optimize request: %v", err)
 		return
 	}
@@ -371,9 +371,8 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
-// buildArtifact runs the pipeline: record a profile, or filter the stored
-// ones at the request's coverage (merging them if several); then group, identify, rewrite, and
-// package the artifacts. It runs outside the server lock; everything it
+// buildArtifact runs the pipeline: record a profile, or merge the stored
+// ones; then filter, group, identify, rewrite, and package the artifacts. It runs outside the server lock; everything it
 // reads (program entries, stored profiles) is shared and only read.
 func buildArtifact(prog *programEntry, req OptimizeRequest, profs []*profile.Profile) (*Artifact, error) {
 	if prog == nil {
@@ -398,7 +397,7 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, profs []*profile.Pro
 		// Merging stands in for the training run, so it takes the
 		// "profile" slot in the stage trace.
 		endProfile := tr.Span("profile")
-		prof, err = profstore.MergeWithCoverage(req.Config.Coverage, profs...)
+		prof, err = profstore.Merge(profs...)
 		endProfile()
 		if err != nil {
 			return nil, fmt.Errorf("merging profiles: %w", err)

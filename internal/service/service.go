@@ -34,8 +34,10 @@
 //
 // The merge endpoint takes {"profiles": [id, ...]}. A profile image holds
 // only what its run observed, so merging one profile is the identity: the
-// answer is that profile's own entry. Several are merged by
-// profstore.MergeWithCoverage, the rule every optimize job applies too.
+// answer is that profile's own entry. Several are merged by profstore.Merge,
+// as an optimize job's profiles are. No stored or merged profile is
+// filtered: each job filters its profile's raw graph at the request's
+// coverage, in synthesis. Both endpoints refuse unknown JSON keys.
 package service
 
 import (
@@ -343,12 +345,9 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 // form, deduplicating by hash. prof is shared read-only from then on.
 // A recorded reference trace is most of a decoded profile, and no job
 // reads it: merging several drops it and synthesis does not read it. It
-// is dropped from prof here; the blob keeps it for download. A merged
-// profile's filtered graph goes too, as a decoded one has none: every
-// job derives its own through profstore.MergeWithCoverage.
+// is dropped from prof here; the blob keeps it for download.
 func (s *Server) storeProfile(blob []byte, prof *profile.Profile) *profileEntry {
 	prof.Trace = nil
-	prof.Graph = nil
 	id := hashID(blob)
 	entry := &profileEntry{ID: id, Blob: blob, Prof: prof}
 	s.mu.Lock()
@@ -397,7 +396,7 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Profiles []string `json:"profiles"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(&req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad merge request: %v", err)
 		return
 	}
@@ -427,7 +426,7 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 	}
 	// Optimize jobs take stored profiles through the same call, so a
 	// merged profile optimises exactly as its inputs would together.
-	merged, err := profstore.MergeWithCoverage(0, profs...)
+	merged, err := profstore.Merge(profs...)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "merge: %v", err)
 		return
@@ -441,6 +440,13 @@ func (s *Server) handleProfileMerge(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- helpers ------------------------------------------------------------
+
+// decodeRequest decodes a JSON body into v, refusing keys v lacks.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"halo/internal/core"
+	"halo/internal/group"
 	"halo/internal/isa"
 	"halo/internal/policy"
 	"halo/internal/profile"
@@ -210,7 +211,7 @@ func TestServiceEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mergedLocal, err := profstore.MergeWithCoverage(0, profLocalA, profLocalB)
+			mergedLocal, err := profstore.Merge(profLocalA, profLocalB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,6 +393,17 @@ func TestServiceValidation(t *testing.T) {
 			t.Errorf("bad config %+v: %d %s, want 400", bad, code, body)
 		}
 	}
+	// Unknown keys are refused, not dropped: merging takes no coverage,
+	// and a misspelt option would otherwise run at its default.
+	if code, body := c.postJSON("/v1/profiles/merge",
+		map[string]any{"profiles": []string{artProf}, "coverage": 0.5}, nil); code != http.StatusBadRequest {
+		t.Errorf("merge with a coverage key: %d %s, want 400", code, body)
+	}
+	if code, body := c.postJSON("/v1/optimize", map[string]any{
+		"program": artID, "profiles": []string{artProf}, "config": map[string]any{"max_group": 1},
+	}, nil); code != http.StatusBadRequest {
+		t.Errorf("optimize with the misspelt key max_group: %d %s, want 400", code, body)
+	}
 	if code, _ := c.get("/v1/programs/"+strings.Repeat("0", 64), nil); code != http.StatusNotFound {
 		t.Errorf("unknown program fetch: %d, want 404", code)
 	}
@@ -402,8 +414,9 @@ func TestServiceValidation(t *testing.T) {
 }
 
 // TestSingleProfileCoverageApplies guards the single-profile optimize
-// path: the request's coverage must re-filter the uploaded profile's
-// graph, not silently keep the uploader's filtering.
+// path: the request's coverage must reach the filter synthesis applies to
+// the stored profile's raw graph, and filtering must not write to the
+// profile the server shares between jobs.
 func TestSingleProfileCoverageApplies(t *testing.T) {
 	w := workloads.MustGet("art")
 	p := w.Build(w.TestScale)
@@ -419,36 +432,40 @@ func TestSingleProfileCoverageApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := profstore.MergeWithCoverage(0, stored)
-	if err != nil {
-		t.Fatal(err)
+	raw := stored.RawGraph.String()
+	synth := func(prof *profile.Profile, coverage float64) *core.Optimized {
+		t.Helper()
+		merged, err := profstore.Merge(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := core.OptimizeFromProfile(p, merged, OptimizeConfig{Coverage: coverage}.coreConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opt
 	}
-	if def.Graph.NumNodes() != prof.Graph.NumNodes() {
-		t.Fatalf("default coverage changed the graph: %d vs %d nodes",
-			def.Graph.NumNodes(), prof.Graph.NumNodes())
+	def, fresh := synth(stored, 0), synth(prof, 0)
+	if def.Graph.String() != fresh.Graph.String() {
+		t.Fatalf("the stored profile filters to %d nodes, the fresh one to %d",
+			def.Graph.NumNodes(), fresh.Graph.NumNodes())
 	}
-	full, err := profstore.MergeWithCoverage(1.0, stored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Graph.NumNodes() <= def.Graph.NumNodes() {
+	if full := synth(stored, 1.0); full.Graph.NumNodes() <= def.Graph.NumNodes() {
 		t.Fatalf("coverage 1.0 kept %d nodes, default kept %d; expected more",
 			full.Graph.NumNodes(), def.Graph.NumNodes())
 	}
-	if stored.Graph != nil {
-		t.Fatal("re-filtering wrote to the stored profile")
+	if stored.RawGraph.String() != raw {
+		t.Fatal("filtering wrote to the stored profile")
 	}
 }
 
 // TestZeroCoverageIsDefaultForOneProfile checks that a job naming one
 // profile reads coverage 0 as the paper's default, as a job naming several
-// does, whatever coverage the uploader recorded at.
+// does.
 func TestZeroCoverageIsDefaultForOneProfile(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	progID, prog := c.uploadProgram("art")
-	cfg := core.Config{ProfileSeed: 3}
-	cfg.Profile.Coverage = 0.5
-	profID, _ := c.uploadProfileWith(prog, cfg)
+	profID, _ := c.uploadProfileWith(prog, core.Config{ProfileSeed: 3})
 
 	nodesLine := func(coverage float64) string {
 		st := c.optimizeWait(OptimizeRequest{
@@ -460,8 +477,12 @@ func TestZeroCoverageIsDefaultForOneProfile(t *testing.T) {
 		line, _, _ := strings.Cut(string(report), "\n")
 		return line
 	}
-	if zero, def := nodesLine(0), nodesLine(profile.DefaultCoverage); zero != def {
-		t.Fatalf("coverage 0 reports %q, coverage %v reports %q", zero, profile.DefaultCoverage, def)
+	zero, def := nodesLine(0), nodesLine(group.DefaultCoverage)
+	if zero != def {
+		t.Fatalf("coverage 0 reports %q, coverage %v reports %q", zero, group.DefaultCoverage, def)
+	}
+	if half := nodesLine(0.5); half == def {
+		t.Fatalf("coverage 0.5 reports %q, as the default does; the check would be vacuous", half)
 	}
 }
 
@@ -495,19 +516,13 @@ func TestConcurrentJobsShareStoredProfile(t *testing.T) {
 	}
 	want := make([][]byte, len(variants))
 	for i, v := range variants {
-		var prof *profile.Profile
-		if len(v.profiles) == 1 {
-			prof = decode(blobA)
-			coverage := v.cfg.Coverage
-			if coverage == 0 {
-				coverage = profile.DefaultCoverage
-			}
-			prof.Graph = prof.RawGraph.Filter(coverage)
-		} else {
-			var err error
-			if prof, err = profstore.MergeWithCoverage(v.cfg.Coverage, decode(blobA), decode(blobB)); err != nil {
-				t.Fatal(err)
-			}
+		profs := []*profile.Profile{decode(blobA)}
+		if len(v.profiles) == 2 {
+			profs = append(profs, decode(blobB))
+		}
+		prof, err := profstore.Merge(profs...)
+		if err != nil {
+			t.Fatal(err)
 		}
 		opt, err := core.OptimizeFromProfile(prog, prof, v.cfg.coreConfig())
 		if err != nil {
@@ -779,16 +794,14 @@ func TestHugeMaxGroupMembersKeepsServing(t *testing.T) {
 }
 
 // TestSingleProfileMergeMatchesCLI: an image stores only the raw graph,
-// so merging one profile is the identity on its bytes whatever coverage it
-// was recorded at. halod answers a one-input merge with the upload's own
-// id and bytes, trace included, and `halo profile-merge` of the same file
-// (profstore.MergeWithCoverage of the decoded file, encoded) writes the
-// file itself.
+// so merging one profile is the identity on its bytes. halod answers a
+// one-input merge with the upload's own id and bytes, trace included, and
+// `halo profile-merge` of the same file (profstore.Merge of the decoded
+// file, encoded) writes the file itself.
 func TestSingleProfileMergeMatchesCLI(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	_, p := c.uploadProgram("art")
 	cfg := core.Config{ProfileSeed: 3}
-	cfg.Profile.Coverage = 0.5
 	cfg.Profile.RecordTrace = true
 	id, blob := c.uploadProfileWith(p, cfg)
 
@@ -796,7 +809,7 @@ func TestSingleProfileMergeMatchesCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := profstore.MergeWithCoverage(0, prof)
+	merged, err := profstore.Merge(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
