@@ -1,11 +1,21 @@
 package sequitur
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzGrammar builds a grammar over a small-alphabet sequence (the first
 // byte picks an alphabet of 2 to 5 terminals, which maximises rule churn)
 // and checks the SEQUITUR invariants and the rule-slot bookkeeping:
 //
+//   - after every append the grammar equals, up to rule-slot renaming,
+//     the reference grammar built without extend (canonical forms: rules
+//     in creation order, references renamed by creation index, digram
+//     registrations marked). The periodic seeds (periods 7 and 25) and
+//     the copied-chunk seed take the extension path on a third or more of
+//     their appends; a period of 3 never does, since its occurrences are
+//     adjacent;
 //   - Expand reproduces the input;
 //   - digram uniqueness: no digram of two different symbols occurs twice
 //     across the rule bodies (repeats inside a run such as "aaa" are the
@@ -33,6 +43,11 @@ func FuzzGrammar(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 2, 2, 0, 1, 2, 0, 2, 2, 0, 2})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1})
 	f.Add([]byte{2, 4, 4, 4, 4, 4, 4, 4, 1, 2, 1, 2, 3, 1, 2, 1, 2, 3})
+	f.Add(append([]byte{3}, bytes.Repeat([]byte{0, 1, 2, 3, 4, 0, 2}, 20)...))
+	f.Add(append([]byte{3}, bytes.Repeat([]byte{0, 0, 1, 0, 2, 0, 3, 0, 4, 1, 1, 2, 1, 3, 1, 4, 2, 2, 3, 2, 4, 3, 3, 4, 4}, 8)...))
+	f.Add([]byte{3, 3, 0, 4, 1, 2, 2, 0, 3, 1, 4, 1, 3, 0, 4, 1, 2, 2, 0, 3, 1, 4, 0, 0, 4, 2, 1, 3, 3, 0,
+		3, 0, 4, 1, 2, 2, 0, 3, 1, 4, 2, 3, 0, 4, 1, 2, 2, 0, 3, 1, 4, 4, 2, 1, 3, 3, 0, 3, 0, 4, 1, 2, 2,
+		0, 3, 1, 4, 1, 4, 3, 0, 4, 1, 2, 2, 0, 3, 1, 4, 3, 4, 2, 1, 3, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// checkSlots walks every slot after every append, so long inputs
 		// would cost quadratic time; the invariants show on short ones.
@@ -41,11 +56,13 @@ func FuzzGrammar(f *testing.F) {
 		}
 		k := int64(data[0]%4) + 2
 		seq := make([]int64, len(data)-1)
-		g := NewGrammar()
+		g, ref := NewGrammar(), newReference()
 		peak := g.NumRules()
 		for i, b := range data[1:] {
 			seq[i] = int64(b) % k
 			g.Append(seq[i])
+			ref.Append(seq[i])
+			matchReference(t, g, ref, i+1)
 			peak = max(peak, g.NumRules())
 			checkSlots(t, g, peak)
 		}

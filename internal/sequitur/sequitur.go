@@ -57,6 +57,10 @@ type Grammar struct {
 	nlive     int
 	length    int // terminals consumed
 	digrams   digramTable
+	extended  int // matches extend resolved; tests report it per append
+	// noExtend makes match skip extend and always take the new-rule path:
+	// the algorithm before extend, which tests build as the reference.
+	noExtend bool
 }
 
 // Rule is a handle on a grammar production.
@@ -210,13 +214,16 @@ func (g *Grammar) check(s int32) bool {
 }
 
 // match resolves a repeated digram: reuse the rule if the other occurrence
-// is a complete rule body, otherwise create a new rule for the digram.
+// is a complete rule body, grow a twice-used rule in place when extend
+// can, otherwise create a new rule for the digram.
 func (g *Grammar) match(s, found int32) {
 	var r int32
 	fPrev, fNextNext := g.syms[found].prev, g.syms[g.syms[found].next].next
 	if g.syms[fPrev].guard && g.syms[fNextNext].guard {
 		r = ruleOf(g.syms[fPrev].value)
 		g.substitute(s, r)
+	} else if !g.noExtend && g.extend(s, found) {
+		return
 	} else {
 		r = g.newRule()
 		g.insertAfter(g.lastOf(r), g.copySymbol(s))
@@ -229,6 +236,67 @@ func (g *Grammar) match(s, found int32) {
 	if f := g.firstOf(r); g.isNT(f) && g.rules[ruleOf(g.syms[f].value)].count == 1 {
 		g.expand(f)
 	}
+}
+
+// extend takes the commonest repeat, a digram [B c] whose nonterminal B is
+// referenced exactly twice, both times in this digram (so c is not B,
+// which would take a third reference). The new-rule path would create
+// A = [B c], substitute both occurrences, and then inline B, now
+// referenced once, into A. extend reaches the same grammar in place: it
+// drops the c after each occurrence, appends c to B's body, and gives B
+// the creation stamp A would have taken, so the grammar equals the
+// new-rule path's up to rule-slot renaming, digram registrations included.
+// It declines, and match falls back to that path, wherever the path's
+// substitutions could take another turn: when the occurrences are
+// adjacent, or when the symbols before them (or after them) are equal
+// non-guards, so that the second substitution's check would find the
+// digram the first one registered.
+//
+//halo:hot
+func (g *Grammar) extend(s, found int32) bool {
+	b := g.syms[found].value
+	num := ruleOf(b)
+	if b >= 0 || g.rules[num].count != 2 {
+		return false
+	}
+	c1, c2 := g.syms[found].next, g.syms[s].next
+	q1, x1 := g.syms[found].prev, g.syms[c1].next
+	q2, x2 := g.syms[s].prev, g.syms[c2].next
+	if x1 == s || x2 == found || g.twins(q1, q2) || g.twins(x1, x2) {
+		return false
+	}
+	// B keeps its key, so every digram around both occurrences leaves the
+	// table before B's new digrams are registered.
+	for _, d := range [...]int32{q1, found, c1, q2, c2} {
+		g.deleteDigram(d)
+	}
+	g.syms[found].next, g.syms[x1].prev = x1, found
+	g.syms[s].next, g.syms[x2].prev = x2, s
+	if v := g.syms[c2].value; v < 0 {
+		g.rules[ruleOf(v)].count--
+	}
+	g.freeSymbol(c2)
+	// c1 moves to the end of B's body; expand registers the digram it
+	// closes the same way, without a check.
+	guard := g.rules[num].guard
+	last := g.syms[guard].prev
+	g.syms[last].next, g.syms[c1].prev = c1, last
+	g.syms[c1].next, g.syms[guard].prev = guard, c1
+	g.register(last)
+	g.rules[num].born = g.created
+	g.created++
+	g.extended++
+	for _, d := range [...]int32{q1, found, q2, s} {
+		if !g.syms[d].guard && !g.syms[g.syms[d].next].guard {
+			g.register(d)
+		}
+	}
+	return true
+}
+
+// twins reports whether a and b are non-guard symbols with equal keys.
+func (g *Grammar) twins(a, b int32) bool {
+	return !g.syms[a].guard && !g.syms[b].guard && g.syms[a].value == g.syms[b].value
 }
 
 // copySymbol clones a symbol's value into a fresh node.
