@@ -165,7 +165,6 @@ func cmdProfile(args []string) error {
 	runs := fs.Int("runs", 1, "independent training runs (seeds seed, seed+1, ...), profiled concurrently and merged")
 	dist := fs.Uint64("affinity-distance", 128, "affinity distance A in bytes")
 	top := fs.Int("top", 20, "contexts to print")
-	trace := fs.Bool("trace", false, "record the data reference trace (hot-data-streams input)")
 	out := fs.String("o", "", "save the profile image (input to profile-merge, opt, halod)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -177,7 +176,6 @@ func cmdProfile(args []string) error {
 	}
 	cfg := core.Config{ProfileSeed: *seed}
 	cfg.Profile.AffinityDistance = *dist
-	cfg.Profile.RecordTrace = *trace
 	prof, err := core.ProfileN(p, cfg, *runs)
 	if err != nil {
 		return err

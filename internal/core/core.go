@@ -225,7 +225,7 @@ func (o *Optimized) HALOPolicy(p *isa.Program, hc halloc.Config) (measure.Policy
 // AnalyzeHDS runs the hot-data-streams comparison pipeline over a profile
 // recorded with tracing enabled.
 func AnalyzeHDS(prof *profile.Profile, cfg Config) (*hds.Result, error) {
-	if len(prof.Trace) == 0 {
+	if prof.Trace.Len() == 0 {
 		return nil, fmt.Errorf("core: profile has no reference trace; enable Profile.RecordTrace")
 	}
 	return hds.Analyze(prof, cfg.HDS, cfg.Trace), nil

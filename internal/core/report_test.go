@@ -62,8 +62,8 @@ func TestHDSSetFormation(t *testing.T) {
 		}
 		t.Logf("%s: trace=%d rules=%d candidates=%d hot=%d sets=%d",
 			name, res.TraceLen, res.Rules, res.Candidates, res.Streams, len(res.Sets))
-		if res.TraceLen != len(prof.Trace) {
-			t.Errorf("%s: analysed %d refs, profile traced %d", name, res.TraceLen, len(prof.Trace))
+		if res.TraceLen != prof.Trace.Len() {
+			t.Errorf("%s: analysed %d refs, profile traced %d", name, res.TraceLen, prof.Trace.Len())
 		}
 		if res.Streams > res.Candidates {
 			t.Errorf("%s: %d hot streams from %d candidates", name, res.Streams, res.Candidates)

@@ -542,8 +542,9 @@ func (e *Engine) ProfileStats() []ProfileStat {
 // spans of turning its training profile into groups, selectors and the
 // HDS co-allocation policy. This is the per-job cost a halod worker pays
 // on top of profiling (or profile decoding), and the trajectory the
-// synthesis pipeline is tracked by. HDSNs leaves out the setup hds.Analyze
-// does before its first span (building the object table).
+// synthesis pipeline is tracked by. HDSNs sums hds.Analyze's stage spans;
+// no setup precedes the first, since the analysis reads the profiler's
+// per-serial table as its object table.
 type SynthStat struct {
 	Workload   string `json:"workload"`
 	Groups     int    `json:"groups"`

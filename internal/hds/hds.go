@@ -48,26 +48,17 @@ type Result struct {
 // tr, when non-nil, receives one span per analysis stage (the SEQUITUR
 // grammar, co-allocation set construction, set packing).
 func Analyze(p *profile.Profile, cfg Config, tr *obs.Trace) *Result {
-	// Object identities and their allocation sites/sizes, laid out densely
-	// by allocation serial.
-	var maxSerial int64 = -1
-	for _, r := range p.Trace {
-		maxSerial = max(maxSerial, int64(r.Obj))
-	}
-	objects := NewObjects(maxSerial)
-	for _, r := range p.Trace {
-		objects.Add(int64(r.Obj), ObjectInfo{Site: r.Site, Size: r.ObjSize})
-	}
-
 	endSeq := tr.Span("hds/sequitur")
 	g := sequitur.NewGrammar()
-	for _, r := range p.Trace {
-		g.Append(int64(r.Obj))
+	for _, b := range p.Trace.Blocks() {
+		for _, s := range b {
+			g.Append(int64(s))
+		}
 	}
 	ext := ExtractStreams(g, cfg.Streams)
 	endSeq()
 	endSets := tr.Span("hds/sets")
-	sets := BuildSets(ext.Streams, objects)
+	sets := BuildSets(ext.Streams, p.Trace.Objects())
 	endSets()
 	endPack := tr.Span("hds/setpack")
 	packed := PackSets(sets, cfg.MaxGroups)

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"halo/internal/isa"
+	"halo/internal/profile"
 )
 
 // CoallocSet is a candidate co-allocation policy derived from one or more
@@ -19,54 +20,17 @@ type CoallocSet struct {
 	Streams int // streams contributing to this set
 }
 
-// ObjectInfo locates an object for benefit analysis.
-type ObjectInfo struct {
-	Site isa.Addr
-	Size uint32
-}
-
 const lineSize = 64
-
-// Objects is a dense object-information table indexed by allocation
-// serial, the form the trace walk in Analyze produces.
-type Objects struct {
-	info    []ObjectInfo
-	present []bool
-}
-
-// NewObjects returns a table sized for serials in [0, maxSerial].
-func NewObjects(maxSerial int64) *Objects {
-	n := maxSerial + 1
-	if n < 0 {
-		n = 0
-	}
-	return &Objects{info: make([]ObjectInfo, n), present: make([]bool, n)}
-}
-
-// Add registers an object's allocation site and size.
-func (o *Objects) Add(serial int64, info ObjectInfo) {
-	if serial < 0 || serial >= int64(len(o.info)) {
-		return
-	}
-	o.info[serial] = info
-	o.present[serial] = true
-}
-
-// Lookup returns an object's info, if known.
-func (o *Objects) Lookup(serial int64) (ObjectInfo, bool) {
-	if serial < 0 || serial >= int64(len(o.info)) || !o.present[serial] {
-		return ObjectInfo{}, false
-	}
-	return o.info[serial], true
-}
 
 // BuildSets converts hot data streams into co-allocation sets. Each stream
 // projects the miss reduction of packing its objects into contiguous lines
 // versus leaving each on separate lines, scaled by the stream's frequency
 // (the benefit model of the original paper, simplified to line counts).
 // Streams inducing identical site sets merge, accumulating benefit in
-// stream order.
-func BuildSets(streams []Stream, objects *Objects) []CoallocSet {
+// stream order. objects is indexed by allocation serial, as
+// profile.Trace.Objects returns it; a zero Size marks a serial with no
+// object.
+func BuildSets(streams []Stream, objects []profile.ObjectInfo) []CoallocSet {
 	if len(streams) == 0 {
 		return nil
 	}
@@ -87,10 +51,10 @@ func BuildSets(streams []Stream, objects *Objects) []CoallocSet {
 		var sepFootprint uint64 // each object's line-rounded footprint
 		known := 0
 		for _, obj := range st.Objects {
-			info, ok := objects.Lookup(obj)
-			if !ok {
-				continue
+			if obj < 0 || obj >= int64(len(objects)) || objects[obj].Size == 0 {
+				continue // no object recorded under this serial
 			}
+			info := objects[obj]
 			known++
 			r := siteRank[info.Site]
 			if stamp[r] != gen {
@@ -137,11 +101,11 @@ func BuildSets(streams []Stream, objects *Objects) []CoallocSet {
 
 // rankSites interns every site in the object table, assigning dense ranks
 // in ascending address order.
-func rankSites(objects *Objects) (map[isa.Addr]int32, []isa.Addr) {
+func rankSites(objects []profile.ObjectInfo) (map[isa.Addr]int32, []isa.Addr) {
 	seen := make(map[isa.Addr]int32)
-	for serial, ok := range objects.present {
-		if ok {
-			seen[objects.info[serial].Site] = 0
+	for _, o := range objects {
+		if o.Size != 0 {
+			seen[o.Site] = 0
 		}
 	}
 	addrs := make([]isa.Addr, 0, len(seen))

@@ -4,22 +4,19 @@ import (
 	"testing"
 
 	"halo/internal/isa"
+	"halo/internal/profile"
 )
 
 // objectsAt builds the dense object table with infos at serials 1, 2, ….
-func objectsAt(infos ...ObjectInfo) *Objects {
-	o := NewObjects(int64(len(infos)))
-	for i, info := range infos {
-		o.Add(int64(i+1), info)
-	}
-	return o
+func objectsAt(infos ...profile.ObjectInfo) []profile.ObjectInfo {
+	return append([]profile.ObjectInfo{{}}, infos...)
 }
 
 func TestBuildSetsBenefitModel(t *testing.T) {
 	objects := objectsAt(
-		ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 24},
-		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 24},
-		ObjectInfo{Site: isa.MakeAddr(3, 3), Size: 64}, // full line: no savings alone
+		profile.ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 24},
+		profile.ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 24},
+		profile.ObjectInfo{Site: isa.MakeAddr(3, 3), Size: 64}, // full line: no savings alone
 	)
 	streams := []Stream{
 		{Objects: []int64{1, 2}, Freq: 10, Heat: 20},
@@ -41,8 +38,8 @@ func TestBuildSetsBenefitModel(t *testing.T) {
 
 func TestBuildSetsDropsNoSavings(t *testing.T) {
 	objects := objectsAt(
-		ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 64},
-		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 128},
+		profile.ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 64},
+		profile.ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 128},
 	)
 	streams := []Stream{{Objects: []int64{1, 2}, Freq: 5, Heat: 10}}
 	if sets := BuildSets(streams, objects); len(sets) != 0 {
@@ -52,10 +49,10 @@ func TestBuildSetsDropsNoSavings(t *testing.T) {
 
 func TestBuildSetsMergesIdenticalSiteSets(t *testing.T) {
 	objects := objectsAt(
-		ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 16},
-		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 16},
-		ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 16},
-		ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 16},
+		profile.ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 16},
+		profile.ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 16},
+		profile.ObjectInfo{Site: isa.MakeAddr(1, 1), Size: 16},
+		profile.ObjectInfo{Site: isa.MakeAddr(2, 2), Size: 16},
 	)
 	streams := []Stream{
 		{Objects: []int64{1, 2}, Freq: 3, Heat: 6},

@@ -8,11 +8,10 @@ import (
 
 // object is a live heap object tracked at object-level granularity.
 type object struct {
-	base    uint64
-	size    uint64
-	serial  uint64       // allocation serial, the object's identity
-	ctx     affinity.Ctx // reduced allocation context
-	rawSite uint32       // immediate malloc call site (for the HDS trace)
+	base   uint64
+	size   uint64
+	serial uint64       // allocation serial, the object's identity
+	ctx    affinity.Ctx // reduced allocation context
 }
 
 // objIndex answers the containment query the access instrumentation needs

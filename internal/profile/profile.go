@@ -51,7 +51,7 @@ type Config struct {
 	RecordTrace bool
 }
 
-// maxTrace caps the recorded reference trace (8 Mi refs, 128 MiB).
+// maxTrace caps the recorded reference trace (8 Mi refs, 32 MiB).
 const maxTrace = 8 << 20
 
 func (c Config) withDefaults() Config {
@@ -64,11 +64,50 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Ref is one element of the object-level data reference trace.
-type Ref struct {
-	Obj     uint64   // object identity (allocation serial)
-	Site    isa.Addr // immediate call site of the object's allocation
-	ObjSize uint32   // object size, for co-allocation benefit analysis
+// ObjectInfo is what the reference trace records of one allocation serial,
+// once, at allocation.
+type ObjectInfo struct {
+	Site isa.Addr // immediate call site of the object's allocation
+	Size uint32   // object size, for co-allocation benefit analysis
+}
+
+// Trace is the object-level data reference trace the hot-data-streams
+// comparison (internal/hds) consumes: the allocation serial of each
+// macro-deduplicated reference, in execution order, and each serial's
+// ObjectInfo. It is read-only.
+//
+// Serials are recorded in 32 bits. The profiler already keeps a 16 B link
+// per serial, so a run that issued 2^32 serials would hold 64 GiB of links
+// before its trace could overflow. A nil *Trace is an empty trace.
+type Trace struct {
+	blocks  [][]uint32
+	objects []ObjectInfo
+	n       int
+}
+
+// Len reports the number of recorded references.
+func (t *Trace) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.n
+}
+
+// Blocks returns the recorded serials in order, as consecutive blocks.
+func (t *Trace) Blocks() [][]uint32 {
+	if t == nil {
+		return nil
+	}
+	return t.blocks
+}
+
+// Objects returns each allocation serial's ObjectInfo, indexed by serial.
+// Serial 0 is never issued; its entry is zero.
+func (t *Trace) Objects() []ObjectInfo {
+	if t == nil {
+		return nil
+	}
+	return t.objects
 }
 
 // Profile is the result of a profiling run: only what the run observed.
@@ -80,7 +119,7 @@ type Profile struct {
 	ProgName string          // survives serialisation, where Prog does not
 	RawGraph *affinity.Graph // unfiltered
 	Contexts []*Context      // indexed by affinity.Ctx
-	Trace    []Ref           // empty unless Config.RecordTrace
+	Trace    *Trace          // nil unless Config.RecordTrace; not serialised
 
 	TotalAllocs   uint64
 	TrackedAllocs uint64
@@ -93,7 +132,7 @@ type Profile struct {
 }
 
 // traceBlock is the length of one reference-trace recording block (16 Ki
-// refs, 256 KiB).
+// refs, 64 KiB).
 const traceBlock = 1 << 14
 
 // Profiler implements vm.EventSink: it drains the VM's batched event
@@ -102,8 +141,8 @@ const traceBlock = 1 << 14
 // chain scratch buffers, the object index, the affinity queue and the
 // graph all reuse their backing arrays. The reference trace, which only
 // grows, is recorded in fixed traceBlock-length blocks, so it allocates one
-// block per traceBlock refs and never copies what it has recorded until
-// Finish joins the blocks.
+// block per traceBlock refs and never copies what it has recorded; Finish
+// hands the blocks to the profile as they are.
 type Profiler struct {
 	prog *isa.Program
 	cfg  Config
@@ -132,10 +171,12 @@ type Profiler struct {
 	events uint64
 
 	// trace is the block being filled, blocks the full ones before it,
-	// and traceLen the refs recorded in all of them.
-	trace    []Ref
-	blocks   [][]Ref
+	// and traceLen the refs recorded in all of them. traced holds each
+	// serial's ObjectInfo, indexed by serial.
+	trace    []uint32
+	blocks   [][]uint32
 	traceLen int
+	traced   []ObjectInfo
 
 	totalAllocs   uint64
 	trackedAllocs uint64
@@ -164,6 +205,9 @@ func New(p *isa.Program, cfg Config) *Profiler {
 		objects:  newObjIndex(),
 		graph:    affinity.NewGraph(),
 		links:    make([]link, 1, 1024),
+	}
+	if cfg.RecordTrace {
+		pr.traced = make([]ObjectInfo, 1, 1024)
 	}
 	pr.queue = affinity.NewQueue(cfg.AffinityDistance, pr.graph, pr)
 	return pr
@@ -287,20 +331,19 @@ func (p *Profiler) alloc(ev *vm.Event) {
 	ctx := p.currentContext(ev.Site)
 	ctx.Allocs++
 	serial := p.issue(ctx.ID)
+	size := max(ev.Bytes, 1)
+	if p.cfg.RecordTrace {
+		p.traced = append(p.traced, ObjectInfo{Site: ev.Site, Size: uint32(size)})
+	}
 	if ev.Bytes > p.cfg.MaxObjectSize {
 		return // not a grouping candidate; leave untracked
 	}
 	p.trackedAllocs++
-	size := ev.Bytes
-	if size == 0 {
-		size = 1
-	}
 	p.objects.insert(object{
-		base:    ev.Addr,
-		size:    size,
-		serial:  serial,
-		ctx:     ctx.ID,
-		rawSite: uint32(ev.Site),
+		base:   ev.Addr,
+		size:   size,
+		serial: serial,
+		ctx:    ctx.ID,
 	})
 	if p.objects.len() > p.peakLive {
 		p.peakLive = p.objects.len()
@@ -322,11 +365,12 @@ func (p *Profiler) access(addr uint64, size uint8) {
 		// affinity queue is: consecutive references to one object are a
 		// single trace element. A new block starts only when a ref is
 		// recorded, so the last ref is always in p.trace.
-		if n := len(p.trace); n == 0 || p.trace[n-1].Obj != o.serial {
+		s := uint32(o.serial)
+		if n := len(p.trace); n == 0 || p.trace[n-1] != s {
 			if n == cap(p.trace) {
 				p.nextBlock()
 			}
-			p.trace = append(p.trace, Ref{Obj: o.serial, Site: isa.Addr(o.rawSite), ObjSize: uint32(o.size)})
+			p.trace = append(p.trace, s)
 			p.traceLen++
 		}
 	}
@@ -337,20 +381,20 @@ func (p *Profiler) nextBlock() {
 	if p.trace != nil {
 		p.blocks = append(p.blocks, p.trace)
 	}
-	p.trace = make([]Ref, 0, traceBlock)
+	p.trace = make([]uint32, 0, traceBlock)
 }
 
-// joinTrace returns the recorded trace as one exact-length slice (nil when
-// nothing was recorded).
-func (p *Profiler) joinTrace() []Ref {
-	if p.traceLen == 0 {
+// recordedTrace wraps the recorded blocks, without copying them, as the
+// profile's trace (nil when tracing is off).
+func (p *Profiler) recordedTrace() *Trace {
+	if !p.cfg.RecordTrace {
 		return nil
 	}
-	out := make([]Ref, 0, p.traceLen)
-	for _, b := range p.blocks {
-		out = append(out, b...)
+	blocks := p.blocks
+	if len(p.trace) > 0 {
+		blocks = append(blocks, p.trace)
 	}
-	return append(out, p.trace...)
+	return &Trace{blocks: blocks, objects: p.traced, n: p.traceLen}
 }
 
 // Finish produces the profile.
@@ -360,7 +404,7 @@ func (p *Profiler) Finish() *Profile {
 		ProgName:      p.prog.Name,
 		RawGraph:      p.graph,
 		Contexts:      p.contexts.list,
-		Trace:         p.joinTrace(),
+		Trace:         p.recordedTrace(),
 		TotalAllocs:   p.totalAllocs,
 		TrackedAllocs: p.trackedAllocs,
 		PeakLive:      p.peakLive,

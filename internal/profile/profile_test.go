@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -228,14 +229,20 @@ func TestTraceRecordsMacroAccesses(t *testing.T) {
 		m.LoadWord(v, a, 0)
 		m.RetConst(0)
 	})
-	if len(prof.Trace) != 3 {
-		t.Fatalf("trace = %d refs, want 3 (a, b, a)", len(prof.Trace))
+	refs := slices.Concat(prof.Trace.Blocks()...)
+	if prof.Trace.Len() != 3 || len(refs) != 3 {
+		t.Fatalf("trace = %d refs (%d in blocks), want 3 (a, b, a)", prof.Trace.Len(), len(refs))
 	}
-	if prof.Trace[0].Obj == prof.Trace[1].Obj {
+	if refs[0] == refs[1] {
 		t.Fatal("distinct objects share identity")
 	}
-	if prof.Trace[0].Obj != prof.Trace[2].Obj {
+	if refs[0] != refs[2] {
 		t.Fatal("revisited object changed identity")
+	}
+	for _, s := range refs {
+		if size := prof.Trace.Objects()[s].Size; size != 16 {
+			t.Fatalf("serial %d recorded with size %d, want 16", s, size)
+		}
 	}
 }
 

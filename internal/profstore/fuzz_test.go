@@ -5,13 +5,11 @@ import (
 	"testing"
 
 	"halo/internal/affinity"
-	"halo/internal/isa"
 	"halo/internal/profile"
 )
 
 // fuzzSeedProfiles builds a spread of small valid profiles covering the
-// format's features: empty, multi-context, graphs with loop edges, and a
-// recorded reference trace.
+// format's features: empty, multi-context and graphs with loop edges.
 func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 	tb.Helper()
 	mk := func(build func(set *profile.ContextSet, p *profile.Profile)) *profile.Profile {
@@ -46,11 +44,6 @@ func fuzzSeedProfiles(tb testing.TB) []*profile.Profile {
 		p.TotalAllocs = 5
 		p.TrackedAllocs = 5
 		p.PeakLive = 2
-		p.Trace = []profile.Ref{
-			{Obj: 1, Site: isa.Addr(12), ObjSize: 16},
-			{Obj: 2, Site: isa.Addr(28), ObjSize: 32},
-			{Obj: 1, Site: isa.Addr(12), ObjSize: 16},
-		}
 	})
 
 	merged, err := Merge(rich, rich)
@@ -73,6 +66,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(img)
 		f.Add(withVersion(img, 2))
+		f.Add(version3Image(img))
 		// Truncated and bit-flipped variants seed the corpus with
 		// near-valid images so the mutator starts at the caps.
 		f.Add(img[:len(img)/2])

@@ -27,14 +27,13 @@ import (
 // Image format. A profile is serialised as:
 //
 //	magic    "HPRO"
-//	version  uvarint (currently 3; Decode rejects any other)
+//	version  uvarint (currently 4; Decode rejects any other)
 //	name     string (uvarint length + bytes): program name
 //	stats    uvarint TotalAllocs, TrackedAllocs, PeakLive
 //	contexts uvarint count, then per context:
 //	           uvarint chain length; per entry varint Fn, uvarint Site
 //	           uvarint Allocs
 //	graph    the unfiltered affinity graph (see below)
-//	trace    uvarint count; per ref uvarint Obj, uvarint Site, uvarint Size
 //	crc      4-byte little-endian IEEE CRC-32 of every preceding byte
 //
 // and the graph as:
@@ -48,10 +47,13 @@ import (
 // image. An image holds only what the run observed. The graph's total
 // access count is the sum of its nodes' accesses, so it is derived on
 // decode, not stored; the coverage-filtered graph grouping reads is
-// derived from the raw one in synthesis (group.Filter).
+// derived from the raw one in synthesis (group.Filter). The reference
+// trace a traced run records (profile.Trace) is read in memory by the
+// hot-data-streams analysis and is not part of the image: version 3 held
+// it, and is refused.
 const (
 	magic   = "HPRO"
-	version = 3
+	version = 4
 )
 
 // Plausibility caps mirroring internal/isa's decoder. Beyond these static
@@ -63,7 +65,6 @@ const (
 	maxChainLen = 1 << 16
 	maxNodes    = 1 << 22
 	maxEdges    = 1 << 26
-	maxTraceLen = 1 << 28
 )
 
 // Encode serialises a profile to its binary image. The profile's program is
@@ -93,12 +94,6 @@ func Encode(p *profile.Profile) ([]byte, error) {
 		writeUvarint(&buf, c.Allocs)
 	}
 	encodeGraph(&buf, p.RawGraph)
-	writeUvarint(&buf, uint64(len(p.Trace)))
-	for _, r := range p.Trace {
-		writeUvarint(&buf, r.Obj)
-		writeUvarint(&buf, uint64(r.Site))
-		writeUvarint(&buf, uint64(r.ObjSize))
-	}
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
 	buf.Write(crc[:])
@@ -155,20 +150,6 @@ func Decode(image []byte) (*profile.Profile, error) {
 	var err error
 	if p.RawGraph, err = decodeGraph(r, nc); err != nil {
 		return nil, err
-	}
-	nt := r.uvarint()
-	if nt > maxTraceLen || !r.canHold(nt, 3) {
-		return nil, fmt.Errorf("profstore: implausible trace length %d", nt)
-	}
-	if nt > 0 {
-		p.Trace = make([]profile.Ref, nt)
-		for i := range p.Trace {
-			p.Trace[i] = profile.Ref{
-				Obj:     r.uvarint(),
-				Site:    isa.Addr(r.uvarint()),
-				ObjSize: uint32(r.uvarint()),
-			}
-		}
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("profstore: truncated image: %w", r.err)

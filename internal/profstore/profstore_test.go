@@ -77,9 +77,10 @@ func TestRoundTrip(t *testing.T) {
 
 			checkRawGraphsEqual(t, prof, got)
 
-			if !reflect.DeepEqual(got.Trace, prof.Trace) &&
-				!(len(got.Trace) == 0 && len(prof.Trace) == 0) {
-				t.Errorf("trace differs: %d vs %d refs", len(got.Trace), len(prof.Trace))
+			// A recorded trace is read in memory by the hot-data-streams
+			// analysis and never serialised.
+			if got.Trace != nil {
+				t.Errorf("decoded profile carries a trace of %d refs", got.Trace.Len())
 			}
 
 			// The strongest round-trip property: re-encoding the decoded
@@ -189,18 +190,9 @@ func TestDecodeCorrupt(t *testing.T) {
 // claim enormous element counts; Decode must reject them from the count
 // alone instead of allocating.
 func TestDecodeForgedCounts(t *testing.T) {
-	emptyGraph := func(buf *bytes.Buffer) {
-		writeUvarint(buf, 0) // nodes
-		writeUvarint(buf, 0) // edges
-	}
 	for name, img := range map[string][]byte{
 		"contexts": forge(func(buf *bytes.Buffer) {
 			writeUvarint(buf, maxContexts) // claims 4M contexts in ~30 bytes
-		}),
-		"trace": forge(func(buf *bytes.Buffer) {
-			writeUvarint(buf, 0) // contexts
-			emptyGraph(buf)
-			writeUvarint(buf, maxTraceLen)
 		}),
 		"graph-nodes": forge(func(buf *bytes.Buffer) {
 			writeUvarint(buf, 0) // contexts
@@ -233,7 +225,7 @@ func forge(build func(buf *bytes.Buffer)) []byte {
 	return buf.Bytes()
 }
 
-// forgeGraph forges an image of two contexts, no trace, and a graph
+// forgeGraph forges an image of two contexts and a graph
 // section listing nodes as (ctx, accesses) and edges as (u, v, weight)
 // pairs in the order given.
 func forgeGraph(nodes [][2]uint64, edges [][3]uint64) []byte {
@@ -256,7 +248,6 @@ func forgeGraph(nodes [][2]uint64, edges [][3]uint64) []byte {
 			writeUvarint(buf, e[1])
 			writeUvarint(buf, e[2])
 		}
-		writeUvarint(buf, 0) // trace
 	})
 }
 
@@ -335,15 +326,25 @@ func withVersion(img []byte, v byte) []byte {
 	return out
 }
 
+// version3Image returns img, a current-version image, as the retired
+// version 3 wrote it: with a trailing reference-trace section, here one
+// ref (serial 1, site 12, 16 bytes), under a recomputed checksum.
+func version3Image(img []byte) []byte {
+	out := withVersion(img, 3)
+	out = append(out[:len(out)-4], 1, 1, 12, 16)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
 // TestDecodeRejectsVersion1 checks that images of the retired formats are
 // refused by their version number rather than misread: version 1 (serial
-// logs) and version 2 (a stored filtered graph and per-graph totals).
+// logs), version 2 (a stored filtered graph and per-graph totals) and
+// version 3 (a reference-trace section).
 func TestDecodeRejectsVersion1(t *testing.T) {
 	img, err := Encode(profileWorkload(t, "art", 3, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, old := range map[int][]byte{1: version1Image(), 2: withVersion(img, 2)} {
+	for v, old := range map[int][]byte{1: version1Image(), 2: withVersion(img, 2), 3: version3Image(img)} {
 		_, err := Decode(old)
 		if want := fmt.Sprintf("unsupported version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d image: err = %v, want %s", v, err, want)
@@ -439,7 +440,7 @@ func TestMergeSums(t *testing.T) {
 		t.Fatal("no contexts checked")
 	}
 	// Traces deliberately do not survive merging.
-	if len(m.Trace) != 0 {
+	if m.Trace != nil {
 		t.Fatal("merged profile carries a trace")
 	}
 }
@@ -468,9 +469,9 @@ func TestMergeValidation(t *testing.T) {
 }
 
 // TestMergeSingleKeepsProfile: one profile has nothing to merge, so the
-// result re-encodes to the profile's own image, context numbering and
-// trace included. It is a copy: setting its fields leaves the input as it
-// was.
+// result re-encodes to the profile's own image, context numbering included,
+// and keeps its in-memory trace. It is a copy: setting its fields leaves
+// the input as it was.
 func TestMergeSingleKeepsProfile(t *testing.T) {
 	for _, trace := range []bool{false, true} {
 		p := profileWorkload(t, "art", 3, trace)
@@ -489,6 +490,9 @@ func TestMergeSingleKeepsProfile(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trace=%v: single-profile merge encodes to %d bytes, the profile to %d",
 				trace, len(got), len(want))
+		}
+		if one.Trace != p.Trace {
+			t.Fatalf("trace=%v: single-profile merge dropped the trace", trace)
 		}
 		one.Trace, one.Prog, one.RawGraph = nil, nil, nil
 		if after, err := Encode(p); err != nil || !bytes.Equal(after, want) {

@@ -21,9 +21,11 @@ func referenceTrace(tb testing.TB, w workloads.Workload) []int64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	trace := make([]int64, len(prof.Trace))
-	for i, r := range prof.Trace {
-		trace[i] = int64(r.Obj)
+	trace := make([]int64, 0, prof.Trace.Len())
+	for _, b := range prof.Trace.Blocks() {
+		for _, s := range b {
+			trace = append(trace, int64(s))
+		}
 	}
 	return trace
 }

@@ -343,11 +343,7 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 
 // storeProfile stores an already-validated profile blob and its decoded
 // form, deduplicating by hash. prof is shared read-only from then on.
-// A recorded reference trace is most of a decoded profile, and no job
-// reads it: merging several drops it and synthesis does not read it. It
-// is dropped from prof here; the blob keeps it for download.
 func (s *Server) storeProfile(blob []byte, prof *profile.Profile) *profileEntry {
-	prof.Trace = nil
 	id := hashID(blob)
 	entry := &profileEntry{ID: id, Blob: blob, Prof: prof}
 	s.mu.Lock()

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -413,6 +415,27 @@ func TestServiceValidation(t *testing.T) {
 	_ = povID
 }
 
+// TestVersion3ProfileRefused: a version-3 image, which carried the
+// reference trace, is refused by its version number, by the decoder and
+// by the upload endpoint alike.
+func TestVersion3ProfileRefused(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	_, p := c.uploadProgram("art")
+	_, img := c.uploadProfileWith(p, core.Config{ProfileSeed: 3})
+	// The same image as version 3 wrote it: a trailing trace section of
+	// one ref (serial 1, site 12, 16 bytes) before the checksum.
+	v3 := append(bytes.Clone(img[:len(img)-4]), 1, 1, 12, 16)
+	v3[len("HPRO")] = 3
+	v3 = binary.LittleEndian.AppendUint32(v3, crc32.ChecksumIEEE(v3))
+	const want = "unsupported version 3"
+	if _, err := profstore.Decode(v3); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Decode of a version-3 image: err = %v, want %q", err, want)
+	}
+	if code, body := c.post("/v1/profiles", v3, nil); code != http.StatusBadRequest || !strings.Contains(body, want) {
+		t.Fatalf("version-3 upload: %d %s, want 400 naming the version", code, body)
+	}
+}
+
 // TestSingleProfileCoverageApplies guards the single-profile optimize
 // path: the request's coverage must reach the filter synthesis applies to
 // the stored profile's raw graph, and filtering must not write to the
@@ -795,15 +818,13 @@ func TestHugeMaxGroupMembersKeepsServing(t *testing.T) {
 
 // TestSingleProfileMergeMatchesCLI: an image stores only the raw graph,
 // so merging one profile is the identity on its bytes. halod answers a
-// one-input merge with the upload's own id and bytes, trace included, and
-// `halo profile-merge` of the same file (profstore.Merge of the decoded
-// file, encoded) writes the file itself.
+// one-input merge with the upload's own id and bytes, and `halo
+// profile-merge` of the same file (profstore.Merge of the decoded file,
+// encoded) writes the file itself.
 func TestSingleProfileMergeMatchesCLI(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	_, p := c.uploadProgram("art")
-	cfg := core.Config{ProfileSeed: 3}
-	cfg.Profile.RecordTrace = true
-	id, blob := c.uploadProfileWith(p, cfg)
+	id, blob := c.uploadProfileWith(p, core.Config{ProfileSeed: 3})
 
 	prof, err := profstore.Decode(blob)
 	if err != nil {
